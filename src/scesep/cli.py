@@ -40,6 +40,13 @@ EXIT_USAGE = 2
 ALGOS = ("sce-mi", "snmf", "oracle-binary", "identity")
 
 
+def _cluster_count(text):
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return k
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="scesep", description=__doc__)
     parser.add_argument("--config", type=Path, help="key = value config file")
@@ -59,7 +66,7 @@ def _build_parser():
     p_den.add_argument("--checkpoint", type=Path, required=True)
     p_den.add_argument("input_wav", type=Path)
     p_den.add_argument("--mode", choices=("cluster", "mi"), default="cluster")
-    p_den.add_argument("--K", type=int, default=2)
+    p_den.add_argument("--K", type=_cluster_count, default=2)
 
     p_eval = sub.add_parser("eval", help="evaluate algorithms on the test split")
     p_eval.add_argument("--manifest", type=Path, required=True)
@@ -67,7 +74,7 @@ def _build_parser():
     p_eval.add_argument("--snmf-dir", type=Path, help="directory of SNMF dictionaries")
     p_eval.add_argument("--algo", action="append", choices=ALGOS)
     p_eval.add_argument("--mode", choices=("cluster", "mi", "both"), default="both")
-    p_eval.add_argument("--K", type=int, default=2)
+    p_eval.add_argument("--K", type=_cluster_count, default=2)
 
     sub.add_parser("gradcheck", help="finite-difference verification suite")
     return parser
@@ -147,6 +154,7 @@ def cmd_denoise(cfg, out_dir: Path, checkpoint: Path, input_wav: Path, mode: str
     result = denoise(
         model, w, mode=mode, k=k, cfg=stft_cfg, seed=cfg.seed,
         restarts=cfg.kmeans_restarts, low_energy_threshold=cfg.low_energy_threshold,
+        max_iter=cfg.kmeans_max_iter,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, stem in enumerate(result.stems):
@@ -192,6 +200,7 @@ def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg, k):
                 cfg=stft_cfg, seed=stream_seed(cfg.seed, f"eval-{rec.clip_id}"),
                 restarts=cfg.kmeans_restarts,
                 low_energy_threshold=cfg.low_energy_threshold,
+                max_iter=cfg.kmeans_max_iter,
             )
             _check_partition_invariants(rec, result, stft_cfg)
             yield m, result.stems

@@ -70,6 +70,8 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
         raise ShapeMismatch(f"expected (N, E) points, got {points.shape}")
     if len(points) < k:
         raise TooFewPoints(f"{len(points)} points for k={k}")
+    if restarts < 1 or max_iter < 1:
+        raise ValueError(f"restarts={restarts} and max_iter={max_iter} must be at least 1")
     best = None
     for r in range(restarts):
         rng = rng_for(seed, f"kmeans-restart-{r}")
@@ -131,6 +133,7 @@ def denoise(
     seed: int = 0,
     restarts: int = 8,
     low_energy_threshold: float = 0.1,
+    max_iter: int = 300,
 ) -> DenoiseResult:
     """Full pipeline: STFT, compress, embed, mask, reconstruct.
 
@@ -153,7 +156,7 @@ def denoise(
         points = points / (np.linalg.norm(points, axis=1, keepdims=True) + 1e-12)
         keep = feat.mag.reshape(T * F) >= low_energy_threshold
         fit_points = points[keep] if int(keep.sum()) >= k else points
-        fitted = kmeans(fit_points, k, seed=seed, restarts=restarts)
+        fitted = kmeans(fit_points, k, seed=seed, restarts=restarts, max_iter=max_iter)
         dists = ((points[:, None, :] - fitted.centroids[None]) ** 2).sum(axis=2)
         assignment = ClusterAssignment(
             np.argmin(dists, axis=1),

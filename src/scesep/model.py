@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn
 from .container import MAGIC_MODEL, read_container, write_container
-from .errors import EmptyCorpus, ShapeMismatch, UnknownSource
+from .errors import CorruptCheckpoint, EmptyCorpus, ShapeMismatch, UnknownSource
 from .seeding import rng_for
 
 
@@ -47,27 +47,26 @@ class SeparationModel:
     def __init__(self, config: ModelConfig, rng=None, values=None):
         self.config = config
         h = config.hidden_total // 2
-        if rng is None and values is None:
+        if rng is None:
             rng = np.random.default_rng(0)
         self.layers = []
         d_in = config.n_freq
         for i in range(config.n_blstm_layers):
             self.layers.append(
                 (
-                    nn.init_lstm_params(d_in, h, rng or np.random.default_rng(0), f"blstm{i}.fwd"),
-                    nn.init_lstm_params(d_in, h, rng or np.random.default_rng(0), f"blstm{i}.bwd"),
+                    nn.init_lstm_params(d_in, h, rng, f"blstm{i}.fwd"),
+                    nn.init_lstm_params(d_in, h, rng, f"blstm{i}.bwd"),
                 )
             )
             d_in = config.hidden_total
         k = config.n_freq * config.embed_dim
         bound = 1.0 / math.sqrt(config.hidden_total)
-        r = rng or np.random.default_rng(0)
-        self.embed_w = nn.Parameter(r.uniform(-bound, bound, (config.hidden_total, k)), "embed.w")
+        self.embed_w = nn.Parameter(rng.uniform(-bound, bound, (config.hidden_total, k)), "embed.w")
         self.embed_b = nn.Parameter(np.zeros(k), "embed.b")
         mb = 1.0 / math.sqrt(config.embed_dim)
-        self.mi_w = nn.Parameter(r.uniform(-mb, mb, (config.embed_dim, config.n_mix_sources)), "mi.w")
+        self.mi_w = nn.Parameter(rng.uniform(-mb, mb, (config.embed_dim, config.n_mix_sources)), "mi.w")
         self.mi_b = nn.Parameter(np.zeros(config.n_mix_sources), "mi.b")
-        rows = r.standard_normal((config.n_table_rows, config.embed_dim))
+        rows = rng.standard_normal((config.n_table_rows, config.embed_dim))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         self.table = nn.Parameter(rows, "table")
         if values is not None:
@@ -135,23 +134,6 @@ def sce_loss(v_i: nn.Tensor, v_o: nn.Tensor, y: np.ndarray) -> nn.Tensor:
     vi_flat = nn.reshape(v_i, (B, T * F, E))
     d = nn.reshape(nn.matmul(vi_flat, nn.swap_last(v_o)), (B, T, F, M))
     return nn.mul(nn.tsum(nn.log_sigmoid(nn.mul(d, y))), -1.0 / (B * M))
-
-
-def sce_loss_oracle(v_i: np.ndarray, v_o: np.ndarray, y: np.ndarray) -> float:
-    """Naive five-nested-loop scalar reference for sce_loss."""
-    B, T, F, E = v_i.shape
-    M = v_o.shape[1]
-    total = 0.0
-    for b in range(B):
-        for t in range(T):
-            for f in range(F):
-                for m in range(M):
-                    dot = 0.0
-                    for e in range(E):
-                        dot += v_i[b, t, f, e] * v_o[b, m, e]
-                    z = y[b, t, f, m] * dot
-                    total += -math.log(1.0 / (1.0 + math.exp(-z))) / M
-    return total / B
 
 
 def mi_loss(mask: nn.Tensor, x_mag: np.ndarray, true_source_mags: np.ndarray) -> nn.Tensor:
@@ -327,32 +309,27 @@ def save_checkpoint(path, state: TrainState, seed: int) -> None:
 def load_checkpoint(path):
     """Return a TrainState rebuilt from a checkpoint, plus its meta dict."""
     meta, tensors = read_container(path, MAGIC_MODEL)
-    config = ModelConfig(
-        n_blstm_layers=int(meta["n_blstm_layers"]),
-        hidden_total=int(meta["hidden_total"]),
-        embed_dim=int(meta["embed_dim"]),
-        n_freq=int(meta["n_freq"]),
-        n_mix_sources=int(meta["n_mix_sources"]),
-        n_table_rows=int(meta["n_table_rows"]),
-        batch_size=int(meta["batch_size"]),
-        sce_weight=float(meta["sce_weight"]),
-        epochs=int(meta["epochs"]),
-        lr=float(meta["lr"]),
-        grad_clip=float(meta["grad_clip"]),
-    )
-    values = {k[len("param/") :]: v for k, v in tensors.items() if k.startswith("param/")}
-    model = SeparationModel(config, values=values)
-    opt = nn.Adam(model.parameters(), lr=float(meta["lr_opt"]))
-    opt.step_count = int(meta["step"])
-    opt.m = [tensors[f"adam/m/{p.name}"].copy() for p in opt.params]
-    opt.v = [tensors[f"adam/v/{p.name}"].copy() for p in opt.params]
+
+    def require(table, key):
+        if key not in table:
+            raise CorruptCheckpoint(f"{path}: checkpoint has no {key!r}")
+        return table[key]
+
+    config = ModelConfig(**{f.name: f.type(require(meta, f.name)) for f in fields(ModelConfig)})
+    model = SeparationModel(config)
+    values = {p.name: require(tensors, f"param/{p.name}") for p in model.parameters()}
+    model.load_values(values)
+    opt = nn.Adam(model.parameters(), lr=float(require(meta, "lr_opt")))
+    opt.step_count = int(require(meta, "step"))
+    opt.m = [require(tensors, f"adam/m/{p.name}").copy() for p in opt.params]
+    opt.v = [require(tensors, f"adam/v/{p.name}").copy() for p in opt.params]
     best_values = {k[len("best/") :]: v.copy() for k, v in tensors.items() if k.startswith("best/")}
     state = TrainState(
         model,
         opt,
-        epoch=int(meta["epoch"]),
-        best_val=float(meta["best_val"]),
-        best_epoch=int(meta["best_epoch"]),
+        epoch=int(require(meta, "epoch")),
+        best_val=float(require(meta, "best_val")),
+        best_epoch=int(require(meta, "best_epoch")),
         best_values=best_values,
     )
     return state, meta

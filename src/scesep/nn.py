@@ -1,9 +1,11 @@
 """Minimal reverse-mode tensor engine and the layers the model needs.
 
 Only the operations required by the separation network are implemented:
-broadcast arithmetic, matmul, reshape/concat/slice/stack, sigmoid, tanh,
-log-sigmoid, softmax, and sums. Everything is float64 so gradient checks
-can be tight. Forward passes are pure functions of (inputs, parameters).
+broadcast arithmetic, matmul, reshape, row gathers, sigmoid, tanh,
+log-sigmoid, softmax, and sums, plus one fused bidirectional LSTM sequence
+op with hand-written backpropagation through time. Everything is float64 so
+gradient checks can be tight. Forward passes are pure functions of (inputs,
+parameters).
 """
 
 from dataclasses import dataclass
@@ -169,51 +171,6 @@ def reshape(a, shape):
     return out
 
 
-def concat(tensors, axis):
-    tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            t._accum(g[tuple(idx)])
-
-    out._backward_fn = bwd
-    return out
-
-
-def time_slice(x, t):
-    """x[:, t, :] for a (B, T, D) tensor."""
-    x = _as_tensor(x)
-    out = Tensor(x.data[:, t, :], parents=(x,))
-
-    def bwd(g):
-        if not x.requires_grad:
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[:, t, :] += g
-
-    out._backward_fn = bwd
-    return out
-
-
-def stack_time(tensors):
-    """Stack (B, D) tensors into (B, T, D) along a new time axis."""
-    tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in tensors], axis=1), parents=tuple(tensors))
-
-    def bwd(g):
-        for t_idx, t in enumerate(tensors):
-            t._accum(g[:, t_idx, :])
-
-    out._backward_fn = bwd
-    return out
-
-
 def gather_rows(table, ids):
     """table[ids] with gradient fan-in summed over repeated ids."""
     table = _as_tensor(table)
@@ -335,37 +292,112 @@ def init_lstm_params(d_in, hidden, rng, prefix):
     )
 
 
-def lstm_forward(x: Tensor, p: LstmCellParams, direction: str = "fwd") -> Tensor:
-    """Standard LSTM over (B, T, D_in); zero initial state.
+def _to_steps(a):
+    """(B, T, 2, K) in input time order -> (T, 2, B, K) in step order, where
+    step s of direction 1 (the backward LSTM) is time T-1-s."""
+    return np.stack([a[:, :, 0].transpose(1, 0, 2), a[:, ::-1, 1].transpose(1, 0, 2)], axis=1)
 
-    direction="bwd" processes reversed time and re-reverses the output.
-    """
-    if direction not in ("fwd", "bwd"):
-        raise ValueError("direction must be 'fwd' or 'bwd'")
-    x = _as_tensor(x)
-    if x.data.ndim != 3:
-        raise ShapeMismatch(f"expected (B, T, D), got {x.shape}")
-    B, T, _ = x.shape
-    H = p.hidden
-    h = Tensor(np.zeros((B, H)))
-    c = Tensor(np.zeros((B, H)))
-    times = range(T) if direction == "fwd" else range(T - 1, -1, -1)
-    outs = [None] * T
-    for t in times:
-        z = concat([h, time_slice(x, t)], axis=1)
-        i = sigmoid(add(matmul(z, p.w_input), p.b_input))
-        f = sigmoid(add(matmul(z, p.w_forget), p.b_forget))
-        o = sigmoid(add(matmul(z, p.w_output), p.b_output))
-        g = tanh(add(matmul(z, p.w_candidate), p.b_candidate))
-        c = add(mul(f, c), mul(i, g))
-        h = mul(o, tanh(c))
-        outs[t] = h
-    return stack_time(outs)
+
+def _to_time(a):
+    """Inverse of _to_steps: (T, 2, B, K) -> (B, T, 2, K)."""
+    return np.stack([a[:, 0].transpose(1, 0, 2), a[::-1, 1].transpose(1, 0, 2)], axis=2)
 
 
 def blstm_layer(x: Tensor, p_fwd: LstmCellParams, p_bwd: LstmCellParams) -> Tensor:
-    """Concatenate forward and backward LSTM outputs along features."""
-    return concat([lstm_forward(x, p_fwd, "fwd"), lstm_forward(x, p_bwd, "bwd")], axis=2)
+    """Bidirectional LSTM over (B, T, D_in) -> (B, T, 2H), zero initial state.
+
+    Features [:H] come from the forward-time LSTM, [H:] from the one run over
+    reversed time (re-reversed on output). The layer is a single tape node:
+    both directions and all four gates advance together in one time loop,
+    with one batched GEMM per step forward and hand-written backpropagation
+    through time.
+
+    The arithmetic is that of the LSTM unrolled op by op on the tape, kept
+    exactly: each gate is its own ``[h | x_t] @ W_gate + b_gate`` product,
+    and gradients are summed in the order the tape sums them (the gradient
+    of ``[h | x_t]`` over the output, forget, input and candidate gates in
+    that order; weight and bias gradients step by step from the last step
+    back). Training therefore follows the same trajectory bit for bit.
+    Fusing the gates into one (H + D, 4H) GEMM or hoisting the input
+    projection out of the loop would reorder these sums.
+    """
+    x = _as_tensor(x)
+    if x.data.ndim != 3:
+        raise ShapeMismatch(f"expected (B, T, D), got {x.shape}")
+    B, T, D = x.shape
+    H = p_fwd.hidden
+    params = (p_fwd.parameters(), p_bwd.parameters())  # 4 weights, then 4 biases
+    # (gate, direction, ...), gates in the order input, forget, output, candidate
+    w = np.array([[ps[k].data for ps in params] for k in range(4)])
+    if w.shape != (4, 2, H + D, H):
+        raise ShapeMismatch(f"gate weights {w.shape[2:]} do not fit input width {D}")
+    b = np.array([[ps[4 + k].data for ps in params] for k in range(4)])[:, :, None, :]
+
+    # z[s] = [h_prev | x_t] per direction; arrays are in step order (_to_steps).
+    z = np.empty((T, 2, B, H + D))
+    z[0, :, :, :H] = 0.0
+    z[:, 0, :, H:] = x.data.transpose(1, 0, 2)
+    z[:, 1, :, H:] = x.data[:, ::-1].transpose(1, 0, 2)
+    acts = np.empty((T, 4, 2, B, H))  # gates after their nonlinearities
+    cs = np.empty((T, 2, B, H))
+    tcs = np.empty((T, 2, B, H))  # tanh(c)
+    hs = np.empty((T, 2, B, H))
+    c = np.zeros((2, B, H))
+    for s in range(T):
+        if s:
+            z[s, :, :, :H] = hs[s - 1]
+        a = z[s] @ w + b
+        act = acts[s]
+        act[:3] = 1.0 / (1.0 + np.exp(-a[:3]))
+        act[3] = np.tanh(a[3])
+        c = cs[s] = act[1] * c + act[0] * act[3]
+        tcs[s] = np.tanh(c)
+        hs[s] = act[2] * tcs[s]
+    out = Tensor(_to_time(hs).reshape(B, T, 2 * H), parents=(x, *params[0], *params[1]))
+
+    def bwd(g):
+        i, f, o, cand = (acts[:, k] for k in range(4))
+        c_prev = np.concatenate([np.zeros((1, 2, B, H)), cs[:-1]])
+        # Gate pre-activation gradient: ([dc, dc, dh, dc] * partner) * scale1,
+        # then (1 - s) for the sigmoid gates, associated as the tape's
+        # mul, sigmoid and tanh backward functions do.
+        partner = np.stack([cand, c_prev, tcs, i], axis=1)
+        scale1 = acts.copy()
+        scale1[:, 3] = 1.0 - cand * cand
+        scale2 = 1.0 - acts[:, :3]
+        dtanh_c = 1.0 - tcs * tcs
+        dh_out = _to_steps(g.reshape(B, T, 2, H))
+        # Each gate's gradient w.r.t. [h | x_t]; when x needs no gradient only
+        # the h columns are computed and dx has width 0.
+        w_t = (w if x.requires_grad else w[:, :, :H]).swapaxes(-1, -2)
+        dx = np.empty((T, 2, B, w_t.shape[-1] - H))
+        d = np.empty((4, 2, B, H))  # gate pre-activation gradients of one step
+        dw = np.zeros_like(w)
+        db = np.zeros((4, 2, H))
+        dh_next = np.zeros((2, B, H))
+        dc_next = np.zeros((2, B, H))
+        for s in range(T - 1, -1, -1):
+            dh = dh_out[s] + dh_next
+            dc = (dh * o[s]) * dtanh_c[s] + dc_next
+            for k, upstream in enumerate((dc, dc, dh, dc)):
+                np.multiply(upstream, partner[s, k], out=d[k])
+            d *= scale1[s]
+            d[:3] *= scale2[s]
+            dc_next = dc * f[s]
+            dz = d @ w_t
+            dz = ((dz[2] + dz[1]) + dz[0]) + dz[3]  # o, f, i, candidate
+            dh_next = dz[..., :H]
+            dx[s] = dz[..., H:]
+            dw += z[s].swapaxes(-1, -2) @ d
+            db += d.sum(axis=2)
+        x._accum(_to_time(dx).sum(axis=2))
+        for k, ps in enumerate(params):
+            for j in range(4):
+                ps[j]._accum(dw[j, k])
+                ps[4 + j]._accum(db[j, k])
+
+    out._backward_fn = bwd
+    return out
 
 
 def time_affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -1,0 +1,95 @@
+"""Slow, obviously-correct references that the fast code is tested against."""
+
+import math
+
+import numpy as np
+
+from scesep import nn
+
+
+def sce_loss_oracle(v_i: np.ndarray, v_o: np.ndarray, y: np.ndarray) -> float:
+    """Naive five-nested-loop scalar reference for model.sce_loss."""
+    B, T, F, E = v_i.shape
+    M = v_o.shape[1]
+    total = 0.0
+    for b in range(B):
+        for t in range(T):
+            for f in range(F):
+                for m in range(M):
+                    dot = 0.0
+                    for e in range(E):
+                        dot += v_i[b, t, f, e] * v_o[b, m, e]
+                    z = y[b, t, f, m] * dot
+                    total += -math.log(1.0 / (1.0 + math.exp(-z))) / M
+    return total / B
+
+
+# --- the LSTM unrolled on the generic tape, one timestep at a time -----------
+
+
+def _concat(tensors, axis):
+    out = nn.Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors))
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+
+    def bwd(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(lo, hi)
+            t._accum(g[tuple(idx)])
+
+    out._backward_fn = bwd
+    return out
+
+
+def _time_slice(x, t):
+    out = nn.Tensor(x.data[:, t, :], parents=(x,))
+
+    def bwd(g):
+        if x.requires_grad:
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[:, t, :] += g
+
+    out._backward_fn = bwd
+    return out
+
+
+def _stack_time(tensors):
+    out = nn.Tensor(np.stack([t.data for t in tensors], axis=1), parents=tuple(tensors))
+
+    def bwd(g):
+        for t_idx, t in enumerate(tensors):
+            t._accum(g[:, t_idx, :])
+
+    out._backward_fn = bwd
+    return out
+
+
+def lstm_unrolled_oracle(x: nn.Tensor, p: nn.LstmCellParams, direction: str = "fwd") -> nn.Tensor:
+    """One LSTM direction over (B, T, D_in), recorded op by op on the tape.
+
+    direction="bwd" processes reversed time and re-reverses the output.
+    """
+    if direction not in ("fwd", "bwd"):
+        raise ValueError("direction must be 'fwd' or 'bwd'")
+    B, T, _ = x.shape
+    H = p.hidden
+    h = nn.Tensor(np.zeros((B, H)))
+    c = nn.Tensor(np.zeros((B, H)))
+    times = range(T) if direction == "fwd" else range(T - 1, -1, -1)
+    outs = [None] * T
+    for t in times:
+        z = _concat([h, _time_slice(x, t)], axis=1)
+        i = nn.sigmoid(nn.add(nn.matmul(z, p.w_input), p.b_input))
+        f = nn.sigmoid(nn.add(nn.matmul(z, p.w_forget), p.b_forget))
+        o = nn.sigmoid(nn.add(nn.matmul(z, p.w_output), p.b_output))
+        g = nn.tanh(nn.add(nn.matmul(z, p.w_candidate), p.b_candidate))
+        c = nn.add(nn.mul(f, c), nn.mul(i, g))
+        h = nn.mul(o, nn.tanh(c))
+        outs[t] = h
+    return _stack_time(outs)
+
+
+def blstm_unrolled_oracle(x: nn.Tensor, p_fwd, p_bwd) -> nn.Tensor:
+    """Reference for nn.blstm_layer: both unrolled directions, features joined."""
+    return _concat([lstm_unrolled_oracle(x, p_fwd, "fwd"), lstm_unrolled_oracle(x, p_bwd, "bwd")], axis=2)

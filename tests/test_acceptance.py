@@ -16,10 +16,12 @@ from scesep.dsp import StftConfig, Waveform, compress, istft, stft
 from scesep.inference import denoise, reconstruct_binary, reconstruct_ratio
 from scesep.metrics import best_permutation
 from scesep.mixtures import SourceClip, build_corpus, mix_at_snr
-from scesep.model import ModelConfig, sce_loss, sce_loss_oracle, train
+from scesep.model import ModelConfig, sce_loss, train
 from scesep.seeding import rng_for
 from scesep import snmf as snmf_mod
 from scesep.verify import run_gradient_checks
+
+from oracles import sce_loss_oracle
 
 CFG = StftConfig()
 

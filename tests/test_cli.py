@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scesep.cli import main
+from scesep.container import MAGIC_MODEL, read_container, write_container
 from scesep.metrics import CSV_HEADER
 
 SMALL_CFG = """
@@ -136,6 +137,50 @@ class TestDenoise:
         assert code == 1
 
 
+    @pytest.mark.parametrize("mode", ["cluster", "mi"])
+    def test_nonpositive_k_rejected_at_parse_time(self, workspace, tmp_path, capsys, mode):
+        wav = next(iter(workspace["data"].glob("*.mix.wav")))
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "--out", str(tmp_path), "denoise", "--checkpoint",
+                str(workspace["run"] / "model.scem"), str(wav), "--mode", mode, "--K", "0",
+            ])
+        assert exc.value.code == 2
+        assert "--K" in capsys.readouterr().err
+
+    def test_kmeans_max_iter_is_read(self, workspace, tmp_path):
+        cfg = tmp_path / "zero_iter.cfg"
+        cfg.write_text(workspace["cfg"].read_text() + "kmeans_max_iter = 0\n")
+        wav = next(iter(workspace["data"].glob("*.mix.wav")))
+        code = main([
+            "--config", str(cfg), "--out", str(tmp_path), "denoise",
+            "--checkpoint", str(workspace["run"] / "model.scem"), str(wav),
+        ])
+        assert code == 2
+
+    @pytest.mark.parametrize("missing", [
+        "meta:n_freq", "meta:lr", "meta:step", "meta:best_epoch",
+        "param/embed.w", "param/blstm1.bwd.b_candidate",
+        "adam/m/blstm0.fwd.w_input", "adam/v/table",
+    ])
+    def test_checkpoint_missing_key_is_corrupt(self, workspace, tmp_path, capsys, missing):
+        meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)
+        if missing.startswith("meta:"):
+            del meta[missing[len("meta:"):]]
+        else:
+            del tensors[missing]
+        bad = tmp_path / "partial.scem"
+        write_container(bad, MAGIC_MODEL, meta, tensors)
+        wav = next(iter(workspace["data"].glob("*.mix.wav")))
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(tmp_path),
+            "denoise", "--checkpoint", str(bad), str(wav),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "checkpoint has no" in err and missing.split(":")[-1] in err
+
+
 class TestEval:
     def run_eval(self, workspace, out, algos, extra=()):
         args = ["--config", str(workspace["cfg"]), "--out", str(out), "eval",
@@ -172,6 +217,11 @@ class TestEval:
         for out in (a, b):
             assert self.run_eval(workspace, out, ["identity", "oracle-binary"]) == 0
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+
+    def test_nonpositive_k_rejected_at_parse_time(self, workspace, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            self.run_eval(workspace, tmp_path, ["sce-mi"], extra=["--K", "-1"])
+        assert exc.value.code == 2
 
     def test_mode_filter(self, workspace, tmp_path):
         out = tmp_path / "mi_only"

@@ -65,6 +65,11 @@ class TestKmeans:
         with pytest.raises(ShapeMismatch):
             kmeans(np.zeros(10), 2)
 
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"max_iter": 0}])
+    def test_no_iterations_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            kmeans(np.zeros((4, 2)), 2, **kwargs)
+
     def test_all_clusters_populated(self):
         pts, _ = blobs(seed=8, per=10)
         a = kmeans(pts, 3, seed=9)
@@ -180,6 +185,10 @@ class TestDenoise:
         expected = len(resample(w, CFG.sample_rate_hz))
         assert all(len(s) == expected for s in r.stems)
         assert all(s.sample_rate_hz == CFG.sample_rate_hz for s in r.stems)
+
+    def test_max_iter_caps_lloyd_iterations(self, model, mixture):
+        r = denoise(model, mixture, mode="cluster", seed=3, max_iter=1)
+        assert len(r.assignment.inertia_history) == 1
 
     def test_unknown_mode(self, model, mixture):
         with pytest.raises(ValueError):

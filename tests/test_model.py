@@ -19,11 +19,12 @@ from scesep.model import (
     gather_source_vectors,
     mi_loss,
     sce_loss,
-    sce_loss_oracle,
     train,
     write_log,
 )
 from scesep.seeding import rng_for
+
+from oracles import sce_loss_oracle
 
 TINY = ModelConfig(
     n_blstm_layers=1,

@@ -7,6 +7,8 @@ from scesep import nn
 from scesep.errors import NoForwardRecorded, ShapeMismatch
 from scesep.seeding import rng_for
 
+from oracles import blstm_unrolled_oracle, lstm_unrolled_oracle
+
 
 def grad_of(build, value):
     """Backward a scalar built from a Parameter and return its grad."""
@@ -100,25 +102,10 @@ class TestShapeOps:
         nn.tsum(nn.mul(nn.reshape(p, (3, 2)), 2.0)).backward()
         np.testing.assert_array_equal(p.grad, np.full((2, 3), 2.0))
 
-    def test_concat_splits_grad(self):
-        a = nn.Parameter(np.zeros((2, 2)), "a")
-        b = nn.Parameter(np.zeros((2, 3)), "b")
-        a.zero_grad(), b.zero_grad()
-        scale = nn.Tensor(np.arange(5.0))
-        nn.tsum(nn.mul(nn.concat([a, b], axis=1), scale)).backward()
-        np.testing.assert_array_equal(a.grad, [[0, 1], [0, 1]])
-        np.testing.assert_array_equal(b.grad, [[2, 3, 4], [2, 3, 4]])
-
     def test_swap_last(self):
         x = np.random.default_rng(3).standard_normal((2, 3, 4))
         out = nn.swap_last(nn.Tensor(x)).data
         np.testing.assert_array_equal(out, np.swapaxes(x, -1, -2))
-
-    def test_time_slice_stack_inverse(self):
-        x = np.random.default_rng(4).standard_normal((2, 5, 3))
-        t = nn.Tensor(x)
-        back = nn.stack_time([nn.time_slice(t, i) for i in range(5)])
-        np.testing.assert_array_equal(back.data, x)
 
     def test_gather_rows_fan_in(self):
         table = nn.Parameter(np.zeros((4, 2)), "table")
@@ -170,7 +157,7 @@ class TestLstm:
         rng = rng_for(0, "t")
         p = nn.init_lstm_params(3, 4, rng, "cell")
         x = nn.Tensor(rng.standard_normal((2, 5, 3)))
-        assert nn.lstm_forward(x, p).shape == (2, 5, 4)
+        assert nn.blstm_layer(x, p, p).shape == (2, 5, 8)
 
     def test_forget_bias_initialized_to_one(self):
         p = nn.init_lstm_params(3, 4, rng_for(0, "t"), "cell")
@@ -181,21 +168,27 @@ class TestLstm:
         rng = rng_for(1, "t")
         p = nn.init_lstm_params(3, 4, rng, "cell")
         x = rng.standard_normal((1, 6, 3))
-        fwd_rev = nn.lstm_forward(nn.Tensor(x[:, ::-1]), p, "fwd").data[:, ::-1]
-        bwd = nn.lstm_forward(nn.Tensor(x), p, "bwd").data
+        fwd_rev = nn.blstm_layer(nn.Tensor(x[:, ::-1]), p, p).data[:, ::-1, :4]
+        bwd = nn.blstm_layer(nn.Tensor(x), p, p).data[..., 4:]
         np.testing.assert_allclose(bwd, fwd_rev, atol=1e-12)
 
     def test_causality(self):
-        # forward output at time t must not depend on inputs after t
+        # forward features at time t must not depend on inputs after t, and
+        # backward features not on inputs before t
         rng = rng_for(2, "t")
-        p = nn.init_lstm_params(3, 4, rng, "cell")
+        pf = nn.init_lstm_params(3, 4, rng, "f")
+        pb = nn.init_lstm_params(3, 4, rng, "b")
         x = rng.standard_normal((1, 6, 3))
-        y = x.copy()
-        y[:, 4:] += 10.0
-        a = nn.lstm_forward(nn.Tensor(x), p).data
-        b = nn.lstm_forward(nn.Tensor(y), p).data
-        np.testing.assert_array_equal(a[:, :4], b[:, :4])
-        assert np.abs(a[:, 4:] - b[:, 4:]).max() > 1e-6
+        late, early = x.copy(), x.copy()
+        late[:, 4:] += 10.0
+        early[:, :2] += 10.0
+        a = nn.blstm_layer(nn.Tensor(x), pf, pb).data
+        b = nn.blstm_layer(nn.Tensor(late), pf, pb).data
+        c = nn.blstm_layer(nn.Tensor(early), pf, pb).data
+        np.testing.assert_array_equal(a[:, :4, :4], b[:, :4, :4])
+        assert np.abs(a[:, 4:, :4] - b[:, 4:, :4]).max() > 1e-6
+        np.testing.assert_array_equal(a[:, 2:, 4:], c[:, 2:, 4:])
+        assert np.abs(a[:, :2, 4:] - c[:, :2, 4:]).max() > 1e-6
 
     def test_blstm_concat(self):
         rng = rng_for(3, "t")
@@ -204,18 +197,66 @@ class TestLstm:
         x = nn.Tensor(rng.standard_normal((2, 5, 3)))
         out = nn.blstm_layer(x, pf, pb)
         assert out.shape == (2, 5, 8)
-        np.testing.assert_array_equal(out.data[..., :4], nn.lstm_forward(x, pf, "fwd").data)
-        np.testing.assert_array_equal(out.data[..., 4:], nn.lstm_forward(x, pb, "bwd").data)
-
-    def test_bad_direction(self):
-        p = nn.init_lstm_params(2, 2, rng_for(4, "t"), "cell")
-        with pytest.raises(ValueError):
-            nn.lstm_forward(nn.Tensor(np.zeros((1, 2, 2))), p, "sideways")
+        np.testing.assert_allclose(out.data[..., :4], lstm_unrolled_oracle(x, pf, "fwd").data, atol=1e-12)
+        np.testing.assert_allclose(out.data[..., 4:], lstm_unrolled_oracle(x, pb, "bwd").data, atol=1e-12)
 
     def test_bad_rank(self):
         p = nn.init_lstm_params(2, 2, rng_for(5, "t"), "cell")
         with pytest.raises(ShapeMismatch):
-            nn.lstm_forward(nn.Tensor(np.zeros((2, 2))), p)
+            nn.blstm_layer(nn.Tensor(np.zeros((2, 2))), p, p)
+
+    def test_input_width_mismatch(self):
+        p = nn.init_lstm_params(3, 2, rng_for(5, "t"), "cell")
+        with pytest.raises(ShapeMismatch):
+            nn.blstm_layer(nn.Tensor(np.zeros((1, 2, 4))), p, p)
+
+    # (B, T, D, H): D != H, a single step and a single clip (the last batch
+    # of an epoch can hold one), and a larger batch
+    @pytest.mark.parametrize("shape", [(2, 5, 3, 4), (1, 1, 3, 2), (1, 6, 9, 3), (4, 6, 9, 3)])
+    def test_matches_unrolled_oracle(self, shape):
+        # The fused layer keeps the tape's per-gate products and summation
+        # order, so outputs and gradients equal the unrolled LSTM's exactly
+        # and a trained model follows the same trajectory. Two layers, so the
+        # upper layer's input gradient reaches the lower layer's weights.
+        B, T, D, H = shape
+        rng = rng_for(7, f"oracle-{shape}")
+        lower = (nn.init_lstm_params(D, H, rng, "1f"), nn.init_lstm_params(D, H, rng, "1b"))
+        upper = (nn.init_lstm_params(2 * H, H, rng, "2f"), nn.init_lstm_params(2 * H, H, rng, "2b"))
+        x = nn.Parameter(rng.standard_normal((B, T, D)), "x")
+        weight = rng.standard_normal((B, T, 2 * H))
+        params = [x] + [p for cell in lower + upper for p in cell.parameters()]
+
+        def run(layer):
+            for p in params:
+                p.zero_grad()
+            out = layer(layer(x, *lower), *upper)
+            nn.tsum(nn.mul(out, weight)).backward()
+            return out.data, [p.grad.copy() for p in params]
+
+        out, grads = run(nn.blstm_layer)
+        ref_out, ref_grads = run(blstm_unrolled_oracle)
+        np.testing.assert_array_equal(out, ref_out)
+        for p, g, ref in zip(params, grads, ref_grads):
+            # with one step the forget gate only ever sees the zero initial cell
+            assert np.abs(ref).max() > 0 or (T == 1 and "forget" in p.name), p.name
+            np.testing.assert_array_equal(g, ref, err_msg=p.name)
+
+    def test_tape_nodes_independent_of_length(self):
+        rng = rng_for(8, "t")
+        pf = nn.init_lstm_params(3, 4, rng, "f")
+        pb = nn.init_lstm_params(3, 4, rng, "b")
+
+        def tape_nodes(T):
+            out = nn.blstm_layer(nn.Tensor(rng.standard_normal((2, T, 3))), pf, pb)
+            seen, stack = set(), [out]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node._parents)
+            return len(seen)
+
+        assert tape_nodes(1) == tape_nodes(3) == tape_nodes(40)
 
 
 class TestTimeAffine:
