@@ -191,7 +191,7 @@ def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg, k):
         masks = snmf_mod.separate(
             compress(rec.mixture_spec).mag, dicts, cfg.snmf_config(), cfg.seed
         )
-        yield "", reconstruct_ratio(rec.mixture_spec, masks, stft_cfg)
+        yield "", reconstruct_ratio(rec.mixture_spec, masks, stft_cfg, length=len(rec.mixture))
     else:  # sce-mi
         modes = ("cluster", "mi") if mode == "both" else (mode,)
         for m in modes:

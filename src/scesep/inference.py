@@ -3,6 +3,12 @@
 Two paths: K-means clustering of per-bin embeddings into binary masks
 (works for any K), and the mask-inference head's ratio mask (fixed M).
 Both apply masks to the complex mixture spectrogram, reusing its phase.
+
+K-means works on the points transposed once to a contiguous (E, N) array.
+A point's squared distance to centroid c is ``‖x‖² − 2⟨x, c⟩ + ‖c‖²``, so
+assignment is one (K, E) @ (E, N) GEMM, with ties to the lowest centroid
+index; the centroid update is a (K, N) one-hot GEMM; and the inertia comes
+in closed form from the cluster sums, ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩``.
 """
 
 from dataclasses import dataclass
@@ -22,11 +28,13 @@ class ClusterAssignment:
     inertia_history: tuple  # per-Lloyd-iteration inertia of the winning restart
 
 
-def _kmeans_pp_init(points, k, rng):
-    n = len(points)
-    centroids = np.empty((k, points.shape[1]))
+def _kmeans_pp_init(points, points_t, k, rng):
+    """k-means++ seeding. Distances are exact, ``Σ (x - c)²`` over the
+    (E, N) rows, so an already-chosen point has probability exactly 0."""
+    n = points_t.shape[1]
+    centroids = np.empty((k, points_t.shape[0]))
     centroids[0] = points[int(rng.integers(n))]
-    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    d2 = ((points_t - centroids[0][:, None]) ** 2).sum(axis=0)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -34,28 +42,69 @@ def _kmeans_pp_init(points, k, rng):
             continue
         probs = d2 / total
         centroids[j] = points[int(rng.choice(n, p=probs))]
-        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, ((points_t - centroids[j][:, None]) ** 2).sum(axis=0))
     return centroids
 
 
-def _lloyd(points, centroids, max_iter):
+def _assign(points_t, centroids):
+    """Nearest centroid for each column of ``points_t`` (E, N).
+
+    Returns the labels and the (K, N) scores ``‖c‖² − 2⟨x, c⟩``, which are
+    the squared distances less ``‖x‖²``: one (K, E) @ (E, N) GEMM. A strict
+    ``<`` over the K rows gives ties to the lowest index, as ``argmin`` does.
+    """
+    score = centroids @ points_t
+    score *= -2.0
+    score += (centroids**2).sum(axis=1)[:, None]
+    labels = np.zeros(points_t.shape[1], dtype=np.intp)
+    best = score[0]
+    for j in range(1, len(centroids)):
+        # j exceeds every label so far, so the max writes j exactly where
+        # row j is closer; unlike a masked write it does not branch per point.
+        np.maximum(labels, (score[j] < best) * j, out=labels)
+        best = np.minimum(best, score[j])
+    return labels, score
+
+
+def _reseed_empty(points, sq, labels, score, k):
+    """Centroid update when a cluster came out empty: in cluster order, a
+    populated cluster takes its members' mean and an empty one takes the
+    worst-fit point (by true squared distance to its current centroid),
+    which moves to it. Returns the centroids and the exact inertia."""
+    centroids = np.empty((k, points.shape[1]))
+    for j in range(k):
+        members = labels == j
+        if members.any():
+            centroids[j] = points[members].mean(axis=0)
+        else:
+            worst = int(np.argmax(score[labels, np.arange(len(points))] + sq))
+            centroids[j] = points[worst]
+            labels[worst] = j
+    return centroids, float(((points - centroids[labels]) ** 2).sum())
+
+
+def _lloyd(points, points_t, sq, centroids, max_iter):
+    """Lloyd iterations from ``centroids``. With every cluster populated the
+    inertia is closed-form, ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩`` with ``S_k`` the
+    cluster sums, so it needs no per-point pass and repeats exactly for
+    equal partitions."""
+    k = len(centroids)
+    total = float(sq.sum())
     labels = None
     history = []
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(d2, axis=1)
-        for j in range(len(centroids)):
-            members = points[new_labels == j]
-            if len(members):
-                centroids[j] = members.mean(axis=0)
-            else:
-                # Re-seed an empty cluster with the worst-fit point.
-                worst = int(np.argmax(d2[np.arange(len(points)), new_labels]))
-                centroids[j] = points[worst]
-                new_labels[worst] = j
-        history.append(
-            float(((points - centroids[new_labels]) ** 2).sum())
-        )
+        new_labels, score = _assign(points_t, centroids)
+        onehot = (new_labels == np.arange(k)[:, None]).astype(np.float64)
+        counts = onehot.sum(axis=1)
+        if counts.all():
+            sums = onehot @ points
+            centroids = sums / counts[:, None]
+            # Sorting the K terms makes relabelings of one partition score
+            # identically, so ties still go to the lowest restart.
+            history.append(total - float(np.sort((sums * centroids).sum(axis=1)).sum()))
+        else:
+            centroids, inertia = _reseed_empty(points, sq, new_labels, score, k)
+            history.append(inertia)
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
@@ -64,7 +113,12 @@ def _lloyd(points, centroids, max_iter):
 
 def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
     """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` by
-    inertia (ties to the lowest restart index)."""
+    inertia (ties to the lowest restart index).
+
+    The points are transposed once to a contiguous (E, N) array, so each
+    pass over them is one GEMM or one contiguous array op; a point goes to
+    the lowest-index centroid among those at equal distance.
+    """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ShapeMismatch(f"expected (N, E) points, got {points.shape}")
@@ -72,11 +126,13 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
         raise TooFewPoints(f"{len(points)} points for k={k}")
     if restarts < 1 or max_iter < 1:
         raise ValueError(f"restarts={restarts} and max_iter={max_iter} must be at least 1")
+    points_t = np.ascontiguousarray(points.T)
+    sq = (points_t**2).sum(axis=0)
     best = None
     for r in range(restarts):
         rng = rng_for(seed, f"kmeans-restart-{r}")
-        centroids = _kmeans_pp_init(points, k, rng)
-        labels, centroids, history = _lloyd(points, centroids, max_iter)
+        centroids = _kmeans_pp_init(points, points_t, k, rng)
+        labels, centroids, history = _lloyd(points, points_t, sq, centroids, max_iter)
         if best is None or history[-1] < best.inertia:
             best = ClusterAssignment(labels, centroids, history[-1], tuple(history))
     return best
@@ -157,9 +213,9 @@ def denoise(
         keep = feat.mag.reshape(T * F) >= low_energy_threshold
         fit_points = points[keep] if int(keep.sum()) >= k else points
         fitted = kmeans(fit_points, k, seed=seed, restarts=restarts, max_iter=max_iter)
-        dists = ((points[:, None, :] - fitted.centroids[None]) ** 2).sum(axis=2)
+        labels, _ = _assign(np.ascontiguousarray(points.T), fitted.centroids)
         assignment = ClusterAssignment(
-            np.argmin(dists, axis=1),
+            labels,
             fitted.centroids,
             fitted.inertia,
             fitted.inertia_history,

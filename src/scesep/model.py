@@ -309,6 +309,11 @@ def save_checkpoint(path, state: TrainState, seed: int) -> None:
 def load_checkpoint(path):
     """Return a TrainState rebuilt from a checkpoint, plus its meta dict."""
     meta, tensors = read_container(path, MAGIC_MODEL)
+    # Every tensor is a weight or Adam moment (param/, best/, adam/m/,
+    # adam/v/); a NaN or inf in any of them would poison every later output.
+    for key, value in tensors.items():
+        if not np.all(np.isfinite(value)):
+            raise CorruptCheckpoint(f"{path}: checkpoint tensor {key!r} holds non-finite values")
 
     def require(table, key):
         if key not in table:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 
 from scesep import nn
+from scesep.inference import ClusterAssignment
+from scesep.seeding import rng_for
 
 
 def sce_loss_oracle(v_i: np.ndarray, v_o: np.ndarray, y: np.ndarray) -> float:
@@ -93,3 +95,58 @@ def lstm_unrolled_oracle(x: nn.Tensor, p: nn.LstmCellParams, direction: str = "f
 def blstm_unrolled_oracle(x: nn.Tensor, p_fwd, p_bwd) -> nn.Tensor:
     """Reference for nn.blstm_layer: both unrolled directions, features joined."""
     return _concat([lstm_unrolled_oracle(x, p_fwd, "fwd"), lstm_unrolled_oracle(x, p_bwd, "bwd")], axis=2)
+
+
+# --- K-means with broadcast (N, K, E) distances -------------------------------
+
+
+def _kmeans_pp_init_broadcast(points, k, rng):
+    n = len(points)
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[int(rng.integers(n))]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[j] = points[int(rng.integers(n))]
+            continue
+        probs = d2 / total
+        centroids[j] = points[int(rng.choice(n, p=probs))]
+        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+    return centroids
+
+
+def _lloyd_broadcast(points, centroids, max_iter):
+    labels = None
+    history = []
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        for j in range(len(centroids)):
+            members = points[new_labels == j]
+            if len(members):
+                centroids[j] = members.mean(axis=0)
+            else:
+                # Re-seed an empty cluster with the worst-fit point.
+                worst = int(np.argmax(d2[np.arange(len(points)), new_labels]))
+                centroids[j] = points[worst]
+                new_labels[worst] = j
+        history.append(float(((points - centroids[new_labels]) ** 2).sum()))
+        if labels is not None and np.array_equal(labels, new_labels):
+            break
+        labels = new_labels
+    return labels, centroids, history
+
+
+def kmeans_broadcast_oracle(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
+    """Reference for inference.kmeans: exact distances from an (N, K, E)
+    broadcast, ``argmin`` labels, boolean-mask means and exact inertia."""
+    points = np.asarray(points, dtype=np.float64)
+    best = None
+    for r in range(restarts):
+        rng = rng_for(seed, f"kmeans-restart-{r}")
+        centroids = _kmeans_pp_init_broadcast(points, k, rng)
+        labels, centroids, history = _lloyd_broadcast(points, centroids, max_iter)
+        if best is None or history[-1] < best.inertia:
+            best = ClusterAssignment(labels, centroids, history[-1], tuple(history))
+    return best

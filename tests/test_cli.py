@@ -180,6 +180,26 @@ class TestDenoise:
         err = capsys.readouterr().err
         assert "checkpoint has no" in err and missing.split(":")[-1] in err
 
+    @pytest.mark.parametrize("key,bad", [
+        ("param/embed.w", np.nan), ("best/blstm0.fwd.w_input", np.inf),
+        ("adam/m/table", np.nan), ("adam/v/blstm1.bwd.b_forget", -np.inf),
+    ])
+    def test_non_finite_checkpoint_is_corrupt(self, workspace, tmp_path, capsys, key, bad):
+        meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)
+        tensors[key] = tensors[key].copy()
+        tensors[key].flat[0] = bad
+        path = tmp_path / "non_finite.scem"
+        write_container(path, MAGIC_MODEL, meta, tensors)
+        wav = next(iter(workspace["data"].glob("*.mix.wav")))
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(tmp_path),
+            "denoise", "--checkpoint", str(path), str(wav),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "non-finite" in err and key in err
+        assert "Traceback" not in err
+
 
 class TestEval:
     def run_eval(self, workspace, out, algos, extra=()):
@@ -211,6 +231,21 @@ class TestEval:
         assert min(oracle) > 0.0
         modes = {r["mode"] for r in rows if r["algorithm"] == "sce-mi"}
         assert modes == {"cluster", "mi"}
+
+    def test_snmf_stems_have_mixture_length(self, workspace, tmp_path, monkeypatch):
+        import scesep.cli as cli
+
+        seen = []
+        real = cli.best_permutation
+
+        def spy(sources, stems, mixture, **kwargs):
+            seen.append((len(mixture), [len(s) for s in stems]))
+            return real(sources, stems, mixture=mixture, **kwargs)
+
+        monkeypatch.setattr(cli, "best_permutation", spy)
+        code = self.run_eval(workspace, tmp_path, ["snmf"], extra=["--snmf-dir", str(workspace["run"])])
+        assert code == 0
+        assert seen and all(lengths == [n] * len(lengths) for n, lengths in seen)
 
     def test_deterministic_csv(self, workspace, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scesep.dsp import (
@@ -200,9 +200,12 @@ class TestCompress:
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(0.0, 1e3), min_size=2, max_size=16, unique=True))
+    # distinct magnitudes whose square roots round to the same double
+    @example([1000.0, 999.9999999999999])
     def test_monotone_in_magnitude(self, mags):
+        # compress is non-decreasing, not strictly increasing: sqrt can map
+        # two close magnitudes to one value.
         s = np.array(mags, dtype=complex).reshape(1, -1)
         feat = compress(s)
-        order_in = np.argsort(np.abs(s[0]))
-        order_out = np.argsort(feat.mag[0])
-        np.testing.assert_array_equal(order_in, order_out)
+        by_input = feat.mag[0][np.argsort(np.abs(s[0]), kind="stable")]
+        assert np.all(np.diff(by_input) >= 0.0)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from oracles import kmeans_broadcast_oracle
 
 from scesep.dsp import StftConfig, Waveform, istft, resample, stft
 from scesep.errors import NotNormalized, ShapeMismatch, TooFewPoints
 from scesep.inference import (
     ClusterAssignment,
+    _assign,
     denoise,
     kmeans,
     masks_from_clusters,
@@ -26,7 +28,67 @@ def blobs(seed=0, centers=((0, 0), (10, 10), (-10, 10)), per=40, spread=0.5):
     return np.concatenate(pts), np.asarray(truth)
 
 
+def unit_points(seed, n=15000, e=8, spread=1.0):
+    """Two noisy directions, unit-normalized: the shape of the embeddings
+    that denoise clusters."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((2, e))
+    pts = dirs[rng.integers(0, 2, n)] + spread * rng.standard_normal((n, e))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def exact_inertia(points, a):
+    return float(((points - a.centroids[a.labels]) ** 2).sum())
+
+
+ORACLE_CASES = {
+    "blobs": (lambda: blobs()[0], 3, 1),
+    "blobs-wide": (lambda: blobs(seed=2, spread=3.0)[0], 3, 3),
+    "blobs-k2": (lambda: blobs(seed=6, spread=4.0)[0], 2, 7),
+    "unit-8d": (lambda: unit_points(12), 2, 13),
+    "unit-8d-k3": (lambda: unit_points(14, spread=2.0), 3, 15),
+}
+
+
 class TestKmeans:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_broadcast_oracle(self, case):
+        make, k, seed = ORACLE_CASES[case]
+        pts = make()
+        a = kmeans(pts, k, seed=seed)
+        b = kmeans_broadcast_oracle(pts, k, seed=seed)
+        np.testing.assert_array_equal(a.labels, b.labels)
+        np.testing.assert_allclose(a.centroids, b.centroids, rtol=0, atol=1e-12)
+        # the oracle's history is exact, Σ‖x − c_label‖² at every iteration
+        assert len(a.inertia_history) == len(b.inertia_history)
+        np.testing.assert_allclose(a.inertia_history, b.inertia_history, rtol=1e-9)
+        assert a.inertia == a.inertia_history[-1]
+        np.testing.assert_allclose(a.inertia, exact_inertia(pts, a), rtol=1e-9)
+
+    def test_empty_cluster_reseeded(self):
+        # Duplicates leave k-means++ no spread to pick a third centroid, so it
+        # duplicates one; every bin ties and goes to the lower index, leaving
+        # a cluster empty on each iteration until the reseed fills it.
+        pts = np.array([[0.0, 0.0]] * 6 + [[1.0, 0.0]] * 2)
+        a = kmeans(pts, 3, seed=0, restarts=4)
+        b = kmeans_broadcast_oracle(pts, 3, seed=0, restarts=4)
+        assert set(a.labels) == {0, 1, 2}
+        np.testing.assert_array_equal(a.labels, b.labels)
+        np.testing.assert_array_equal(a.centroids, b.centroids)
+        assert a.inertia_history == b.inertia_history
+        assert a.inertia == exact_inertia(pts, a)
+        masks = masks_from_clusters(a, (2, 4))
+        np.testing.assert_array_equal(((masks + 1.0) / 2.0).sum(axis=2), 1.0)
+
+    def test_ties_go_to_lowest_index(self):
+        centroids = np.array([[0.0, 5.0], [1.0, 0.0], [-1.0, 0.0]])
+        pts = np.array([[0.0, 0.0], [0.0, -2.0], [0.0, 3.0], [2.0, 0.0], [-2.0, 0.0]])
+        labels, score = _assign(np.ascontiguousarray(pts.T), centroids)
+        np.testing.assert_array_equal(labels, [1, 1, 0, 1, 2])
+        d2 = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(labels, np.argmin(d2, axis=1))
+        np.testing.assert_allclose(score + (pts**2).sum(axis=1), d2.T, atol=1e-12)
+
     def test_recovers_separated_blobs(self):
         pts, truth = blobs()
         a = kmeans(pts, 3, seed=1)
@@ -162,7 +224,10 @@ class TestDenoise:
 
     def test_cluster_k3(self, model, mixture):
         r = denoise(model, mixture, mode="cluster", k=3, seed=3)
-        assert len(r.stems) == 3 and r.masks.shape[2] == 3
+        assert len(r.stems) == 3
+        assert r.masks.shape == stft(mixture, CFG, pad=True).shape + (3,)
+        assert set(np.unique(r.masks)) <= {-1.0, 1.0}
+        np.testing.assert_array_equal(((r.masks + 1.0) / 2.0).sum(axis=2), 1.0)
 
     def test_mi_mode(self, model, mixture):
         r = denoise(model, mixture, mode="mi", seed=3)
