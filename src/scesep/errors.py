@@ -63,3 +63,7 @@ class EmptyCorpus(ScesepError):
 
 class CorruptCheckpoint(ScesepError):
     """Checkpoint magic/version mismatch or truncated file."""
+
+
+class NonFiniteLoss(ScesepError):
+    """Training loss became NaN or infinite."""

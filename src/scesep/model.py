@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn
 from .container import MAGIC_MODEL, read_container, write_container
-from .errors import CorruptCheckpoint, EmptyCorpus, ShapeMismatch, UnknownSource
+from .errors import CorruptCheckpoint, EmptyCorpus, NonFiniteLoss, ShapeMismatch, UnknownSource
 from .seeding import rng_for
 
 
@@ -225,7 +225,9 @@ def train(
 
     Shuffling and initialization are drawn from named streams of the seed,
     keyed by epoch, so resuming from a checkpoint replays the identical
-    continuation. The best-validation parameter snapshot is retained.
+    continuation. The best-validation parameter snapshot is retained. A NaN
+    or infinite batch loss raises NonFiniteLoss before backward or the
+    optimizer step.
     """
     if not train_records:
         raise EmptyCorpus("no training records")
@@ -247,6 +249,11 @@ def train(
             opt.zero_grad()
             l_sce, l_mi = _losses(model, batch)
             total = nn.add(nn.mul(l_sce, alpha / n_bins), nn.mul(l_mi, 1.0 - alpha))
+            loss = float(total.data)
+            if not math.isfinite(loss):
+                raise NonFiniteLoss(
+                    f"training loss is {loss} at epoch {epoch}, after {opt.step_count} optimizer steps"
+                )
             total.backward()
             nn.clip_global_norm(params, config.grad_clip)
             opt.step()

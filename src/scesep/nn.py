@@ -35,8 +35,11 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A copy, never g itself: add() hands one array to both parents.
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def backward(self, grad=None):
         """Accumulate gradients of a scalar (or seeded) output into every

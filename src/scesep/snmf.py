@@ -4,6 +4,13 @@ Per-class spectral dictionaries are fit on compressed magnitudes with
 multiplicative updates minimizing 0.5*||V - WH||_F^2 + mu*||H||_1;
 separation solves activations over the concatenated dictionaries and
 turns per-class reconstructions into ratio masks.
+
+Both loops work in Gram form (Lee & Seung 2001) and build no (F, N)
+product per iteration. The H-update is H *= WᵀV / (WᵀW H + mu), the
+W-update is W *= V Hᵀ / (W (H Hᵀ)), and the objective is
+0.5*(||V||² - 2<WᵀV, H> + <WᵀW H, H>) + mu*sum(H), with ||V||² taken once
+per call. WᵀW H serves both the objective at H and the next H-update's
+denominator. In `separate` W is fixed, so WᵀV and WᵀW are taken once.
 """
 
 from dataclasses import dataclass
@@ -55,8 +62,11 @@ def trim_silence(mag: np.ndarray, threshold: float = -2.0) -> np.ndarray:
     return mag[keep]
 
 
-def _objective(v, w, h, mu):
-    return 0.5 * float(np.sum((v - w @ h) ** 2)) + mu * float(np.sum(np.abs(h)))
+def _gram_objective(vv, wtv, wtw, h, mu):
+    """(WᵀW H, objective at (W, H)) from ||V||², WᵀV and WᵀW; H >= 0."""
+    g = wtw @ h
+    fit = vv - 2.0 * float(np.sum(wtv * h)) + float(np.sum(g * h))
+    return g, 0.5 * fit + mu * float(np.sum(h))
 
 
 def _normalize_columns(w, h):
@@ -86,12 +96,17 @@ def fit_dictionary(
     h = np.abs(rng.standard_normal((cfg.rank, n)))
     w, h = _normalize_columns(w, h)
     mu = cfg.sparsity
-    history = [_objective(v, w, h, mu)]
+    vv = float(np.sum(v * v))
+    wtv = w.T @ v
+    g, obj = _gram_objective(vv, wtv, w.T @ w, h, mu)
+    history = [obj]
     for _ in range(cfg.max_iters):
-        h *= (w.T @ v) / (w.T @ w @ h + mu + EPS_UPDATE)
-        w *= (v @ h.T) / (w @ h @ h.T + EPS_UPDATE)
+        h *= wtv / (g + mu + EPS_UPDATE)
+        w *= (v @ h.T) / (w @ (h @ h.T) + EPS_UPDATE)
         w, h = _normalize_columns(w, h)
-        history.append(_objective(v, w, h, mu))
+        wtv = w.T @ v
+        g, obj = _gram_objective(vv, wtv, w.T @ w, h, mu)
+        history.append(obj)
         if abs(history[-2] - history[-1]) <= cfg.tol * max(abs(history[-2]), 1e-30):
             break
     return Dictionary(w, class_id), history
@@ -107,10 +122,12 @@ def separate(x_mag: np.ndarray, dicts, cfg: SnmfConfig = SnmfConfig(), seed: int
     rng = rng_for(seed, "snmf-separate")
     h = np.abs(rng.standard_normal((w.shape[1], v.shape[1])))
     mu = cfg.sparsity
-    prev = _objective(v, w, h, mu)
+    vv = float(np.sum(v * v))
+    wtv, wtw = w.T @ v, w.T @ w
+    g, prev = _gram_objective(vv, wtv, wtw, h, mu)
     for _ in range(cfg.max_iters):
-        h *= (w.T @ v) / (w.T @ w @ h + mu + EPS_UPDATE)
-        cur = _objective(v, w, h, mu)
+        h *= wtv / (g + mu + EPS_UPDATE)
+        g, cur = _gram_objective(vv, wtv, wtw, h, mu)
         if abs(prev - cur) <= cfg.tol * max(abs(prev), 1e-30):
             break
         prev = cur

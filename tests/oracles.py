@@ -5,8 +5,10 @@ import math
 import numpy as np
 
 from scesep import nn
+from scesep.errors import NegativeInput
 from scesep.inference import ClusterAssignment
 from scesep.seeding import rng_for
+from scesep.snmf import EPS_MASK, EPS_UPDATE, Dictionary, SnmfConfig, _normalize_columns
 
 
 def sce_loss_oracle(v_i: np.ndarray, v_o: np.ndarray, y: np.ndarray) -> float:
@@ -150,3 +152,64 @@ def kmeans_broadcast_oracle(points, k, seed=0, restarts=8, max_iter=300) -> Clus
         if best is None or history[-1] < best.inertia:
             best = ClusterAssignment(labels, centroids, history[-1], tuple(history))
     return best
+
+
+# --- SNMF with the objective and updates taken on the (F, N) product WH -------
+
+
+def _snmf_objective_direct(v, w, h, mu):
+    return 0.5 * float(np.sum((v - w @ h) ** 2)) + mu * float(np.sum(np.abs(h)))
+
+
+def snmf_fit_oracle(training_mags, cfg: SnmfConfig = SnmfConfig(), class_id: int = 0, seed: int = 0):
+    """Reference for snmf.fit_dictionary: the objective from the full residual
+    V - WH and the W-update denominator as (WH)Hᵀ."""
+    v = np.concatenate([np.asarray(m) for m in training_mags], axis=0).T  # (F, N)
+    if np.any(v < 0):
+        raise NegativeInput("magnitudes must be nonnegative")
+    rng = rng_for(seed, f"snmf-init-{class_id}")
+    f_bins, n = v.shape
+    w = np.abs(rng.standard_normal((f_bins, cfg.rank)))
+    h = np.abs(rng.standard_normal((cfg.rank, n)))
+    w, h = _normalize_columns(w, h)
+    mu = cfg.sparsity
+    history = [_snmf_objective_direct(v, w, h, mu)]
+    for _ in range(cfg.max_iters):
+        h *= (w.T @ v) / (w.T @ w @ h + mu + EPS_UPDATE)
+        w *= (v @ h.T) / (w @ h @ h.T + EPS_UPDATE)
+        w, h = _normalize_columns(w, h)
+        history.append(_snmf_objective_direct(v, w, h, mu))
+        if abs(history[-2] - history[-1]) <= cfg.tol * max(abs(history[-2]), 1e-30):
+            break
+    return Dictionary(w, class_id), history
+
+
+def snmf_separate_oracle(x_mag, dicts, cfg: SnmfConfig = SnmfConfig(), seed: int = 0):
+    """Reference for snmf.separate: WᵀV, WᵀW and the full residual taken anew
+    on every iteration. Returns (masks (T, F, S), H-updates run)."""
+    v = np.asarray(x_mag).T  # (F, T)
+    if np.any(v < 0):
+        raise NegativeInput("magnitudes must be nonnegative")
+    w = np.hstack([d.w for d in dicts])
+    rng = rng_for(seed, "snmf-separate")
+    h = np.abs(rng.standard_normal((w.shape[1], v.shape[1])))
+    mu = cfg.sparsity
+    prev = _snmf_objective_direct(v, w, h, mu)
+    n_iters = 0
+    for _ in range(cfg.max_iters):
+        h *= (w.T @ v) / (w.T @ w @ h + mu + EPS_UPDATE)
+        n_iters += 1
+        cur = _snmf_objective_direct(v, w, h, mu)
+        if abs(prev - cur) <= cfg.tol * max(abs(prev), 1e-30):
+            break
+        prev = cur
+    recons = []
+    lo = 0
+    for d in dicts:
+        hi = lo + d.w.shape[1]
+        recons.append(d.w @ h[lo:hi])  # (F, T)
+        lo = hi
+    total = np.sum(recons, axis=0) + len(dicts) * EPS_MASK
+    masks = np.stack([(r + EPS_MASK) / total for r in recons], axis=-1)  # (F, T, S)
+    masks[..., -1] = 1.0 - masks[..., :-1].sum(axis=-1)
+    return np.transpose(masks, (1, 0, 2)), n_iters

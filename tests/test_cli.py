@@ -94,6 +94,21 @@ class TestTrain:
         assert "snmf_class0.dict" in dicts  # speech
         assert len(dicts) >= 2  # plus at least one noise class
 
+    def test_non_finite_loss_fails_without_checkpoint(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "nan-lr.cfg"
+        cfg.write_text(SMALL_CFG + "lr = nan\n")
+        out = tmp_path / "run"
+        code = main([
+            "--config", str(cfg), "--out", str(out),
+            "train", "--manifest", str(workspace["manifest"]),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: training loss is nan" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not (out / "model.scem").exists()
+        assert not (out / "train_log.csv").exists()
+
     def test_missing_manifest_is_usage_error(self, workspace, tmp_path):
         code = main([
             "--config", str(workspace["cfg"]), "--out", str(tmp_path),

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from scesep import nn
 from scesep.dsp import Waveform
-from scesep.errors import EmptyCorpus, ShapeMismatch, UnknownSource
+from scesep.errors import EmptyCorpus, NonFiniteLoss, ShapeMismatch, UnknownSource
 from scesep.mixtures import MixRecord, make_labels
 from scesep.model import (
     LOG_HEADER,
     Batch,
     ModelConfig,
     SeparationModel,
+    TrainState,
     batch_from_records,
     evaluate_losses,
     gather_source_vectors,
@@ -251,6 +252,32 @@ class TestTraining:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             train([], [], TINY, seed=0)
+
+    def test_non_finite_loss_raises_before_step(self):
+        recs = self.records()
+        cfg = ModelConfig(
+            n_blstm_layers=1, hidden_total=4, embed_dim=3, n_freq=5,
+            n_table_rows=4, batch_size=2, epochs=2,
+        )
+        model = SeparationModel(cfg, rng_for(0, "model-init"))
+        state = TrainState(model, nn.Adam(model.parameters(), lr=cfg.lr))
+        model.embed_w.data[0, 0] = np.nan
+        before = {k: v.copy() for k, v in model.named_values().items()}
+        with pytest.raises(NonFiniteLoss, match="nan"):
+            train(recs, [], cfg, seed=0, state=state)
+        assert state.optimizer.step_count == 0
+        assert all(not np.any(p.grad) for p in model.parameters())  # zeroed, no backward
+        for k, v in model.named_values().items():
+            np.testing.assert_array_equal(v, before[k])
+
+    def test_nan_learning_rate_raises(self):
+        # A NaN step poisons every weight; the next batch loss is NaN.
+        cfg = ModelConfig(
+            n_blstm_layers=1, hidden_total=4, embed_dim=3, n_freq=5,
+            n_table_rows=4, batch_size=2, epochs=2, lr=float("nan"),
+        )
+        with pytest.raises(NonFiniteLoss, match="after 1 optimizer steps"):
+            train(self.records(), [], cfg, seed=0)
 
     def test_evaluate_losses_matches_loss_fn(self):
         recs = self.records()
