@@ -127,10 +127,7 @@ def _train_snmf(cfg, out_dir: Path, corpus) -> int:
     snmf_cfg = cfg.snmf_config()
     by_class = {}
     for rec in corpus.train:
-        for spec, clip_id in zip(rec.source_specs, rec.source_clip_ids):
-            class_id = 0 if clip_id == rec.source_clip_ids[0] else (
-                1 + NOISE_KINDS.index(rec.noise_kind)
-            )
+        for class_id, spec in zip((0, 1 + NOISE_KINDS.index(rec.noise_kind)), rec.source_specs):
             mag = snmf_mod.trim_silence(compress(spec).mag, snmf_cfg.trim_threshold)
             by_class.setdefault(class_id, []).append(mag)
     for class_id, mags in sorted(by_class.items()):
@@ -262,13 +259,10 @@ def cmd_gradcheck(seed: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         file_overrides = parse_config_file(args.config) if args.config else {}
         cfg = resolve(file_overrides, {"seed": args.seed})
-        if args.seed is None and "seed" not in file_overrides:
-            cfg.seed = 0
         if args.command == "mix":
             return cmd_mix(cfg, args.out, args.materialize)
         if args.command == "train":
@@ -278,16 +272,13 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, args.out, args.manifest, args.checkpoint,
                             args.snmf_dir, args.algo, args.mode, args.K)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg.seed)
-        parser.error(f"unknown command {args.command}")
+        return cmd_gradcheck(cfg.seed)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ScesepError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

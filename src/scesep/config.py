@@ -3,6 +3,7 @@
 Precedence: CLI flag > config file > default. Unknown keys are rejected.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from .dsp import StftConfig
@@ -28,7 +29,6 @@ class RunConfig:
     n_blstm_layers: int = 2
     hidden_total: int = 32
     embed_dim: int = 8
-    n_mix_sources: int = 2
     batch_size: int = 4
     sce_weight: float = 0.2
     epochs: int = 100
@@ -54,7 +54,6 @@ class RunConfig:
             hidden_total=self.hidden_total,
             embed_dim=self.embed_dim,
             n_freq=self.stft_config().n_freq,
-            n_mix_sources=self.n_mix_sources,
             n_table_rows=n_table_rows,
             batch_size=self.batch_size,
             sce_weight=self.sce_weight,
@@ -77,7 +76,8 @@ _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_config_file(path) -> dict:
-    """Parse `key = value` lines; `#` starts a comment; unknown keys fail."""
+    """Parse `key = value` lines; `#` starts a comment; unknown keys and
+    non-finite numbers fail."""
     overrides = {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
@@ -90,6 +90,8 @@ def parse_config_file(path) -> dict:
             if key not in _FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             overrides[key] = _FIELDS[key](value)
+            if not math.isfinite(overrides[key]):
+                raise ValueError(f"{path}:{lineno}: {key} must be finite, got {value!r}")
     return overrides
 
 

@@ -63,10 +63,10 @@ class StftConfig:
 
 @dataclass(frozen=True)
 class MagnitudeFeature:
-    """Sqrt-compressed, percent-normalized magnitude with retained phase."""
+    """Sqrt-compressed, percent-normalized magnitude; ``mag * norm_scale``
+    is ``sqrt(|s|)``."""
 
     mag: np.ndarray
-    phase: np.ndarray
     norm_scale: float
 
 
@@ -168,8 +168,8 @@ def istft(
 def compress(s: np.ndarray) -> MagnitudeFeature:
     """Square-root nonlinearity followed by percent normalization.
 
-    The normalization divisor is recorded so :func:`uncompress` is exact;
-    an all-zero spectrogram gets norm_scale 1 to avoid division by zero.
+    The normalization divisor is recorded as ``norm_scale``; an all-zero
+    spectrogram gets norm_scale 1 to avoid division by zero.
     """
     s = np.asarray(s)
     if s.size == 0:
@@ -178,10 +178,4 @@ def compress(s: np.ndarray) -> MagnitudeFeature:
     scale = float(root.max())
     if scale == 0.0:
         scale = 1.0
-    return MagnitudeFeature(root / scale, np.angle(s), scale)
-
-
-def uncompress(feat: MagnitudeFeature) -> np.ndarray:
-    """Invert :func:`compress`: (mag * norm_scale)^2 * exp(i * phase)."""
-    amp = (feat.mag * feat.norm_scale) ** 2
-    return amp * np.exp(1j * feat.phase)
+    return MagnitudeFeature(root / scale, scale)

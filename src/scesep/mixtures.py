@@ -216,47 +216,71 @@ def build_corpus(
 ) -> Corpus:
     """Synthetic corpus with disjoint source clips across splits.
 
-    Every speech clip is its own "speaker" (one source-table row); noise
-    rows are per noise kind, shared within the train+val pool. Test-split
-    sources are out-of-set and get no table rows.
+    Draws each row's noise kind, SNR and mixture seed, then builds the
+    records from those rows exactly as :func:`read_manifest` does.
     """
-    splits = {}
-    next_source_id = 1 + len(NOISE_KINDS)  # rows 1..4 are the noise kinds
+    rows = []
     for split, count in (("train", n_train), ("val", n_val), ("test", n_test)):
-        records = []
         for i in range(count):
             tag = f"{split}-{i}"
-            sp_seed = stream_seed(seed, f"{tag}-speech")
-            nz_seed = stream_seed(seed, f"{tag}-noise")
             kind = NOISE_KINDS[int(rng_for(seed, f"{tag}-kind").integers(len(NOISE_KINDS)))]
-            speech = synth_speechlike(clip_duration_s, sp_seed, cfg.sample_rate_hz)
-            speech = SourceClip(speech.waveform, speech.class_id, f"{tag}-speech")
-            noise = synth_noise(kind, clip_duration_s, nz_seed, cfg.sample_rate_hz)
-            noise = SourceClip(noise.waveform, noise.class_id, f"{tag}-{kind}")
             snr = float(rng_for(seed, f"{tag}-snr").uniform(*snr_range_db))
-            if split == "test":
-                ids = [0, noise.class_id]  # unused at inference
-            else:
-                ids = [next_source_id, noise.class_id]
-                next_source_id += 1
-            records.append(
-                mix_at_snr(
-                    speech,
-                    noise,
-                    snr,
-                    seed=stream_seed(seed, f"{tag}-mix"),
-                    cfg=cfg,
-                    clip_id=tag,
-                    source_ids=ids,
-                )
-            )
-        splits[split] = records
-    return Corpus(splits["train"], splits["val"], splits["test"], next_source_id)
+            specs = (f"synth:speechlike:{tag}-speech", f"synth:{kind}:{tag}-{kind}")
+            rows.append((tag, tag, split, 1 + NOISE_KINDS.index(kind), specs,
+                         stream_seed(seed, f"{tag}-mix"), snr))
+    return _corpus_from_rows(rows, seed, cfg, clip_duration_s)
+
+
+def _clip_from_spec(spec: str, corpus_seed: int, cfg: StftConfig, duration_s: float) -> SourceClip:
+    """Load or regenerate one source; the spec string becomes its clip id.
+
+    `synth:<generator>:<tag>-<name>` draws from the stream `<tag>-speech`
+    (speechlike) or `<tag>-noise` (a noise kind) of the corpus seed.
+    """
+    parts = spec.split(":")
+    if parts[0] == "wav":
+        from .audio_io import read_wav
+        from .dsp import resample, standardize
+
+        w = standardize(resample(read_wav(":".join(parts[1:])), cfg.sample_rate_hz))
+        return SourceClip(Waveform(_unit_power(w.samples), cfg.sample_rate_hz), -1, spec)
+    if parts[0] != "synth" or len(parts) != 3:
+        raise ValueError(f"bad source spec {spec!r}")
+    generator, tag, fs = parts[1], parts[2].rsplit("-", 1)[0], cfg.sample_rate_hz
+    if generator == "speechlike":
+        clip = synth_speechlike(duration_s, stream_seed(corpus_seed, f"{tag}-speech"), fs)
+    else:
+        clip = synth_noise(generator, duration_s, stream_seed(corpus_seed, f"{tag}-noise"), fs)
+    return SourceClip(clip.waveform, clip.class_id, spec)
+
+
+def _corpus_from_rows(rows, corpus_seed: int, cfg: StftConfig, clip_duration_s: float) -> Corpus:
+    """Records from manifest rows `(where, clip_id, split, noise_class,
+    (speech_spec, noise_spec), mix_seed, snr_db)`.
+
+    Each distinct train/val speech source is one "speaker" with its own
+    source-table row after the noise-kind rows 1..4; noise rows are per kind.
+    Test-split sources are out-of-set and get no table rows.
+    """
+    splits = {"train": [], "val": [], "test": []}
+    speaker_ids = {}
+    for where, clip_id, split, class_id, specs, seed, snr_db in rows:
+        if split not in splits:
+            raise ValueError(f"{where}: unknown split {split!r}")
+        if not 1 <= class_id <= len(NOISE_KINDS):
+            raise ValueError(f"{where}: noise class {class_id} outside 1..{len(NOISE_KINDS)}")
+        speech, noise = (_clip_from_spec(s, corpus_seed, cfg, clip_duration_s) for s in specs)
+        noise = SourceClip(noise.waveform, class_id, noise.clip_id)
+        speaker = 0 if split == "test" else speaker_ids.setdefault(
+            speech.clip_id, 1 + len(NOISE_KINDS) + len(speaker_ids)
+        )
+        splits[split].append(
+            mix_at_snr(speech, noise, snr_db, seed, cfg, clip_id, [speaker, class_id])
+        )
+    return Corpus(**splits, n_sources=1 + len(NOISE_KINDS) + len(speaker_ids))
 
 
 # --- manifest (external interface) -------------------------------------
-
-MANIFEST_COLUMNS = "clip_id\tsplit\tclass_id\tpath-or-synth-spec\tseed\tsnr_db"
 
 
 def write_manifest(path, corpus: Corpus) -> None:
@@ -266,39 +290,14 @@ def write_manifest(path, corpus: Corpus) -> None:
     The source-spec field holds `speech_spec,noise_spec`, each either
     `synth:<generator>:<clip_id>` or `wav:<path>`.
     """
-    lines = []
-    for split in ("train", "val", "test"):
-        for rec in getattr(corpus, split):
-            noise_class = 1 + NOISE_KINDS.index(rec.noise_kind)
-            spec = (
-                f"synth:speechlike:{rec.source_clip_ids[0]},"
-                f"synth:{rec.noise_kind}:{rec.source_clip_ids[1]}"
-            )
-            lines.append(
-                f"{rec.clip_id}\t{split}\t{noise_class}\t{spec}\t{rec.seed}\t{rec.snr_db!r}"
-            )
+    lines = [
+        f"{rec.clip_id}\t{split}\t{1 + NOISE_KINDS.index(rec.noise_kind)}\t"
+        f"{','.join(rec.source_clip_ids)}\t{rec.seed}\t{rec.snr_db!r}"
+        for split in ("train", "val", "test")
+        for rec in getattr(corpus, split)
+    ]
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def _clip_from_spec(spec: str, corpus_seed: int, cfg: StftConfig, duration_s: float) -> SourceClip:
-    parts = spec.split(":")
-    if parts[0] == "wav":
-        from .audio_io import read_wav
-        from .dsp import resample, standardize
-
-        path = ":".join(parts[1:])
-        w = standardize(resample(read_wav(path), cfg.sample_rate_hz))
-        return SourceClip(Waveform(_unit_power(w.samples), cfg.sample_rate_hz), -1, path)
-    if parts[0] != "synth" or len(parts) != 3:
-        raise ValueError(f"bad source spec {spec!r}")
-    generator, clip_id = parts[1], parts[2]
-    gen_seed = stream_seed(corpus_seed, clip_id.rsplit("-", 1)[0] + "-" + ("speech" if generator == "speechlike" else "noise"))
-    if generator == "speechlike":
-        clip = synth_speechlike(duration_s, gen_seed, cfg.sample_rate_hz)
-    else:
-        clip = synth_noise(generator, duration_s, gen_seed, cfg.sample_rate_hz)
-    return SourceClip(clip.waveform, clip.class_id, clip_id)
 
 
 def read_manifest(
@@ -308,28 +307,18 @@ def read_manifest(
     clip_duration_s: float = 3.0,
 ) -> Corpus:
     """Rebuild a corpus from a manifest (synthetic clips are regenerated)."""
-    splits = {"train": [], "val": [], "test": []}
-    speaker_ids = {}
-    next_source_id = 1 + len(NOISE_KINDS)
+    rows = []
     with open(path, encoding="utf-8") as f:
-        rows = [line.rstrip("\n").split("\t") for line in f if line.strip()]
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                clip_id, split, class_id, spec, seed, snr_db = line.rstrip("\n").split("\t")
+                speech_spec, noise_spec = spec.split(",")
+                rows.append((f"{path}:{lineno}", clip_id, split, int(class_id),
+                             (speech_spec, noise_spec), int(seed), float(snr_db)))
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
     if not rows:
         raise EmptyCorpus(f"manifest {path} is empty")
-    for clip_id, split, class_id, spec, seed, snr_db in rows:
-        sp_spec, nz_spec = spec.split(",")
-        speech = _clip_from_spec(sp_spec, corpus_seed, cfg, clip_duration_s)
-        noise = _clip_from_spec(nz_spec, corpus_seed, cfg, clip_duration_s)
-        noise = SourceClip(noise.waveform, int(class_id), noise.clip_id)
-        if split == "test":
-            ids = [0, int(class_id)]
-        else:
-            if speech.clip_id not in speaker_ids:
-                speaker_ids[speech.clip_id] = next_source_id
-                next_source_id += 1
-            ids = [speaker_ids[speech.clip_id], int(class_id)]
-        splits[split].append(
-            mix_at_snr(
-                speech, noise, float(snr_db), int(seed), cfg, clip_id, ids
-            )
-        )
-    return Corpus(splits["train"], splits["val"], splits["test"], next_source_id)
+    return _corpus_from_rows(rows, corpus_seed, cfg, clip_duration_s)

@@ -95,8 +95,8 @@ class TestTrain:
         assert len(dicts) >= 2  # plus at least one noise class
 
     def test_non_finite_loss_fails_without_checkpoint(self, workspace, tmp_path, capsys):
-        cfg = tmp_path / "nan-lr.cfg"
-        cfg.write_text(SMALL_CFG + "lr = nan\n")
+        cfg = tmp_path / "huge-lr.cfg"
+        cfg.write_text(SMALL_CFG + "lr = 1e300\n")
         out = tmp_path / "run"
         code = main([
             "--config", str(cfg), "--out", str(out),
@@ -115,6 +115,37 @@ class TestTrain:
             "train", "--manifest", str(tmp_path / "nope.tsv"),
         ])
         assert code == 2
+
+    def test_out_of_range_noise_class_is_usage_error(self, workspace, tmp_path, capsys):
+        lines = workspace["manifest"].read_text().splitlines()
+        row = lines[0].split("\t")
+        row[2] = "5"
+        lines[0] = "\t".join(row)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(out),
+            "train", "--manifest", str(manifest),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: {manifest}:1: noise class 5" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["snmf_sparsity = nan", "lr = inf", "n_mix_sources = 2"])
+    def test_rejected_config_is_usage_error(self, workspace, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_CFG + line + "\n")
+        out = tmp_path / "run"
+        code = main([
+            "--config", str(cfg), "--out", str(out),
+            "train", "--manifest", str(workspace["manifest"]), "--algo", "snmf",
+        ])
+        assert code == 2
+        assert "bad.cfg:12:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDenoise:

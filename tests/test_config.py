@@ -30,6 +30,12 @@ class TestParseConfigFile:
         with pytest.raises(ValueError, match="key = value"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, value):
+        path = self.write(tmp_path, f"epochs = 3\nsnmf_sparsity = {value}\n")
+        with pytest.raises(ValueError, match="run.cfg:2: snmf_sparsity must be finite"):
+            parse_config_file(path)
+
     def test_bad_value_type(self, tmp_path):
         path = self.write(tmp_path, "epochs = soon\n")
         with pytest.raises(ValueError):

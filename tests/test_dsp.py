@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scesep.dsp import (
-    MagnitudeFeature,
     StftConfig,
     Waveform,
     compress,
@@ -13,7 +12,6 @@ from scesep.dsp import (
     resample,
     standardize,
     stft,
-    uncompress,
 )
 from scesep.errors import ConstantSignal, ShapeMismatch, TooShort
 
@@ -185,18 +183,10 @@ class TestCompress:
         s = stft(rand_wave(seed=11))
         assert compress(s).mag.max() == 1.0
 
-    def test_round_trip(self):
+    def test_norm_scale_restores_root(self):
         s = stft(rand_wave(seed=12))
-        rel = np.abs(uncompress(compress(s)) - s).max() / np.abs(s).max()
-        assert rel < 1e-9
-
-    def test_uncompress_hand(self):
-        feat = MagnitudeFeature(np.array([[1.0]]), np.array([[0.0]]), 2.0)
-        np.testing.assert_allclose(uncompress(feat), [[4.0 + 0j]])
-
-    def test_uncompress_zero(self):
-        feat = compress(np.zeros((2, 2), dtype=complex))
-        assert np.all(uncompress(feat) == 0)
+        feat = compress(s)
+        np.testing.assert_allclose(feat.mag * feat.norm_scale, np.sqrt(np.abs(s)), rtol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(0.0, 1e3), min_size=2, max_size=16, unique=True))

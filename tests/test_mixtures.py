@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scesep.audio_io import write_wav
 from scesep.dsp import StftConfig, Waveform, stft
 from scesep.errors import ShapeMismatch, SilentSource, UnknownKind
 from scesep.inference import reconstruct_binary
@@ -173,14 +174,95 @@ def test_oracle_mask_recovers_disjoint_sources():
     assert min(res.sdr_improvement_db) > 20.0
 
 
+def assert_same_records(a, b):
+    """Every MixRecord field of two corpora equal, and n_sources."""
+    assert a.n_sources == b.n_sources
+    for split in ("train", "val", "test"):
+        assert len(getattr(a, split)) == len(getattr(b, split))
+        for ra, rb in zip(getattr(a, split), getattr(b, split)):
+            assert ra.clip_id == rb.clip_id
+            np.testing.assert_array_equal(ra.mixture.samples, rb.mixture.samples)
+            assert ra.mixture.sample_rate_hz == rb.mixture.sample_rate_hz
+            for sa, sb in zip(ra.sources, rb.sources, strict=True):
+                np.testing.assert_array_equal(sa.samples, sb.samples)
+            assert ra.snr_db == rb.snr_db
+            np.testing.assert_array_equal(ra.mixture_spec, rb.mixture_spec)
+            for sa, sb in zip(ra.source_specs, rb.source_specs, strict=True):
+                np.testing.assert_array_equal(sa, sb)
+            np.testing.assert_array_equal(ra.labels, rb.labels)
+            assert ra.source_ids == rb.source_ids
+            assert ra.source_clip_ids == rb.source_clip_ids
+            assert ra.noise_kind == rb.noise_kind
+            assert ra.seed == rb.seed
+
+
 def test_manifest_round_trip(tmp_path):
     corpus = build_corpus(3, 1, 1, seed=5)
     path = tmp_path / "manifest.tsv"
     write_manifest(path, corpus)
-    back = read_manifest(path, corpus_seed=5)
-    for split in ("train", "val", "test"):
-        for ra, rb in zip(getattr(corpus, split), getattr(back, split)):
-            assert ra.clip_id == rb.clip_id
-            assert ra.snr_db == rb.snr_db
-            np.testing.assert_array_equal(ra.mixture.samples, rb.mixture.samples)
-            assert ra.source_ids == rb.source_ids
+    assert_same_records(corpus, read_manifest(path, corpus_seed=5))
+
+
+def write_tone_wav(path, freq_hz, fs=10000):
+    write_wav(path, Waveform(0.3 * tone_clip([freq_hz]).waveform.samples[: 3 * fs], fs))
+
+
+def wav_manifest(tmp_path):
+    """Manifest text mixing `wav:` and `synth:` sources; one speech WAV is
+    used by two train rows."""
+    speech, noise = tmp_path / "speech.wav", tmp_path / "noise.wav"
+    write_tone_wav(speech, 625.0)
+    write_tone_wav(noise, 3125.0)
+    return (
+        f"train-0\ttrain\t1\twav:{speech},synth:siren:train-0-siren\t11\t2.5\n"
+        f"train-1\ttrain\t3\twav:{speech},wav:{noise}\t12\t-1.25\n"
+        f"val-0\tval\t4\tsynth:speechlike:val-0-speech,synth:crowd:val-0-crowd\t13\t0.0\n"
+        f"test-0\ttest\t2\tsynth:speechlike:test-0-speech,wav:{noise}\t14\t4.0\n"
+    )
+
+
+def test_wav_manifest_round_trip(tmp_path):
+    text = wav_manifest(tmp_path)
+    first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
+    first.write_text(text)
+    corpus = read_manifest(first, corpus_seed=3)
+    write_manifest(second, corpus)
+    assert second.read_text() == text
+    assert_same_records(corpus, read_manifest(second, corpus_seed=3))
+
+
+def test_shared_wav_speaker_gets_one_table_row(tmp_path):
+    path = tmp_path / "manifest.tsv"
+    path.write_text(wav_manifest(tmp_path))
+    corpus = read_manifest(path, corpus_seed=3)
+    first, second = corpus.train
+    speaker_row = 1 + len(NOISE_KINDS)
+    assert first.source_ids == [speaker_row, 1]
+    assert second.source_ids == [speaker_row, 3]
+    assert corpus.val[0].source_ids == [speaker_row + 1, 4]
+    assert corpus.test[0].source_ids == [0, 2]
+    assert corpus.n_sources == speaker_row + 2
+    assert second.noise_kind == "engine"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (2, "0", "noise class 0"),
+        (2, "5", "noise class 5"),
+        (1, "dev", "unknown split"),
+        (3, "synth:speechlike:train-1-speech", "not enough values"),
+        (5, "1.0\t2.0", "too many values"),
+        (4, "soon", "invalid literal"),
+    ],
+)
+def test_bad_manifest_row_rejected(tmp_path, field, value, message):
+    path = tmp_path / "manifest.tsv"
+    write_manifest(path, build_corpus(2, 0, 1, seed=4))
+    lines = path.read_text().splitlines()
+    row = lines[1].split("\t")
+    row[field] = value
+    lines[1] = "\t".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{path}:2: {message}"):
+        read_manifest(path, corpus_seed=4)
