@@ -10,7 +10,11 @@ from .errors import ShapeMismatch
 
 def read_wav(path) -> Waveform:
     """Read a mono PCM16 WAV file; samples are mapped to [-1, 1)."""
-    with wave.open(str(path), "rb") as f:
+    try:
+        f = wave.open(str(path), "rb")
+    except (wave.Error, EOFError, RuntimeError) as e:  # wave raises the last two bare on bad chunks
+        raise ValueError(f"{path}: not a readable WAV file ({str(e) or 'damaged header'})") from e
+    with f:
         if f.getnchannels() != 1:
             raise ShapeMismatch(
                 f"{path}: expected mono, got {f.getnchannels()} channels"
@@ -21,6 +25,8 @@ def read_wav(path) -> Waveform:
             )
         raw = f.readframes(f.getnframes())
         rate = f.getframerate()
+    if len(raw) % 2:
+        raise ValueError(f"{path}: data chunk ends mid-sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, rate)
 

@@ -13,7 +13,7 @@ from . import snmf as snmf_mod
 from .audio_io import read_wav, write_wav
 from .config import parse_config_file, resolve
 from .dsp import compress, istft, stft
-from .errors import ScesepError
+from .errors import EmptyCorpus, ScesepError
 from .inference import denoise, reconstruct_binary, reconstruct_ratio
 from .metrics import CSV_HEADER, best_permutation, report
 from .mixtures import (
@@ -109,7 +109,14 @@ def cmd_train(cfg, out_dir: Path, manifest: Path, algo: str, resume: Path) -> in
     model_cfg = cfg.model_config(corpus.n_sources)
     state = None
     if resume is not None:
-        state, _ = load_checkpoint(resume)
+        state, meta = load_checkpoint(resume)
+        # Only epochs may differ: raising it is what a resume is for.
+        saved = dict(vars(state.model.config), seed=meta["seed"], epochs=model_cfg.epochs)
+        run = dict(vars(model_cfg), seed=cfg.seed)
+        conflicts = ", ".join(k for k in run if run[k] != saved[k])
+        if conflicts:
+            raise ValueError(f"{resume}: run config conflicts with the checkpoint on {conflicts}")
+        state.model.config = model_cfg
         print(f"resuming from {resume} at epoch {state.epoch}")
     state = train(corpus.train, corpus.val, model_cfg, cfg.seed, state=state)
     ckpt = out_dir / "model.scem"
@@ -142,6 +149,11 @@ def cmd_denoise(cfg, out_dir: Path, checkpoint: Path, input_wav: Path, mode: str
     model = load_inference_model(checkpoint)
     w = read_wav(input_wav)
     stft_cfg = cfg.stft_config()
+    # One frame of the hop/2 reflect-padded STFT, counted at the model's rate.
+    need = max(1, stft_cfg.window_len - 2 * (stft_cfg.hop // 2))
+    if len(w) * stft_cfg.sample_rate_hz < need * w.sample_rate_hz:
+        raise ValueError(f"{input_wav}: need >= {need} samples at {stft_cfg.sample_rate_hz} Hz, "
+                         f"got {len(w)} at {w.sample_rate_hz} Hz")
     if w.sample_rate_hz != stft_cfg.sample_rate_hz:
         print(
             f"warning: resampling {input_wav} from {w.sample_rate_hz} Hz "
@@ -206,6 +218,8 @@ def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg, k):
 def cmd_eval(cfg, out_dir: Path, manifest: Path, checkpoint: Path,
              snmf_dir: Path, algos, mode: str, k: int) -> int:
     corpus = read_manifest(manifest, cfg.seed, cfg.stft_config(), cfg.clip_duration_s)
+    if not corpus.test:
+        raise EmptyCorpus(f"manifest {manifest} has no test rows")
     stft_cfg = cfg.stft_config()
     algos = algos or ["sce-mi"]
     model = load_inference_model(checkpoint) if "sce-mi" in algos else None

@@ -45,31 +45,25 @@ class RunConfig:
     snmf_tol: float = 1e-5
     trim_threshold: float = -2.0
 
+    def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        # model_config builds the StftConfig too: a bad value fails every command.
+        self.model_config(ModelConfig.n_table_rows), self.snmf_config()
+
+    def _pick(self, cls, **derived):
+        """Build `cls` from the fields named as its own, less any `snmf_` prefix, plus `derived`."""
+        mine = {f.name.removeprefix("snmf_"): getattr(self, f.name) for f in fields(self)}
+        return cls(**{f.name: mine[f.name] for f in fields(cls) if f.name in mine}, **derived)
+
     def stft_config(self) -> StftConfig:
-        return StftConfig(self.window_len, self.hop, self.sample_rate_hz)
+        return self._pick(StftConfig)
 
     def model_config(self, n_table_rows: int) -> ModelConfig:
-        return ModelConfig(
-            n_blstm_layers=self.n_blstm_layers,
-            hidden_total=self.hidden_total,
-            embed_dim=self.embed_dim,
-            n_freq=self.stft_config().n_freq,
-            n_table_rows=n_table_rows,
-            batch_size=self.batch_size,
-            sce_weight=self.sce_weight,
-            epochs=self.epochs,
-            lr=self.lr,
-            grad_clip=self.grad_clip,
-        )
+        return self._pick(ModelConfig, n_freq=self.stft_config().n_freq, n_table_rows=n_table_rows)
 
     def snmf_config(self) -> SnmfConfig:
-        return SnmfConfig(
-            rank=self.snmf_rank,
-            sparsity=self.snmf_sparsity,
-            max_iters=self.snmf_max_iters,
-            tol=self.snmf_tol,
-            trim_threshold=self.trim_threshold,
-        )
+        return self._pick(SnmfConfig)
 
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}

@@ -72,6 +72,6 @@ def read_container(path, expected_magic: bytes):
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(dims)
             off += 8 * count
             tensors[name] = arr.astype(np.float64)
-    except (struct.error, UnicodeDecodeError, ValueError) as e:
+    except (struct.error, UnicodeDecodeError, ValueError, OverflowError) as e:
         raise CorruptCheckpoint(f"{path}: truncated or corrupt ({e})") from e
     return meta, tensors

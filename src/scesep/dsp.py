@@ -47,6 +47,8 @@ class StftConfig:
     sample_rate_hz: int = 10000
 
     def __post_init__(self):
+        if self.window_len < 2 or self.hop < 1:
+            raise ValueError("window_len >= 2 and hop >= 1 required")
         if self.window_len & (self.window_len - 1) != 0:
             raise ValueError("window_len must be a power of two")
         if self.hop > self.window_len or self.window_len % self.hop != 0:

@@ -33,12 +33,17 @@ class ModelConfig:
     grad_clip: float = 5.0
 
     def __post_init__(self):
+        lows = {"n_blstm_layers": 1, "embed_dim": 1, "n_mix_sources": 2, "batch_size": 1, "epochs": 0}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("lr", "grad_clip"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.hidden_total % 2 != 0:
             raise ValueError("hidden_total must be even (two directions)")
         if not 0.0 <= self.sce_weight <= 1.0:
             raise ValueError("sce_weight must be in [0, 1]")
-        if self.embed_dim < 1 or self.n_mix_sources < 2:
-            raise ValueError("embed_dim >= 1 and n_mix_sources >= 2 required")
 
 
 class SeparationModel:
@@ -328,6 +333,7 @@ def load_checkpoint(path):
         return table[key]
 
     config = ModelConfig(**{f.name: f.type(require(meta, f.name)) for f in fields(ModelConfig)})
+    meta["seed"] = int(require(meta, "seed"))
     model = SeparationModel(config)
     values = {p.name: require(tensors, f"param/{p.name}") for p in model.parameters()}
     model.load_values(values)

@@ -1,9 +1,9 @@
 """Minimal reverse-mode tensor engine and the layers the model needs.
 
 Only the operations required by the separation network are implemented:
-broadcast arithmetic, matmul, reshape, row gathers, sigmoid, tanh,
-log-sigmoid, softmax, and sums, plus one fused bidirectional LSTM sequence
-op with hand-written backpropagation through time. Everything is float64 so
+broadcast arithmetic, matmul, reshape, row gathers, tanh, log-sigmoid,
+softmax, and sums, plus one fused bidirectional LSTM sequence op with
+hand-written backpropagation through time. Everything is float64 so
 gradient checks can be tight. Forward passes are pure functions of (inputs,
 parameters).
 """
@@ -64,22 +64,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
-
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 class Parameter(Tensor):
@@ -188,14 +172,6 @@ def gather_rows(table, ids):
         np.add.at(table.grad, ids, g)
 
     out._backward_fn = bwd
-    return out
-
-
-def sigmoid(a):
-    a = _as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(s, parents=(a,))
-    out._backward_fn = lambda g: a._accum(g * s * (1.0 - s))
     return out
 
 
@@ -362,8 +338,8 @@ def blstm_layer(x: Tensor, p_fwd: LstmCellParams, p_bwd: LstmCellParams) -> Tens
         i, f, o, cand = (acts[:, k] for k in range(4))
         c_prev = np.concatenate([np.zeros((1, 2, B, H)), cs[:-1]])
         # Gate pre-activation gradient: ([dc, dc, dh, dc] * partner) * scale1,
-        # then (1 - s) for the sigmoid gates, associated as the tape's
-        # mul, sigmoid and tanh backward functions do.
+        # then (1 - s) for the sigmoid gates, associated as the unrolled
+        # oracle's mul, sigmoid and tanh backward functions do.
         partner = np.stack([cand, c_prev, tcs, i], axis=1)
         scale1 = acts.copy()
         scale1[:, 3] = 1.0 - cand * cand

@@ -31,6 +31,15 @@ def sce_loss_oracle(v_i: np.ndarray, v_o: np.ndarray, y: np.ndarray) -> float:
 # --- the LSTM unrolled on the generic tape, one timestep at a time -----------
 
 
+def sigmoid(a):
+    """Tape op for 1 / (1 + exp(-a)); the fused LSTM computes its gates inline."""
+    a = nn._as_tensor(a)
+    s = 1.0 / (1.0 + np.exp(-a.data))
+    out = nn.Tensor(s, parents=(a,))
+    out._backward_fn = lambda g: a._accum(g * s * (1.0 - s))
+    return out
+
+
 def _concat(tensors, axis):
     out = nn.Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors))
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
@@ -84,9 +93,9 @@ def lstm_unrolled_oracle(x: nn.Tensor, p: nn.LstmCellParams, direction: str = "f
     outs = [None] * T
     for t in times:
         z = _concat([h, _time_slice(x, t)], axis=1)
-        i = nn.sigmoid(nn.add(nn.matmul(z, p.w_input), p.b_input))
-        f = nn.sigmoid(nn.add(nn.matmul(z, p.w_forget), p.b_forget))
-        o = nn.sigmoid(nn.add(nn.matmul(z, p.w_output), p.b_output))
+        i = sigmoid(nn.add(nn.matmul(z, p.w_input), p.b_input))
+        f = sigmoid(nn.add(nn.matmul(z, p.w_forget), p.b_forget))
+        o = sigmoid(nn.add(nn.matmul(z, p.w_output), p.b_output))
         g = nn.tanh(nn.add(nn.matmul(z, p.w_candidate), p.b_candidate))
         c = nn.add(nn.mul(f, c), nn.mul(i, g))
         h = nn.mul(o, nn.tanh(c))

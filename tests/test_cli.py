@@ -1,10 +1,19 @@
 import csv
+import io
+import struct
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scesep.audio_io import read_wav, write_wav
 from scesep.cli import main
+from scesep.config import RunConfig
 from scesep.container import MAGIC_MODEL, read_container, write_container
+from scesep.dsp import Waveform
 from scesep.metrics import CSV_HEADER
 
 SMALL_CFG = """
@@ -134,8 +143,21 @@ class TestTrain:
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["snmf_sparsity = nan", "lr = inf", "n_mix_sources = 2"])
-    def test_rejected_config_is_usage_error(self, workspace, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line,named", [
+        pytest.param(line, named, id=line) for line, named in [
+            ("snmf_sparsity = nan", "bad.cfg:12: snmf_sparsity must be finite"),
+            ("lr = inf", "bad.cfg:12: lr must be finite"),
+            ("n_mix_sources = 2", "bad.cfg:12: unknown key 'n_mix_sources'"),
+            ("batch_size = 0", "batch_size must be >= 1, got 0"),
+            ("n_blstm_layers = 0", "n_blstm_layers must be >= 1, got 0"),
+            ("epochs = -1", "epochs must be >= 0, got -1"),
+            ("lr = 0", "lr must be > 0, got 0.0"),
+            ("grad_clip = -1", "grad_clip must be > 0, got -1.0"),
+            ("window_len = 0", "window_len >= 2 and hop >= 1 required"),
+            ("hop = 0", "window_len >= 2 and hop >= 1 required"),
+        ]
+    ])
+    def test_rejected_config_is_usage_error(self, workspace, tmp_path, capsys, line, named):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SMALL_CFG + line + "\n")
         out = tmp_path / "run"
@@ -144,8 +166,57 @@ class TestTrain:
             "train", "--manifest", str(workspace["manifest"]), "--algo", "snmf",
         ])
         assert code == 2
-        assert "bad.cfg:12:" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def resume(self, workspace, out, cfg_text, checkpoint=None, extra=()):
+        cfg = out.parent / f"{out.name}.cfg"
+        cfg.write_text(SMALL_CFG + cfg_text)
+        return main([
+            "--config", str(cfg), *extra, "--out", str(out),
+            "train", "--manifest", str(workspace["manifest"]),
+            "--resume", str(checkpoint or workspace["run"] / "model.scem"),
+        ])
+
+    @pytest.mark.parametrize("cfg_text,extra,named", [
+        pytest.param(cfg_text, extra, named, id=named) for cfg_text, extra, named in [
+            ("hidden_total = 16\n", (), "hidden_total"),
+            ("lr = 0.5\n", (), "lr"),
+            ("batch_size = 1\n", (), "batch_size"),
+            ("", ("--seed", "9"), "seed"),
+            ("hidden_total = 16\nlr = 0.5\n", (), "hidden_total, lr"),
+        ]
+    ])
+    def test_resume_conflict_is_usage_error(self, workspace, tmp_path, capsys,
+                                            cfg_text, extra, named):
+        out = tmp_path / "run"
+        assert self.resume(workspace, out, cfg_text, extra=extra) == 2
+        assert f"conflicts with the checkpoint on {named}\n" in capsys.readouterr().err
+        assert not (out / "model.scem").exists()
+
+    def test_resume_to_more_epochs_matches_straight_run(self, workspace, tmp_path):
+        resumed = tmp_path / "resumed"
+        assert self.resume(workspace, resumed, "epochs = 3\n") == 0
+        straight = tmp_path / "straight"
+        (tmp_path / "straight.cfg").write_text(SMALL_CFG + "epochs = 3\n")
+        assert main([
+            "--config", str(tmp_path / "straight.cfg"), "--out", str(straight),
+            "train", "--manifest", str(workspace["manifest"]),
+        ]) == 0
+        assert (resumed / "model.scem").read_bytes() == (straight / "model.scem").read_bytes()
+        log = (resumed / "train_log.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in log[1:]] == ["2"]  # only the resumed epoch
+
+    def test_resume_without_seed_is_corrupt(self, workspace, tmp_path, capsys):
+        meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)
+        del meta["seed"]
+        bad = tmp_path / "no_seed.scem"
+        write_container(bad, MAGIC_MODEL, meta, tensors)
+        out = tmp_path / "run"
+        assert self.resume(workspace, out, "", checkpoint=bad) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint has no 'seed'" in err and "Traceback" not in err
+        assert not (out / "model.scem").exists()
 
 
 class TestDenoise:
@@ -193,6 +264,33 @@ class TestDenoise:
             ])
         assert exc.value.code == 2
         assert "--K" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case,named", [
+        pytest.param(case, named, id=case) for case, named in [
+            ("no-fmt", "not a readable WAV file (data chunk before fmt chunk)"),
+            ("odd-fmt-size", "not a readable WAV file (damaged header)"),
+            ("empty", "need >= 256 samples at 10000 Hz, got 0 at 10000 Hz"),
+            ("200-samples", "need >= 256 samples at 10000 Hz, got 200 at 10000 Hz"),
+        ]
+    ])
+    def test_degenerate_wav_is_usage_error(self, workspace, tmp_path, capsys, case, named):
+        wav = tmp_path / f"{case}.wav"
+        if case == "no-fmt":
+            data = b"data" + struct.pack("<I", 4) + bytes(4)
+            wav.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(data)) + b"WAVE" + data)
+        else:
+            write_wav(wav, Waveform(np.full(0 if case == "empty" else 200, 0.1), 10000))
+        if case == "odd-fmt-size":  # fmt chunk size 16 -> 17: wave seeks past the chunk
+            blob = bytearray(wav.read_bytes())
+            blob[16] ^= 1
+            wav.write_bytes(bytes(blob))
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(tmp_path / "stems"),
+            "denoise", "--checkpoint", str(workspace["run"] / "model.scem"), str(wav),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {wav}: {named}" in err and "Traceback" not in err
 
     def test_kmeans_max_iter_is_read(self, workspace, tmp_path):
         cfg = tmp_path / "zero_iter.cfg"
@@ -304,6 +402,19 @@ class TestEval:
             self.run_eval(workspace, tmp_path, ["sce-mi"], extra=["--K", "-1"])
         assert exc.value.code == 2
 
+    def test_empty_test_split_fails(self, workspace, tmp_path, capsys):
+        rows = workspace["manifest"].read_text().splitlines()
+        manifest = tmp_path / "no_test.tsv"
+        manifest.write_text("".join(r + "\n" for r in rows if r.split("\t")[1] != "test"))
+        out = tmp_path / "eval"
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(out), "eval",
+            "--manifest", str(manifest), "--algo", "identity",
+        ])
+        assert code == 1
+        assert f"manifest {manifest} has no test rows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mode_filter(self, workspace, tmp_path):
         out = tmp_path / "mi_only"
         code = self.run_eval(
@@ -331,3 +442,52 @@ def test_bad_config_file(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["transmogrify"])
+
+
+def _mutate(data, blob, frozen=range(0)):
+    """Truncate blob, or flip up to three of its bits outside `frozen`."""
+    blob = bytearray(blob)
+    if data.draw(st.booleans(), label="truncate"):
+        return bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="keep")])
+    # Bias flips toward the headers, where one bit changes the meaning of the rest.
+    where = st.one_of(st.integers(0, min(len(blob), 256) - 1), st.integers(0, len(blob) - 1))
+    for pos, bit in data.draw(st.lists(st.tuples(where, st.integers(0, 7)), min_size=1, max_size=3)):
+        if pos not in frozen:
+            blob[pos] ^= 1 << bit
+    return bytes(blob)
+
+
+CONFIG_VALUES = ("-2", "-1", "0", "1", "2", "3", "0.5", "-0.5", "1e-9")
+
+
+@pytest.mark.parametrize("target", ["wav", "checkpoint", "config"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_hostile_input_keeps_exit_contract(workspace, tmp_path_factory, target, data):
+    """Damaged WAVs and checkpoints and out-of-range config values end in
+    exit 0, 1 or 2 with a message, never a traceback."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    clip = read_wav(next(iter(workspace["data"].glob("*.mix.wav"))))
+    wav, ckpt, cfg = tmp / "clip.wav", tmp / "model.scem", tmp / "run.cfg"
+    write_wav(wav, Waveform(clip.samples[:2000], clip.sample_rate_hz))
+    ckpt.write_bytes((workspace["run"] / "model.scem").read_bytes())
+    cfg.write_text(SMALL_CFG)
+    command = ["denoise", "--checkpoint", str(ckpt), str(wav),
+               "--mode", data.draw(st.sampled_from(["mi", "cluster"]), label="mode")]
+    if target == "wav":
+        # Bytes 24-27 hold the sample rate: a flipped high bit asks the
+        # resampler for a filter of billions of taps, so they stay intact.
+        wav.write_bytes(_mutate(data, wav.read_bytes(), frozen=range(24, 28)))
+    elif target == "checkpoint":
+        ckpt.write_bytes(_mutate(data, ckpt.read_bytes()))
+    else:
+        key = data.draw(st.sampled_from([f.name for f in fields(RunConfig)]), label="key")
+        value = data.draw(st.sampled_from(CONFIG_VALUES), label="value")
+        cfg.write_text(SMALL_CFG + f"{key} = {value}\n")
+        if data.draw(st.booleans(), label="mix"):
+            command = ["mix"]
+    output = io.StringIO()
+    with redirect_stdout(output), redirect_stderr(output):
+        code = main(["--config", str(cfg), "--out", str(tmp / "out"), *command])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in output.getvalue()

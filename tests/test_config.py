@@ -1,7 +1,18 @@
+from dataclasses import fields, replace
+
 import pytest
 
 from scesep.config import RunConfig, parse_config_file, resolve
+from scesep.dsp import StftConfig
+from scesep.model import ModelConfig
 from scesep.seeding import rng_for, stream_seed
+from scesep.snmf import SnmfConfig
+
+# RunConfig keys read by the CLI itself rather than by a sub-config.
+CLI_KEYS = {
+    "seed", "n_train", "n_val", "n_test", "snr_min_db", "snr_max_db", "clip_duration_s",
+    "kmeans_restarts", "kmeans_max_iter", "low_energy_threshold",
+}
 
 
 class TestParseConfigFile:
@@ -76,6 +87,35 @@ class TestDerivedConfigs:
     def test_snmf_config(self):
         s = RunConfig(snmf_rank=8, snmf_sparsity=0.3).snmf_config()
         assert (s.rank, s.sparsity) == (8, 0.3)
+
+    def test_defaults_agree(self):
+        assert RunConfig().stft_config() == StftConfig()
+        assert RunConfig().model_config(16) == ModelConfig()
+        assert RunConfig().snmf_config() == SnmfConfig()
+
+    def test_every_key_reaches_exactly_one_place(self):
+        # Doubling any key (0 -> 1) keeps the config valid; see which
+        # sub-configs move. window_len also moves ModelConfig through n_freq.
+        base = RunConfig()
+        sub_configs = {
+            "stft": RunConfig.stft_config,
+            "model": lambda c: c.model_config(16),
+            "snmf": RunConfig.snmf_config,
+        }
+        for f in fields(RunConfig):
+            value = getattr(base, f.name)
+            changed = replace(base, **{f.name: f.type(value * 2 if value else 1)})
+            moved = {k for k, build in sub_configs.items() if build(changed) != build(base)}
+            if f.name in CLI_KEYS:
+                assert moved == set(), f.name
+            elif f.name == "window_len":
+                assert moved == {"stft", "model"}
+            else:
+                assert len(moved) == 1, (f.name, moved)
+
+    def test_model_fields_not_fed_by_run_config(self):
+        unfed = {f.name for f in fields(ModelConfig)} - {f.name for f in fields(RunConfig)}
+        assert unfed == {"n_freq", "n_table_rows", "n_mix_sources"}
 
 
 class TestSeeding:

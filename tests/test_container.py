@@ -64,6 +64,17 @@ def test_truncated_file(tmp_path):
         read_container(path, MAGIC_MODEL)
 
 
+def test_absurd_dims(tmp_path):
+    path = tmp_path / "c.bin"
+    write_container(path, MAGIC_MODEL, {"k": "v"}, {"t": np.ones((8, 8))})
+    blob = bytearray(path.read_bytes())
+    # header 12 + "k=v" 3 + name length 2 + "t" 1 + rank 1: the first dim
+    blob[19:27] = b"\xff" * 8
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptCheckpoint):
+        read_container(path, MAGIC_MODEL)
+
+
 def test_byte_identical_rewrites(tmp_path):
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     tensors = {"w": np.random.default_rng(0).random((3, 3))}
