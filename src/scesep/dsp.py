@@ -145,15 +145,20 @@ def istft(
     if s.ndim != 2 or s.shape[1] != cfg.n_freq:
         raise ShapeMismatch(f"expected (T, {cfg.n_freq}), got {s.shape}")
     T = s.shape[0]
+    r = cfg.window_len // cfg.hop  # hop-sized blocks per frame
     win = hann_window(cfg.window_len)
-    frames = np.fft.irfft(s, n=cfg.fft_len, axis=1) * win
-    n = (T - 1) * cfg.hop + cfg.window_len
+    frames = (np.fft.irfft(s, n=cfg.fft_len, axis=1) * win).reshape(T, r, cfg.hop)
+    n = (T - 1 + r) * cfg.hop
     y = np.zeros(n)
     wsum = np.zeros(n)
-    for t in range(T):
-        start = t * cfg.hop
-        y[start : start + cfg.window_len] += frames[t]
-        wsum[start : start + cfg.window_len] += win * win
+    # Block j of frame t lands on output block t + j. Taking j from last to
+    # first adds each output block's terms in increasing t, the order of a
+    # frame-by-frame loop, so the sums are the same bit for bit.
+    y_blocks, w_blocks = y.reshape(-1, cfg.hop), wsum.reshape(-1, cfg.hop)
+    w2 = (win * win).reshape(r, cfg.hop)
+    for j in reversed(range(r)):
+        y_blocks[j : j + T] += frames[:, j]
+        w_blocks[j : j + T] += w2[j]
     nz = wsum > 1e-12
     y[nz] /= wsum[nz]
     y[~nz] = 0.0

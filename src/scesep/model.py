@@ -327,27 +327,37 @@ def load_checkpoint(path):
         if not np.all(np.isfinite(value)):
             raise CorruptCheckpoint(f"{path}: checkpoint tensor {key!r} holds non-finite values")
 
-    def require(table, key):
+    def require(table, key, convert=None):
         if key not in table:
             raise CorruptCheckpoint(f"{path}: checkpoint has no {key!r}")
-        return table[key]
+        if convert is None:
+            return table[key]
+        try:
+            return convert(table[key])
+        except ValueError:
+            raise CorruptCheckpoint(
+                f"{path}: checkpoint meta {key!r} is not a valid {convert.__name__}: {table[key]!r}"
+            ) from None
 
-    config = ModelConfig(**{f.name: f.type(require(meta, f.name)) for f in fields(ModelConfig)})
-    meta["seed"] = int(require(meta, "seed"))
+    try:
+        config = ModelConfig(**{f.name: require(meta, f.name, f.type) for f in fields(ModelConfig)})
+    except ValueError as e:  # a parsed value out of ModelConfig's range
+        raise CorruptCheckpoint(f"{path}: checkpoint config rejected: {e}") from None
+    meta["seed"] = require(meta, "seed", int)
     model = SeparationModel(config)
     values = {p.name: require(tensors, f"param/{p.name}") for p in model.parameters()}
     model.load_values(values)
-    opt = nn.Adam(model.parameters(), lr=float(require(meta, "lr_opt")))
-    opt.step_count = int(require(meta, "step"))
+    opt = nn.Adam(model.parameters(), lr=require(meta, "lr_opt", float))
+    opt.step_count = require(meta, "step", int)
     opt.m = [require(tensors, f"adam/m/{p.name}").copy() for p in opt.params]
     opt.v = [require(tensors, f"adam/v/{p.name}").copy() for p in opt.params]
     best_values = {k[len("best/") :]: v.copy() for k, v in tensors.items() if k.startswith("best/")}
     state = TrainState(
         model,
         opt,
-        epoch=int(require(meta, "epoch")),
-        best_val=float(require(meta, "best_val")),
-        best_epoch=int(require(meta, "best_epoch")),
+        epoch=require(meta, "epoch", int),
+        best_val=require(meta, "best_val", float),
+        best_epoch=require(meta, "best_epoch", int),
         best_values=best_values,
     )
     return state, meta

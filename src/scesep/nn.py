@@ -6,9 +6,22 @@ softmax, and sums, plus one fused bidirectional LSTM sequence op with
 hand-written backpropagation through time. Everything is float64 so
 gradient checks can be tight. Forward passes are pure functions of (inputs,
 parameters).
+
+Gradients are computed only for operands with ``requires_grad``: labels,
+input magnitudes and other constants get none. ``Tensor.backward`` hands
+each interior node's gradient to that node's backward function and drops
+it from the node, so after a backward pass only leaves (tensors without a
+backward function, such as parameters) hold gradients. A backward function
+that passes a parent an array it allocated, or the gradient it was handed
+(or a view of it), and gives that array to no other parent calls
+``_accum(g, own=True)``; the parent then keeps the array instead of copying
+it. ``add``, which hands the same gradient to both operands, gives it to
+the second one as a copy.
 """
 
+import functools
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -31,13 +44,18 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _accum(self, g):
+    def _accum(self, g, own=False):
+        """Add g into this node's gradient. With ``own=True`` the caller gives
+        up g, so a first gradient is kept as is instead of copied, provided
+        it is laid out in C order as the copy would be."""
         if not self.requires_grad:
             return
         if self.grad is None:
-            # A copy, never g itself: add() hands one array to both parents.
-            self.grad = np.empty_like(self.data)
-            np.copyto(self.grad, g)
+            if own and isinstance(g, np.ndarray) and g.flags.c_contiguous and self.data.flags.c_contiguous:
+                self.grad = g
+            else:
+                self.grad = np.empty_like(self.data)
+                np.copyto(self.grad, g)
         else:
             self.grad += g
 
@@ -60,10 +78,12 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data) if grad is None else np.asarray(grad, dtype=np.float64)
+        # A copy of a given seed: the backward functions may write into it.
+        self.grad = np.ones_like(self.data) if grad is None else np.array(grad, dtype=np.float64)
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+                g, node.grad = node.grad, None
+                node._backward_fn(g)
 
 
 class Parameter(Tensor):
@@ -87,11 +107,27 @@ def _unbroadcast(g, shape):
     # Reduce a broadcasted gradient back to the operand's shape.
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        if g.flags.c_contiguous and prod(g.shape[extra:]) > 1:
+            # numpy sums a C-ordered array over its leading axes row after
+            # row, with one call of its inner loop per row; einsum makes the
+            # same additions in the same order in one loop, which matters for
+            # the (B*T*F, M) MI-head bias gradient. Over a single trailing
+            # element numpy sums pairwise, so that case keeps g.sum.
+            axes = list(range(g.ndim))
+            g = np.einsum(g, axes, axes[extra:])
+        else:
+            g = g.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
+
+
+def _fold(ufunc, x, axis):
+    """x reduced over ``axis`` (kept, with length 1) by ``ufunc`` applied to
+    its slices in index order. Over a length-2 axis this gives numpy's
+    reduction bit for bit, without one inner-loop call per row."""
+    return functools.reduce(ufunc, np.split(x, x.shape[axis], axis=axis))
 
 
 def add(a, b):
@@ -99,8 +135,10 @@ def add(a, b):
     out = Tensor(a.data + b.data, parents=(a, b))
 
     def bwd(g):
-        a._accum(_unbroadcast(g, a.shape))
-        b._accum(_unbroadcast(g, b.shape))
+        ga = _unbroadcast(g, a.shape)
+        gb = _unbroadcast(g, b.shape)
+        a._accum(ga, own=True)
+        b._accum(gb, own=gb is not ga)
 
     out._backward_fn = bwd
     return out
@@ -111,8 +149,10 @@ def sub(a, b):
     out = Tensor(a.data - b.data, parents=(a, b))
 
     def bwd(g):
-        a._accum(_unbroadcast(g, a.shape))
-        b._accum(-_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(g, a.shape), own=True)
+        if b.requires_grad:
+            b._accum(-_unbroadcast(g, b.shape), own=True)
 
     out._backward_fn = bwd
     return out
@@ -123,8 +163,10 @@ def mul(a, b):
     out = Tensor(a.data * b.data, parents=(a, b))
 
     def bwd(g):
-        a._accum(_unbroadcast(g * b.data, a.shape))
-        b._accum(_unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(g * b.data, a.shape), own=True)
+        if b.requires_grad:
+            b._accum(_unbroadcast(g * a.data, b.shape), own=True)
 
     out._backward_fn = bwd
     return out
@@ -135,10 +177,10 @@ def matmul(a, b):
     out = Tensor(np.matmul(a.data, b.data), parents=(a, b))
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accum(_unbroadcast(ga, a.shape))
-        b._accum(_unbroadcast(gb, b.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), own=True)
+        if b.requires_grad:
+            b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape), own=True)
 
     out._backward_fn = bwd
     return out
@@ -147,14 +189,14 @@ def matmul(a, b):
 def swap_last(a):
     a = _as_tensor(a)
     out = Tensor(np.swapaxes(a.data, -1, -2), parents=(a,))
-    out._backward_fn = lambda g: a._accum(np.swapaxes(g, -1, -2))
+    out._backward_fn = lambda g: a._accum(np.swapaxes(g, -1, -2), own=True)
     return out
 
 
 def reshape(a, shape):
     a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape), parents=(a,))
-    out._backward_fn = lambda g: a._accum(g.reshape(a.shape))
+    out._backward_fn = lambda g: a._accum(g.reshape(a.shape), own=True)
     return out
 
 
@@ -179,7 +221,7 @@ def tanh(a):
     a = _as_tensor(a)
     h = np.tanh(a.data)
     out = Tensor(h, parents=(a,))
-    out._backward_fn = lambda g: a._accum(g * (1.0 - h * h))
+    out._backward_fn = lambda g: a._accum(g * (1.0 - h * h), own=True)
     return out
 
 
@@ -187,23 +229,18 @@ def log_sigmoid(a):
     """Numerically stable log(sigmoid(x))."""
     a = _as_tensor(a)
     x = a.data
-    ls = np.where(x > 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
-    out = Tensor(ls, parents=(a,))
-    out._backward_fn = lambda g: a._accum(g / (1.0 + np.exp(x)))  # d/dx = sigmoid(-x)
+    t = np.log1p(np.exp(-np.abs(x)))
+    out = Tensor(np.where(x > 0, -t, x - t), parents=(a,))
+    out._backward_fn = lambda g: a._accum(g / (1.0 + np.exp(x)), own=True)  # d/dx = sigmoid(-x)
     return out
 
 
 def softmax(a, axis=-1):
     a = _as_tensor(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(a.data - _fold(np.maximum, a.data, axis))
+    s = e / _fold(np.add, e, axis)
     out = Tensor(s, parents=(a,))
-
-    def bwd(g):
-        a._accum(s * (g - (g * s).sum(axis=axis, keepdims=True)))
-
-    out._backward_fn = bwd
+    out._backward_fn = lambda g: a._accum(s * (g - _fold(np.add, g * s, axis)), own=True)
     return out
 
 
@@ -213,7 +250,7 @@ def tsum(a, axis=None):
 
     def bwd(g):
         if axis is None:
-            a._accum(np.broadcast_to(g, a.shape).copy() if np.ndim(g) else np.full(a.shape, g))
+            a._accum(np.broadcast_to(g, a.shape).copy() if np.ndim(g) else np.full(a.shape, g), own=True)
         else:
             a._accum(np.broadcast_to(np.expand_dims(g, axis), a.shape))
 
@@ -369,7 +406,7 @@ def blstm_layer(x: Tensor, p_fwd: LstmCellParams, p_bwd: LstmCellParams) -> Tens
             dx[s] = dz[..., H:]
             dw += z[s].swapaxes(-1, -2) @ d
             db += d.sum(axis=2)
-        x._accum(_to_time(dx).sum(axis=2))
+        x._accum(_to_time(dx).sum(axis=2), own=True)
         for k, ps in enumerate(params):
             for j in range(4):
                 ps[j]._accum(dw[j, k])

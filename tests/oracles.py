@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from scesep import nn
+from scesep.dsp import StftConfig, Waveform, hann_window
 from scesep.errors import NegativeInput
 from scesep.inference import ClusterAssignment
 from scesep.seeding import rng_for
@@ -26,6 +27,77 @@ def sce_loss_oracle(v_i: np.ndarray, v_o: np.ndarray, y: np.ndarray) -> float:
                     z = y[b, t, f, m] * dot
                     total += -math.log(1.0 / (1.0 + math.exp(-z))) / M
     return total / B
+
+
+# --- tape ops with numpy reductions and copied first gradients --------------
+
+
+def accum_copy_oracle(self, g, own=False):
+    """Reference for nn.Tensor._accum: a first gradient is always copied."""
+    if not self.requires_grad:
+        return
+    if self.grad is None:
+        self.grad = np.empty_like(self.data)
+        np.copyto(self.grad, g)
+    else:
+        self.grad += g
+
+
+def unbroadcast_sum_oracle(g, shape):
+    """Reference for nn._unbroadcast: every reduction by ndarray.sum."""
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def softmax_reduce_oracle(a, axis=-1):
+    """Reference for nn.softmax: the axis max and sums by numpy reductions."""
+    a = nn._as_tensor(a)
+    z = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=axis, keepdims=True)
+    out = nn.Tensor(s, parents=(a,))
+    out._backward_fn = lambda g: a._accum(s * (g - (g * s).sum(axis=axis, keepdims=True)))
+    return out
+
+
+def log_sigmoid_two_pass_oracle(a):
+    """Reference for nn.log_sigmoid: log1p(exp(-|x|)) taken once per branch."""
+    a = nn._as_tensor(a)
+    x = a.data
+    ls = np.where(x > 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
+    out = nn.Tensor(ls, parents=(a,))
+    out._backward_fn = lambda g: a._accum(g / (1.0 + np.exp(x)))
+    return out
+
+
+# --- inverse STFT overlap-added one frame at a time ---------------------------
+
+
+def istft_loop_oracle(s, cfg: StftConfig = StftConfig(), trim: bool = False, length: int = None) -> Waveform:
+    """Reference for dsp.istft: frames overlap-added in a loop over time."""
+    T = s.shape[0]
+    win = hann_window(cfg.window_len)
+    frames = np.fft.irfft(s, n=cfg.fft_len, axis=1) * win
+    n = (T - 1) * cfg.hop + cfg.window_len
+    y = np.zeros(n)
+    wsum = np.zeros(n)
+    for t in range(T):
+        start = t * cfg.hop
+        y[start : start + cfg.window_len] += frames[t]
+        wsum[start : start + cfg.window_len] += win * win
+    nz = wsum > 1e-12
+    y[nz] /= wsum[nz]
+    y[~nz] = 0.0
+    if trim:
+        y = y[cfg.hop // 2 :]
+    if length is not None:
+        y = np.pad(y, (0, length - len(y))) if len(y) < length else y[:length]
+    return Waveform(y, cfg.sample_rate_hz)
 
 
 # --- the LSTM unrolled on the generic tape, one timestep at a time -----------

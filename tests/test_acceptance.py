@@ -187,6 +187,7 @@ def desk_run():
     return {"means": means, "train_seconds": train_seconds}
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_learning_trend(desk_run):
     mi = desk_run["means"]["mi"]
     cluster = desk_run["means"]["cluster"]
@@ -200,6 +201,7 @@ def test_criterion_6_desk_scale_learning_trend(desk_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_snmf_baseline_sanity(desk_run):
     # (a) objective monotone non-increasing on 20 random problems
     worst_rise = 0.0

@@ -271,6 +271,8 @@ class TestDenoise:
             ("odd-fmt-size", "not a readable WAV file (damaged header)"),
             ("empty", "need >= 256 samples at 10000 Hz, got 0 at 10000 Hz"),
             ("200-samples", "need >= 256 samples at 10000 Hz, got 200 at 10000 Hz"),
+            ("rate-7", "sample rate 7 Hz is outside [1000, 384000] Hz"),
+            ("rate-2**31", "sample rate 2147493648 Hz is outside [1000, 384000] Hz"),
         ]
     ])
     def test_degenerate_wav_is_usage_error(self, workspace, tmp_path, capsys, case, named):
@@ -279,11 +281,14 @@ class TestDenoise:
             data = b"data" + struct.pack("<I", 4) + bytes(4)
             wav.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(data)) + b"WAVE" + data)
         else:
-            write_wav(wav, Waveform(np.full(0 if case == "empty" else 200, 0.1), 10000))
+            n = {"empty": 0, "200-samples": 200}.get(case, 2000)
+            write_wav(wav, Waveform(np.full(n, 0.1), 10000))
+        blob = bytearray(wav.read_bytes())
         if case == "odd-fmt-size":  # fmt chunk size 16 -> 17: wave seeks past the chunk
-            blob = bytearray(wav.read_bytes())
             blob[16] ^= 1
-            wav.write_bytes(bytes(blob))
+        elif case.startswith("rate-"):  # bytes 24-27 hold the sample rate
+            blob[24:28] = struct.pack("<I", 7 if case == "rate-7" else 10000 | 1 << 31)
+        wav.write_bytes(bytes(blob))
         code = main([
             "--config", str(workspace["cfg"]), "--out", str(tmp_path / "stems"),
             "denoise", "--checkpoint", str(workspace["run"] / "model.scem"), str(wav),
@@ -323,6 +328,26 @@ class TestDenoise:
         assert code == 1
         err = capsys.readouterr().err
         assert "checkpoint has no" in err and missing.split(":")[-1] in err
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("n_freq", "25x", "checkpoint meta 'n_freq' is not a valid int: '25x'"),
+        ("lr", "0.0l", "checkpoint meta 'lr' is not a valid float: '0.0l'"),
+        ("seed", "5s", "checkpoint meta 'seed' is not a valid int: '5s'"),
+        ("hidden_total", "7", "checkpoint config rejected: hidden_total must be even"),
+    ])
+    def test_unparseable_checkpoint_meta_is_corrupt(self, workspace, tmp_path, capsys, key, value, named):
+        meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)
+        meta[key] = value
+        bad = tmp_path / "bad_meta.scem"
+        write_container(bad, MAGIC_MODEL, meta, tensors)
+        wav = next(iter(workspace["data"].glob("*.mix.wav")))
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(tmp_path),
+            "denoise", "--checkpoint", str(bad), str(wav),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}: {named}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key,bad", [
         ("param/embed.w", np.nan), ("best/blstm0.fwd.w_input", np.inf),
@@ -444,16 +469,15 @@ def test_unknown_command_rejected():
         main(["transmogrify"])
 
 
-def _mutate(data, blob, frozen=range(0)):
-    """Truncate blob, or flip up to three of its bits outside `frozen`."""
+def _mutate(data, blob):
+    """Truncate blob, or flip up to three of its bits."""
     blob = bytearray(blob)
     if data.draw(st.booleans(), label="truncate"):
         return bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="keep")])
     # Bias flips toward the headers, where one bit changes the meaning of the rest.
     where = st.one_of(st.integers(0, min(len(blob), 256) - 1), st.integers(0, len(blob) - 1))
     for pos, bit in data.draw(st.lists(st.tuples(where, st.integers(0, 7)), min_size=1, max_size=3)):
-        if pos not in frozen:
-            blob[pos] ^= 1 << bit
+        blob[pos] ^= 1 << bit
     return bytes(blob)
 
 
@@ -475,9 +499,7 @@ def test_hostile_input_keeps_exit_contract(workspace, tmp_path_factory, target, 
     command = ["denoise", "--checkpoint", str(ckpt), str(wav),
                "--mode", data.draw(st.sampled_from(["mi", "cluster"]), label="mode")]
     if target == "wav":
-        # Bytes 24-27 hold the sample rate: a flipped high bit asks the
-        # resampler for a filter of billions of taps, so they stay intact.
-        wav.write_bytes(_mutate(data, wav.read_bytes(), frozen=range(24, 28)))
+        wav.write_bytes(_mutate(data, wav.read_bytes()))
     elif target == "checkpoint":
         ckpt.write_bytes(_mutate(data, ckpt.read_bytes()))
     else:

@@ -15,6 +15,8 @@ from scesep.dsp import (
 )
 from scesep.errors import ConstantSignal, ShapeMismatch, TooShort
 
+from oracles import istft_loop_oracle
+
 CFG = StftConfig()
 
 
@@ -139,6 +141,20 @@ class TestIstft:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             istft(np.zeros((10, 100), dtype=complex))
+
+    @pytest.mark.parametrize("window_len,hop", [(512, 256), (512, 128), (256, 256)])
+    @pytest.mark.parametrize("duration_s", [2, 3, 8])
+    def test_matches_frame_loop_oracle(self, duration_s, window_len, hop):
+        cfg = StftConfig(window_len=window_len, hop=hop)
+        w = rand_wave(n=duration_s * cfg.sample_rate_hz, seed=duration_s + hop)
+        # A masked spectrogram is not the STFT of any signal, so the frames
+        # disagree where they overlap and the order of the sums shows.
+        spec = stft(w, cfg, pad=True)
+        spec *= np.random.default_rng(hop).uniform(size=spec.shape)
+        for trim, length in [(False, None), (True, len(w))]:
+            out = istft(spec, cfg, trim=trim, length=length)
+            ref = istft_loop_oracle(spec, cfg, trim=trim, length=length)
+            np.testing.assert_array_equal(out.samples, ref.samples)
 
 
 def test_cola_window_sum_constant():

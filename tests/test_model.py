@@ -25,7 +25,13 @@ from scesep.model import (
 )
 from scesep.seeding import rng_for
 
-from oracles import sce_loss_oracle
+from oracles import (
+    accum_copy_oracle,
+    log_sigmoid_two_pass_oracle,
+    sce_loss_oracle,
+    softmax_reduce_oracle,
+    unbroadcast_sum_oracle,
+)
 
 TINY = ModelConfig(
     n_blstm_layers=1,
@@ -224,6 +230,28 @@ class TestTraining:
         for k, v in a.model.named_values().items():
             np.testing.assert_array_equal(v, b.model.named_values()[k])
         assert a.log_rows == b.log_rows
+
+    def test_matches_reduction_oracle_ops(self, monkeypatch):
+        # Two Adam steps with the fast tape ops and with the reduction-based,
+        # always-copying ones end in the same parameters and moments, bit for bit.
+        recs = self.records()
+        cfg = ModelConfig(
+            n_blstm_layers=2, hidden_total=4, embed_dim=3, n_freq=5,
+            n_table_rows=4, batch_size=2, epochs=1,
+        )
+        fast = train(recs, [], cfg, seed=3)
+        for name, oracle in [("softmax", softmax_reduce_oracle), ("log_sigmoid", log_sigmoid_two_pass_oracle),
+                             ("_unbroadcast", unbroadcast_sum_oracle)]:
+            monkeypatch.setattr(nn, name, oracle)
+        monkeypatch.setattr(nn.Tensor, "_accum", accum_copy_oracle)
+        ref = train(recs, [], cfg, seed=3)
+        assert fast.optimizer.step_count == ref.optimizer.step_count == 2
+        for p, q in zip(fast.model.parameters(), ref.model.parameters()):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=p.name)
+        for moments, ref_moments in [(fast.optimizer.m, ref.optimizer.m), (fast.optimizer.v, ref.optimizer.v)]:
+            for p, m, r in zip(fast.model.parameters(), moments, ref_moments):
+                np.testing.assert_array_equal(m, r, err_msg=p.name)
+        assert fast.log_rows == ref.log_rows
 
     def test_resume_matches_straight_run(self):
         recs = self.records()

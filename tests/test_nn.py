@@ -7,7 +7,15 @@ from scesep import nn
 from scesep.errors import NoForwardRecorded, ShapeMismatch
 from scesep.seeding import rng_for
 
-from oracles import blstm_unrolled_oracle, lstm_unrolled_oracle, sigmoid
+from oracles import (
+    accum_copy_oracle,
+    blstm_unrolled_oracle,
+    log_sigmoid_two_pass_oracle,
+    lstm_unrolled_oracle,
+    sigmoid,
+    softmax_reduce_oracle,
+    unbroadcast_sum_oracle,
+)
 
 
 def grad_of(build, value):
@@ -136,6 +144,122 @@ class TestReductionOps:
         # y = p*p + p : dy/dp = 2p + 1, reached through two paths
         _, _, g = grad_of(lambda p: nn.tsum(nn.add(nn.mul(p, p), p)), [3.0])
         assert g[0] == pytest.approx(7.0)
+
+
+class TestMatchesReductionOracles:
+    """The fast ops keep the reduction-based ops' arithmetic bit for bit."""
+
+    @staticmethod
+    def value_and_grad(op, x, weight):
+        p = nn.Parameter(x, "p")
+        p.zero_grad()
+        out = op(p)
+        nn.tsum(nn.mul(out, weight)).backward()
+        return out.data, p.grad
+
+    @pytest.mark.parametrize("shape", [(1000, 2), (3, 7, 2), (5, 1, 2)])
+    def test_softmax_two_way(self, shape):
+        rng = rng_for(11, f"softmax-{shape}")
+        x, weight = rng.standard_normal(shape) * 4.0, rng.standard_normal(shape)
+        out, grad = self.value_and_grad(nn.softmax, x, weight)
+        ref_out, ref_grad = self.value_and_grad(softmax_reduce_oracle, x, weight)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_softmax_three_way_and_first_axis(self):
+        rng = rng_for(12, "softmax-3")
+        x, weight = rng.standard_normal((400, 3)) * 4.0, rng.standard_normal((400, 3))
+        out, grad = self.value_and_grad(nn.softmax, x, weight)
+        ref_out, ref_grad = self.value_and_grad(softmax_reduce_oracle, x, weight)
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-15)
+        first = nn.softmax(nn.Tensor(x.T), axis=0).data
+        np.testing.assert_allclose(first, ref_out.T, rtol=0, atol=1e-15)
+
+    def test_log_sigmoid(self):
+        rng = rng_for(13, "log-sigmoid")
+        x = np.concatenate([rng.standard_normal(500) * 20.0, [-700.0, -40.0, -0.0, 0.0, 40.0, 700.0]])
+        weight = rng.standard_normal(x.shape)
+        out, grad = self.value_and_grad(nn.log_sigmoid, x, weight)
+        ref_out, ref_grad = self.value_and_grad(log_sigmoid_two_pass_oracle, x, weight)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("g_shape,shape", [
+        ((320, 2), (2,)), ((312, 2056), (2056,)), ((9, 1), (1,)), ((4, 6, 3), (3,)),
+        ((4, 6, 3), (6, 3)), ((4, 6, 3), (1, 3)), ((4, 6, 3), ()), ((2, 9, 1), (9, 1)),
+    ])
+    def test_unbroadcast(self, g_shape, shape):
+        g = rng_for(14, f"unbroadcast-{g_shape}").standard_normal(g_shape) * 100.0
+        np.testing.assert_array_equal(nn._unbroadcast(g, shape), unbroadcast_sum_oracle(g, shape))
+        gf = np.asfortranarray(g)
+        np.testing.assert_array_equal(nn._unbroadcast(gf, shape), unbroadcast_sum_oracle(gf, shape))
+
+
+class TestGradientOwnership:
+    """A first gradient handed over without a copy must not alias another's."""
+
+    # name -> (leaf shapes, graph); every leaf is a tensor that needs a gradient
+    CASES = {
+        "add-self": ([(3, 4)], lambda x: nn.tsum(nn.mul(nn.add(x, x), np.arange(12.0).reshape(3, 4)))),
+        "mul-self": ([(3, 4)], lambda x: nn.tsum(nn.mul(x, x))),
+        "sub-self": ([(3, 4)], lambda x: nn.tsum(nn.tanh(nn.sub(x, nn.mul(x, 0.5))))),
+        "two-consumers": ([(3, 4)], lambda x: nn.tsum(nn.add(
+            nn.mul(nn.reshape(nn.tanh(x), (4, 3)), 2.0),
+            nn.reshape(nn.mul(nn.tanh(x), nn.tanh(x)), (4, 3)),
+        ))),
+        "shared-add-then-more": ([(3, 4), (3, 4)], lambda a, b: nn.add(
+            nn.tsum(nn.mul(nn.add(a, b), 3.0)), nn.tsum(nn.mul(a, a)),
+        )),
+        # swap_last hands on a transposed view; kept as is, it would reach
+        # the bias sum in Fortran order, which numpy adds pairwise.
+        "transposed-view": ([(400, 3), (3,)], lambda x, b: nn.tsum(nn.mul(
+            nn.swap_last(nn.add(x, b)), rng_for(17, "weights").standard_normal((3, 400)),
+        ))),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_copying_accum(self, case, monkeypatch):
+        shapes, build = self.CASES[case]
+
+        def grads():
+            rng = rng_for(15, f"ownership-{case}")
+            leaves = [nn.Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+            build(*leaves).backward()
+            return [leaf.grad for leaf in leaves]
+
+        fast = grads()
+        monkeypatch.setattr(nn.Tensor, "_accum", accum_copy_oracle)
+        for g, ref in zip(fast, grads()):
+            np.testing.assert_array_equal(g, ref)
+
+    def test_add_copies_for_second_parent(self):
+        # add hands g to both operands; a's later += (from a * a) must not
+        # reach b, and the released interior gradient is not kept.
+        rng = rng_for(16, "add-shared")
+        a = nn.Tensor(rng.standard_normal(5), requires_grad=True)
+        b = nn.Tensor(rng.standard_normal(5), requires_grad=True)
+        s = nn.add(a, b)
+        nn.add(nn.tsum(nn.mul(s, 3.0)), nn.tsum(nn.mul(a, a))).backward()
+        np.testing.assert_array_equal(b.grad, np.full(5, 3.0))
+        np.testing.assert_array_equal(a.grad, 3.0 + 2.0 * a.data)
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        assert s.grad is None
+
+    def test_seed_gradient_not_written(self):
+        x = nn.Tensor(np.ones(4), requires_grad=True)
+        seed = np.array([1.0, 2.0, 3.0, 4.0])
+        nn.add(x, x).backward(seed)
+        np.testing.assert_array_equal(seed, [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0, 8.0])
+
+    def test_constants_get_no_gradient(self):
+        p = nn.Parameter(np.array([1.0, -2.0]), "p")
+        p.zero_grad()
+        labels, scale, target = (nn.Tensor(np.array(v)) for v in ([3.0, 5.0], [[2.0, 0.5]], [1.0]))
+        nn.tsum(nn.sub(nn.matmul(scale, nn.mul(p, labels)), target)).backward()
+        np.testing.assert_array_equal(p.grad, [6.0, 2.5])
+        assert labels.grad is None and scale.grad is None and target.grad is None
 
 
 @settings(max_examples=20, deadline=None)
