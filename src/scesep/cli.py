@@ -18,7 +18,8 @@ from .inference import denoise, reconstruct_binary, reconstruct_ratio
 from .metrics import CSV_HEADER, best_permutation, report
 from .mixtures import (
     NOISE_KINDS,
-    build_corpus,
+    corpus_rows,
+    iter_records,
     read_manifest,
     write_manifest,
 )
@@ -81,23 +82,21 @@ def _build_parser():
 
 
 def cmd_mix(cfg, out_dir: Path, materialize: bool) -> int:
-    corpus = build_corpus(
-        cfg.n_train, cfg.n_val, cfg.n_test,
-        (cfg.snr_min_db, cfg.snr_max_db),
-        seed=cfg.seed, cfg=cfg.stft_config(), clip_duration_s=cfg.clip_duration_s,
+    rows = corpus_rows(
+        cfg.n_train, cfg.n_val, cfg.n_test, (cfg.snr_min_db, cfg.snr_max_db), cfg.seed
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = out_dir / "manifest.tsv"
-    write_manifest(manifest, corpus)
+    write_manifest(manifest, rows)
     print(f"wrote {manifest}: train={cfg.n_train} val={cfg.n_val} test={cfg.n_test}")
     if materialize:
-        for split in ("train", "val", "test"):
-            for rec in getattr(corpus, split):
-                write_wav(out_dir / f"{rec.clip_id}.mix.wav", rec.mixture)
-                for i, src in enumerate(rec.sources):
-                    write_wav(out_dir / f"{rec.clip_id}.src{i}.wav", src)
-        n = cfg.n_train + cfg.n_val + cfg.n_test
-        print(f"materialized {n * (len(corpus.train[0].sources) + 1)} WAV files")
+        n_wavs = 0
+        for _, rec in iter_records(rows, cfg.seed, cfg.stft_config(), cfg.clip_duration_s):
+            wavs = {"mix": rec.mixture, **{f"src{i}": s for i, s in enumerate(rec.sources)}}
+            for name, wav in wavs.items():
+                write_wav(out_dir / f"{rec.clip_id}.{name}.wav", wav)
+                n_wavs += 1
+        print(f"materialized {n_wavs} WAV files")
     return EXIT_OK
 
 

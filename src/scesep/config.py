@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .dsp import StftConfig
+from .mixtures import SEGMENT_SECONDS
 from .model import ModelConfig
 from .snmf import SnmfConfig
 
@@ -48,6 +49,11 @@ class RunConfig:
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        for key in ("n_train", "n_val", "n_test"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.clip_duration_s < SEGMENT_SECONDS:
+            raise ValueError(f"clip_duration_s must be >= {SEGMENT_SECONDS}, got {self.clip_duration_s}")
         # model_config builds the StftConfig too: a bad value fails every command.
         self.model_config(ModelConfig.n_table_rows), self.snmf_config()
 

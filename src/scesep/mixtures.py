@@ -5,7 +5,7 @@ desk scale; real WAV clips can be substituted through the manifest.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -205,6 +205,37 @@ class Corpus:
     n_sources: int  # rows needed in the source table (train + val sources)
 
 
+SPLITS = ("train", "val", "test")
+
+
+class ManifestRow(NamedTuple):
+    """One manifest line; `where` names it in error messages."""
+
+    where: str
+    clip_id: str
+    split: str
+    class_id: int  # noise class, 1..len(NOISE_KINDS)
+    specs: tuple  # (speech_spec, noise_spec)
+    seed: int  # mixture seed
+    snr_db: float
+
+
+def corpus_rows(
+    n_train: int, n_val: int, n_test: int, snr_range_db=(-5.0, 5.0), seed: int = 0
+) -> list:
+    """Draw each row's noise kind, SNR and mixture seed; no audio is made."""
+    rows = []
+    for split, count in zip(SPLITS, (n_train, n_val, n_test)):
+        for i in range(count):
+            tag = f"{split}-{i}"
+            kind = NOISE_KINDS[int(rng_for(seed, f"{tag}-kind").integers(len(NOISE_KINDS)))]
+            snr = float(rng_for(seed, f"{tag}-snr").uniform(*snr_range_db))
+            specs = (f"synth:speechlike:{tag}-speech", f"synth:{kind}:{tag}-{kind}")
+            rows.append(ManifestRow(tag, tag, split, 1 + NOISE_KINDS.index(kind), specs,
+                                    stream_seed(seed, f"{tag}-mix"), snr))
+    return rows
+
+
 def build_corpus(
     n_train: int,
     n_val: int,
@@ -214,20 +245,9 @@ def build_corpus(
     cfg: StftConfig = StftConfig(),
     clip_duration_s: float = 3.0,
 ) -> Corpus:
-    """Synthetic corpus with disjoint source clips across splits.
-
-    Draws each row's noise kind, SNR and mixture seed, then builds the
-    records from those rows exactly as :func:`read_manifest` does.
-    """
-    rows = []
-    for split, count in (("train", n_train), ("val", n_val), ("test", n_test)):
-        for i in range(count):
-            tag = f"{split}-{i}"
-            kind = NOISE_KINDS[int(rng_for(seed, f"{tag}-kind").integers(len(NOISE_KINDS)))]
-            snr = float(rng_for(seed, f"{tag}-snr").uniform(*snr_range_db))
-            specs = (f"synth:speechlike:{tag}-speech", f"synth:{kind}:{tag}-{kind}")
-            rows.append((tag, tag, split, 1 + NOISE_KINDS.index(kind), specs,
-                         stream_seed(seed, f"{tag}-mix"), snr))
+    """Synthetic corpus with disjoint source clips across splits, built from
+    :func:`corpus_rows` exactly as :func:`read_manifest` builds its rows."""
+    rows = corpus_rows(n_train, n_val, n_test, snr_range_db, seed)
     return _corpus_from_rows(rows, seed, cfg, clip_duration_s)
 
 
@@ -254,50 +274,73 @@ def _clip_from_spec(spec: str, corpus_seed: int, cfg: StftConfig, duration_s: fl
     return SourceClip(clip.waveform, clip.class_id, spec)
 
 
-def _corpus_from_rows(rows, corpus_seed: int, cfg: StftConfig, clip_duration_s: float) -> Corpus:
-    """Records from manifest rows `(where, clip_id, split, noise_class,
-    (speech_spec, noise_spec), mix_seed, snr_db)`.
+def _speaker_rows(rows) -> dict:
+    """Check every row's split and noise class, and give each distinct
+    train/val speech spec (one "speaker") its own source-table row after the
+    noise-kind rows 1..4. Test-split sources are out-of-set and get none."""
+    speakers = {}
+    for row in rows:
+        if row.split not in SPLITS:
+            raise ValueError(f"{row.where}: unknown split {row.split!r}")
+        if not 1 <= row.class_id <= len(NOISE_KINDS):
+            raise ValueError(f"{row.where}: noise class {row.class_id} outside 1..{len(NOISE_KINDS)}")
+        if row.split != "test":
+            speakers.setdefault(row.specs[0], 1 + len(NOISE_KINDS) + len(speakers))
+    return speakers
 
-    Each distinct train/val speech source is one "speaker" with its own
-    source-table row after the noise-kind rows 1..4; noise rows are per kind.
-    Test-split sources are out-of-set and get no table rows.
-    """
-    splits = {"train": [], "val": [], "test": []}
-    speaker_ids = {}
-    for where, clip_id, split, class_id, specs, seed, snr_db in rows:
-        if split not in splits:
-            raise ValueError(f"{where}: unknown split {split!r}")
-        if not 1 <= class_id <= len(NOISE_KINDS):
-            raise ValueError(f"{where}: noise class {class_id} outside 1..{len(NOISE_KINDS)}")
-        speech, noise = (_clip_from_spec(s, corpus_seed, cfg, clip_duration_s) for s in specs)
-        noise = SourceClip(noise.waveform, class_id, noise.clip_id)
-        speaker = 0 if split == "test" else speaker_ids.setdefault(
-            speech.clip_id, 1 + len(NOISE_KINDS) + len(speaker_ids)
-        )
-        splits[split].append(
-            mix_at_snr(speech, noise, snr_db, seed, cfg, clip_id, [speaker, class_id])
-        )
-    return Corpus(**splits, n_sources=1 + len(NOISE_KINDS) + len(speaker_ids))
+
+def iter_records(rows, corpus_seed: int, cfg: StftConfig, clip_duration_s: float):
+    """Yield `(split, MixRecord)` for each row in order, one record at a time."""
+    speakers = _speaker_rows(rows)
+    for row in rows:
+        speech, noise = (_clip_from_spec(s, corpus_seed, cfg, clip_duration_s) for s in row.specs)
+        noise = SourceClip(noise.waveform, row.class_id, noise.clip_id)
+        source_ids = [0 if row.split == "test" else speakers[row.specs[0]], row.class_id]
+        yield row.split, mix_at_snr(speech, noise, row.snr_db, row.seed, cfg, row.clip_id, source_ids)
+
+
+def _corpus_from_rows(rows, corpus_seed: int, cfg: StftConfig, clip_duration_s: float) -> Corpus:
+    splits = {split: [] for split in SPLITS}
+    for split, rec in iter_records(rows, corpus_seed, cfg, clip_duration_s):
+        splits[split].append(rec)
+    return Corpus(**splits, n_sources=1 + len(NOISE_KINDS) + len(_speaker_rows(rows)))
 
 
 # --- manifest (external interface) -------------------------------------
 
 
-def write_manifest(path, corpus: Corpus) -> None:
-    """One record per line:
+def write_manifest(path, rows) -> None:
+    """One row per line:
     clip_id, split, noise class_id, source specs, mixture seed, snr_db.
 
     The source-spec field holds `speech_spec,noise_spec`, each either
     `synth:<generator>:<clip_id>` or `wav:<path>`.
     """
     lines = [
-        f"{rec.clip_id}\t{split}\t{1 + NOISE_KINDS.index(rec.noise_kind)}\t"
-        f"{','.join(rec.source_clip_ids)}\t{rec.seed}\t{rec.snr_db!r}"
-        for split in ("train", "val", "test")
-        for rec in getattr(corpus, split)
+        f"{r.clip_id}\t{r.split}\t{r.class_id}\t{','.join(r.specs)}\t{r.seed}\t{r.snr_db!r}"
+        for r in rows
     ]
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def manifest_rows(path) -> list:
+    """Parse a manifest into the rows :func:`write_manifest` writes."""
+    rows = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                clip_id, split, class_id, spec, seed, snr_db = line.rstrip("\n").split("\t")
+                speech_spec, noise_spec = spec.split(",")
+                rows.append(ManifestRow(f"{path}:{lineno}", clip_id, split, int(class_id),
+                                        (speech_spec, noise_spec), int(seed), float(snr_db)))
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+    if not rows:
+        raise EmptyCorpus(f"manifest {path} is empty")
+    return rows
 
 
 def read_manifest(
@@ -307,18 +350,4 @@ def read_manifest(
     clip_duration_s: float = 3.0,
 ) -> Corpus:
     """Rebuild a corpus from a manifest (synthetic clips are regenerated)."""
-    rows = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                clip_id, split, class_id, spec, seed, snr_db = line.rstrip("\n").split("\t")
-                speech_spec, noise_spec = spec.split(",")
-                rows.append((f"{path}:{lineno}", clip_id, split, int(class_id),
-                             (speech_spec, noise_spec), int(seed), float(snr_db)))
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-    if not rows:
-        raise EmptyCorpus(f"manifest {path} is empty")
-    return _corpus_from_rows(rows, corpus_seed, cfg, clip_duration_s)
+    return _corpus_from_rows(manifest_rows(path), corpus_seed, cfg, clip_duration_s)

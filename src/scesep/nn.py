@@ -1,7 +1,7 @@
 """Minimal reverse-mode tensor engine and the layers the model needs.
 
 Only the operations required by the separation network are implemented:
-broadcast arithmetic, matmul, reshape, row gathers, tanh, log-sigmoid,
+broadcast arithmetic, square, matmul, reshape, row gathers, tanh, log-sigmoid,
 softmax, and sums, plus one fused bidirectional LSTM sequence op with
 hand-written backpropagation through time. Everything is float64 so
 gradient checks can be tight. Forward passes are pure functions of (inputs,
@@ -172,6 +172,20 @@ def mul(a, b):
     return out
 
 
+def square(a):
+    a = _as_tensor(a)
+    x = a.data
+    out = Tensor(x * x, parents=(a,))
+
+    def bwd(g):
+        t = g * x
+        t += t  # 2 * g * x, as mul(a, a) adds its two equal products
+        a._accum(t, own=True)
+
+    out._backward_fn = bwd
+    return out
+
+
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(np.matmul(a.data, b.data), parents=(a, b))
@@ -231,7 +245,13 @@ def log_sigmoid(a):
     x = a.data
     t = np.log1p(np.exp(-np.abs(x)))
     out = Tensor(np.where(x > 0, -t, x - t), parents=(a,))
-    out._backward_fn = lambda g: a._accum(g / (1.0 + np.exp(x)), own=True)  # d/dx = sigmoid(-x)
+
+    def bwd(g):
+        # d/dx = sigmoid(-x); exp overflows to inf for x > 709, giving the right 0.
+        with np.errstate(over="ignore"):
+            a._accum(g / (1.0 + np.exp(x)), own=True)
+
+    out._backward_fn = bwd
     return out
 
 

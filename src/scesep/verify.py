@@ -53,6 +53,14 @@ def _check_softmax_head(seed):
     )
 
 
+def _check_square(seed):
+    rng = rng_for(seed, "gc-square")
+    p = nn.Parameter(rng.standard_normal((3, 4)), "p")
+    return nn.finite_difference_check(
+        lambda: nn.tsum(nn.mul(nn.square(p), rng_weights(seed, (3, 4)))), [p]
+    )
+
+
 def _check_sce_loss(seed):
     rng = rng_for(seed, "gc-sce")
     B, T, F, E, M = 2, 3, 4, 3, 2
@@ -115,6 +123,7 @@ def _check_full_model(seed):
 CHECKS = [
     ("time_affine", _check_time_affine, TOL_NONRECURRENT),
     ("softmax_head", _check_softmax_head, TOL_NONRECURRENT),
+    ("square", _check_square, TOL_NONRECURRENT),
     ("blstm_layer", _check_blstm, TOL_RECURRENT),
     ("sce_loss_full_path", _check_sce_loss, TOL_RECURRENT),
     ("mi_loss_full_path", _check_mi_loss, TOL_RECURRENT),

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import struct
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scesep import mixtures
 from scesep.audio_io import read_wav, write_wav
 from scesep.cli import main
 from scesep.config import RunConfig
@@ -48,6 +50,30 @@ def workspace(tmp_path_factory):
     return {"cfg": cfg, "data": data, "manifest": manifest, "run": run}
 
 
+# Config lines every command rejects before it reads or writes anything.
+REJECTED_CORPUS_KEYS = [
+    ("n_train = -3", "n_train must be >= 0, got -3"),
+    ("n_val = -1", "n_val must be >= 0, got -1"),
+    ("n_test = -2", "n_test must be >= 0, got -2"),
+    ("clip_duration_s = 1.5", "clip_duration_s must be >= 2.0, got 1.5"),
+]
+
+CRITERION_9_CFG = "n_train = 4\nn_val = 2\nn_test = 2\nepochs = 2\nbatch_size = 2\n"
+
+# sha256 of the manifest `mix` writes, recorded from the audio-synthesizing
+# implementation that drew the same rows.
+MANIFEST_SHA256 = {
+    ("default", 0): "be66bae4b6156962adff237ddd3fe54a3d368b48e2c49cb64646df1a81771987",
+    ("default", 1): "07e41a171987a261ab0db4042999bf296cfa8637fad78a1c93bc2125b8174b59",
+    ("default", 5): "f4e6e36e035b3d5ee53e559699e39124f98d7665ac5613467650b8c64f707f85",
+    ("default", 7919): "f73971c88443b00d29c00fcdb719cbfcc4cffbb8fd1ca376c56f99454c6ec91f",
+    ("criterion-9", 0): "f2e61321d37e8696da29375bd0405c58c99d356ba0e3b23e4f3bd2722b4438e9",
+    ("criterion-9", 1): "8ec5441d42466d63995d107fe16e9e7db3ebc48cb390f934218dd529bfc8739c",
+    ("criterion-9", 5): "008ee17d293428ead8019d7e41d0e9552913746d915e9ba29671e07712c88bdb",
+    ("criterion-9", 7919): "bcb5d1a924c1f0fa347abb65d60fea5b0fcbb76629ac32489b40b8209b482448",
+}
+
+
 class TestMix:
     def test_manifest_written(self, workspace):
         lines = workspace["manifest"].read_text().splitlines()
@@ -71,6 +97,50 @@ class TestMix:
             "--config", str(workspace["cfg"]), "--seed", "9", "--out", str(other), "mix",
         ]) == 0
         assert (other / "manifest.tsv").read_bytes() != workspace["manifest"].read_bytes()
+
+    @pytest.mark.parametrize("config,seed", list(MANIFEST_SHA256))
+    def test_manifest_bytes_without_synthesis(self, tmp_path, monkeypatch, config, seed):
+        def no_audio(*args, **kwargs):
+            raise AssertionError("mix synthesized audio")
+
+        for name in ("synth_speechlike", "synth_noise", "mix_at_snr"):
+            monkeypatch.setattr(mixtures, name, no_audio)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CRITERION_9_CFG if config == "criterion-9" else "")
+        out = tmp_path / "data"
+        assert main(["--config", str(cfg), "--seed", str(seed), "--out", str(out), "mix"]) == 0
+        digest = hashlib.sha256((out / "manifest.tsv").read_bytes()).hexdigest()
+        assert digest == MANIFEST_SHA256[config, seed]
+
+    def test_materialize_streams_without_train_rows(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_train = 0\nn_val = 1\nn_test = 2\n")
+        out = tmp_path / "data"
+        wavs_before_mix, mix_at_snr = [], mixtures.mix_at_snr
+
+        def counting_mix(*args, **kwargs):
+            wavs_before_mix.append(len(list(out.glob("*.wav"))))
+            return mix_at_snr(*args, **kwargs)
+
+        monkeypatch.setattr(mixtures, "mix_at_snr", counting_mix)
+        assert main(["--config", str(cfg), "--out", str(out), "mix", "--materialize"]) == 0
+        captured = capsys.readouterr()
+        assert "materialized 9 WAV files" in captured.out
+        assert "Traceback" not in captured.err + captured.out
+        assert len(list(out.glob("*.wav"))) == 9
+        assert wavs_before_mix == [0, 3, 6]  # each record's WAVs land before the next is built
+
+    @pytest.mark.parametrize("line,named", [
+        pytest.param(line, named, id=line) for line, named in REJECTED_CORPUS_KEYS
+    ])
+    def test_rejected_corpus_config_is_usage_error(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_CFG + line + "\n")
+        out = tmp_path / "data"
+        assert main(["--config", str(cfg), "--out", str(out), "mix", "--materialize"]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -155,6 +225,7 @@ class TestTrain:
             ("grad_clip = -1", "grad_clip must be > 0, got -1.0"),
             ("window_len = 0", "window_len >= 2 and hop >= 1 required"),
             ("hop = 0", "window_len >= 2 and hop >= 1 required"),
+            *REJECTED_CORPUS_KEYS,
         ]
     ])
     def test_rejected_config_is_usage_error(self, workspace, tmp_path, capsys, line, named):

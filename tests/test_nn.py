@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,24 @@ class TestElementwiseOps:
         _, _, g = grad_of(lambda p: nn.tsum(nn.mul(p, p)), [1.0, -2.0, 3.0])
         np.testing.assert_allclose(g, [2.0, -4.0, 6.0])
 
+    def test_square_matches_mul_bit_for_bit(self):
+        rng = rng_for(18, "square")
+        x, weight = rng.standard_normal((40, 3)) * 1e3, rng.standard_normal((40, 3))
+        grads = []
+        for op in (nn.square, lambda p: nn.mul(p, p)):
+            p = nn.Tensor(x, requires_grad=True)
+            out = op(p)
+            nn.tsum(nn.mul(out, weight)).backward()
+            grads.append((out.data, p.grad))
+        np.testing.assert_array_equal(grads[0][0], grads[1][0])
+        np.testing.assert_array_equal(grads[0][1], grads[1][1])
+
+    def test_square_matches_finite_difference(self):
+        rng = rng_for(19, "square-fd")
+        p = nn.Parameter(rng.standard_normal((3, 4)), "p")
+        weight = rng.standard_normal((3, 4))
+        assert nn.finite_difference_check(lambda: nn.tsum(nn.mul(nn.square(p), weight)), [p]) < 1e-6
+
     def test_sub_grad(self):
         a = nn.Parameter(np.array([5.0]), "a")
         b = nn.Parameter(np.array([3.0]), "b")
@@ -68,6 +88,13 @@ class TestElementwiseOps:
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(-1000.0)
         assert out[1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_log_sigmoid_backward_at_extremes_warns_nothing(self):
+        p = nn.Tensor(np.array([800.0, -800.0]), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nn.tsum(nn.log_sigmoid(p)).backward()
+        np.testing.assert_array_equal(p.grad, [0.0, 1.0])
 
     def test_softmax_rows_sum_to_one(self):
         x = np.random.default_rng(0).standard_normal((4, 5))
