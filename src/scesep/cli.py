@@ -82,6 +82,8 @@ def _build_parser():
 
 
 def cmd_mix(cfg, out_dir: Path, materialize: bool) -> int:
+    if cfg.n_train == cfg.n_val == cfg.n_test == 0:
+        raise ValueError("n_train, n_val and n_test are all 0: the corpus would have no rows")
     rows = corpus_rows(
         cfg.n_train, cfg.n_val, cfg.n_test, (cfg.snr_min_db, cfg.snr_max_db), cfg.seed
     )
@@ -121,11 +123,12 @@ def cmd_train(cfg, out_dir: Path, manifest: Path, algo: str, resume: Path) -> in
     ckpt = out_dir / "model.scem"
     save_checkpoint(ckpt, state, cfg.seed)
     write_log(out_dir / "train_log.csv", state.log_rows)
-    last = state.log_rows[-1] if state.log_rows else (state.epoch, 0, 0, 0, 0)
-    print(
-        f"wrote {ckpt} (best val at epoch {state.best_epoch}); "
-        f"final train_sce={last[1]:.4f} train_mi={last[2]:.6f}"
-    )
+    if state.log_rows:
+        _, train_sce, train_mi, _, _ = state.log_rows[-1]
+        summary = f"final train_sce={train_sce:.4f} train_mi={train_mi:.6f}"
+    else:
+        summary = f"no epochs trained (at epoch {state.epoch} of {model_cfg.epochs})"
+    print(f"wrote {ckpt} (best val at epoch {state.best_epoch}); {summary}")
     return EXIT_OK
 
 

@@ -54,15 +54,10 @@ class SeparationModel:
         h = config.hidden_total // 2
         if rng is None:
             rng = np.random.default_rng(0)
-        self.layers = []
+        self.layers = []  # one (w, b) pair per BLSTM layer
         d_in = config.n_freq
         for i in range(config.n_blstm_layers):
-            self.layers.append(
-                (
-                    nn.init_lstm_params(d_in, h, rng, f"blstm{i}.fwd"),
-                    nn.init_lstm_params(d_in, h, rng, f"blstm{i}.bwd"),
-                )
-            )
+            self.layers.append(nn.init_blstm_params(d_in, h, rng, f"blstm{i}"))
             d_in = config.hidden_total
         k = config.n_freq * config.embed_dim
         bound = 1.0 / math.sqrt(config.hidden_total)
@@ -78,12 +73,9 @@ class SeparationModel:
             self.load_values(values)
 
     def parameters(self):
-        params = []
-        for p_fwd, p_bwd in self.layers:
-            params.extend(p_fwd.parameters())
-            params.extend(p_bwd.parameters())
-        params.extend([self.embed_w, self.embed_b, self.mi_w, self.mi_b, self.table])
-        return params
+        return [p for layer in self.layers for p in layer] + [
+            self.embed_w, self.embed_b, self.mi_w, self.mi_b, self.table
+        ]
 
     def named_values(self):
         return {p.name: p.data for p in self.parameters()}
@@ -104,8 +96,8 @@ class SeparationModel:
         if x.ndim != 3 or x.shape[2] != self.config.n_freq:
             raise ShapeMismatch(f"expected (B, T, {self.config.n_freq}), got {x.shape}")
         out = nn.Tensor(x)
-        for p_fwd, p_bwd in self.layers:
-            out = nn.blstm_layer(out, p_fwd, p_bwd)
+        for w, b in self.layers:
+            out = nn.blstm_layer(out, w, b)
         out = nn.time_affine(out, self.embed_w, self.embed_b)
         B, T = x.shape[0], x.shape[1]
         return nn.reshape(out, (B, T, self.config.n_freq, self.config.embed_dim))
@@ -252,8 +244,11 @@ def train(
         for lo in range(0, len(order), config.batch_size):
             batch = batch_from_records([train_records[i] for i in order[lo : lo + config.batch_size]])
             opt.zero_grad()
-            l_sce, l_mi = _losses(model, batch)
-            total = nn.add(nn.mul(l_sce, alpha / n_bins), nn.mul(l_mi, 1.0 - alpha))
+            # Diverged weights overflow on the way to a non-finite loss; the
+            # check below reports that, so numpy need not warn about it too.
+            with np.errstate(over="ignore", invalid="ignore"):
+                l_sce, l_mi = _losses(model, batch)
+                total = nn.add(nn.mul(l_sce, alpha / n_bins), nn.mul(l_mi, 1.0 - alpha))
             loss = float(total.data)
             if not math.isfinite(loss):
                 raise NonFiniteLoss(

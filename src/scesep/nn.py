@@ -20,7 +20,6 @@ the second one as a copy.
 """
 
 import functools
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -285,47 +284,17 @@ def tmean(a):
 # --- layers --------------------------------------------------------------
 
 
-@dataclass
-class LstmCellParams:
-    """One direction's gate parameters; weights are ((H + D_in), H)."""
-
-    w_input: Parameter
-    w_forget: Parameter
-    w_output: Parameter
-    w_candidate: Parameter
-    b_input: Parameter
-    b_forget: Parameter
-    b_output: Parameter
-    b_candidate: Parameter
-
-    @property
-    def hidden(self):
-        return self.w_input.shape[1]
-
-    def parameters(self):
-        return [
-            self.w_input, self.w_forget, self.w_output, self.w_candidate,
-            self.b_input, self.b_forget, self.b_output, self.b_candidate,
-        ]
-
-
-def init_lstm_params(d_in, hidden, rng, prefix):
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, forget bias +1."""
+def init_blstm_params(d_in, hidden, rng, prefix):
+    """Gate-stacked weight (4, 2, H + D_in, H) and bias (4, 2, H) of one BLSTM
+    layer, indexed (gate, direction): gates in the order input, forget,
+    output, candidate; direction 0 runs forward in time. Weights are
+    Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), drawn direction by direction
+    and gate by gate; the forget bias is +1, the others 0."""
     bound = 1.0 / np.sqrt(d_in + hidden)
-
-    def w(name):
-        return Parameter(rng.uniform(-bound, bound, size=(d_in + hidden, hidden)), f"{prefix}.{name}")
-
-    return LstmCellParams(
-        w_input=w("w_input"),
-        w_forget=w("w_forget"),
-        w_output=w("w_output"),
-        w_candidate=w("w_candidate"),
-        b_input=Parameter(np.zeros(hidden), f"{prefix}.b_input"),
-        b_forget=Parameter(np.ones(hidden), f"{prefix}.b_forget"),
-        b_output=Parameter(np.zeros(hidden), f"{prefix}.b_output"),
-        b_candidate=Parameter(np.zeros(hidden), f"{prefix}.b_candidate"),
-    )
+    w = rng.uniform(-bound, bound, size=(2, 4, d_in + hidden, hidden)).transpose(1, 0, 2, 3)
+    b = np.zeros((4, 2, hidden))
+    b[1] = 1.0
+    return Parameter(np.ascontiguousarray(w), f"{prefix}.w"), Parameter(b, f"{prefix}.b")
 
 
 def _to_steps(a):
@@ -339,14 +308,15 @@ def _to_time(a):
     return np.stack([a[:, 0].transpose(1, 0, 2), a[::-1, 1].transpose(1, 0, 2)], axis=2)
 
 
-def blstm_layer(x: Tensor, p_fwd: LstmCellParams, p_bwd: LstmCellParams) -> Tensor:
+def blstm_layer(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
     """Bidirectional LSTM over (B, T, D_in) -> (B, T, 2H), zero initial state.
 
     Features [:H] come from the forward-time LSTM, [H:] from the one run over
     reversed time (re-reversed on output). The layer is a single tape node:
     both directions and all four gates advance together in one time loop,
     with one batched GEMM per step forward and hand-written backpropagation
-    through time.
+    through time. ``w`` and ``b`` are the layer's gate-stacked parameters
+    from ``init_blstm_params``.
 
     The arithmetic is that of the LSTM unrolled op by op on the tape, kept
     exactly: each gate is its own ``[h | x_t] @ W_gate + b_gate`` product,
@@ -361,13 +331,10 @@ def blstm_layer(x: Tensor, p_fwd: LstmCellParams, p_bwd: LstmCellParams) -> Tens
     if x.data.ndim != 3:
         raise ShapeMismatch(f"expected (B, T, D), got {x.shape}")
     B, T, D = x.shape
-    H = p_fwd.hidden
-    params = (p_fwd.parameters(), p_bwd.parameters())  # 4 weights, then 4 biases
-    # (gate, direction, ...), gates in the order input, forget, output, candidate
-    w = np.array([[ps[k].data for ps in params] for k in range(4)])
-    if w.shape != (4, 2, H + D, H):
-        raise ShapeMismatch(f"gate weights {w.shape[2:]} do not fit input width {D}")
-    b = np.array([[ps[4 + k].data for ps in params] for k in range(4)])[:, :, None, :]
+    H = w.shape[-1]
+    if w.shape != (4, 2, H + D, H) or b.shape != (4, 2, H):
+        raise ShapeMismatch(f"gate weights {w.shape} and biases {b.shape} do not fit input width {D}")
+    wd, bd = w.data, b.data[:, :, None, :]
 
     # z[s] = [h_prev | x_t] per direction; arrays are in step order (_to_steps).
     z = np.empty((T, 2, B, H + D))
@@ -382,14 +349,14 @@ def blstm_layer(x: Tensor, p_fwd: LstmCellParams, p_bwd: LstmCellParams) -> Tens
     for s in range(T):
         if s:
             z[s, :, :, :H] = hs[s - 1]
-        a = z[s] @ w + b
+        a = z[s] @ wd + bd
         act = acts[s]
         act[:3] = 1.0 / (1.0 + np.exp(-a[:3]))
         act[3] = np.tanh(a[3])
         c = cs[s] = act[1] * c + act[0] * act[3]
         tcs[s] = np.tanh(c)
         hs[s] = act[2] * tcs[s]
-    out = Tensor(_to_time(hs).reshape(B, T, 2 * H), parents=(x, *params[0], *params[1]))
+    out = Tensor(_to_time(hs).reshape(B, T, 2 * H), parents=(x, w, b))
 
     def bwd(g):
         i, f, o, cand = (acts[:, k] for k in range(4))
@@ -405,10 +372,10 @@ def blstm_layer(x: Tensor, p_fwd: LstmCellParams, p_bwd: LstmCellParams) -> Tens
         dh_out = _to_steps(g.reshape(B, T, 2, H))
         # Each gate's gradient w.r.t. [h | x_t]; when x needs no gradient only
         # the h columns are computed and dx has width 0.
-        w_t = (w if x.requires_grad else w[:, :, :H]).swapaxes(-1, -2)
+        w_t = (wd if x.requires_grad else wd[:, :, :H]).swapaxes(-1, -2)
         dx = np.empty((T, 2, B, w_t.shape[-1] - H))
         d = np.empty((4, 2, B, H))  # gate pre-activation gradients of one step
-        dw = np.zeros_like(w)
+        dw = np.zeros_like(wd)
         db = np.zeros((4, 2, H))
         dh_next = np.zeros((2, B, H))
         dc_next = np.zeros((2, B, H))
@@ -427,10 +394,8 @@ def blstm_layer(x: Tensor, p_fwd: LstmCellParams, p_bwd: LstmCellParams) -> Tens
             dw += z[s].swapaxes(-1, -2) @ d
             db += d.sum(axis=2)
         x._accum(_to_time(dx).sum(axis=2), own=True)
-        for k, ps in enumerate(params):
-            for j in range(4):
-                ps[j]._accum(dw[j, k])
-                ps[4 + j]._accum(db[j, k])
+        w._accum(dw, own=True)
+        b._accum(db, own=True)
 
     out._backward_fn = bwd
     return out

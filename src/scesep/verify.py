@@ -30,12 +30,9 @@ def _check_time_affine(seed):
 def _check_blstm(seed):
     rng = rng_for(seed, "gc-blstm")
     x = nn.Tensor(rng.standard_normal((2, 3, 4)))
-    p_fwd = nn.init_lstm_params(4, 3, rng, "fwd")
-    p_bwd = nn.init_lstm_params(4, 3, rng, "bwd")
-    params = p_fwd.parameters() + p_bwd.parameters()
+    w, b = nn.init_blstm_params(4, 3, rng, "blstm")
     return nn.finite_difference_check(
-        lambda: nn.tsum(nn.mul(nn.blstm_layer(x, p_fwd, p_bwd), rng_weights(seed, (2, 3, 6)))),
-        params,
+        lambda: nn.tsum(nn.mul(nn.blstm_layer(x, w, b), rng_weights(seed, (2, 3, 6)))), [w, b]
     )
 
 
@@ -61,59 +58,54 @@ def _check_square(seed):
     )
 
 
-def _check_sce_loss(seed):
-    rng = rng_for(seed, "gc-sce")
-    B, T, F, E, M = 2, 3, 4, 3, 2
+M = 2  # sources per clip in the model checks
+IDS = np.array([[0, 1], [2, 3]])  # source-table rows of their two clips
+
+
+def _tiny_model(seed, stream, n_blstm_layers=1, T=3, F=4):
+    """(model, x, rng) for two clips of T frames and F bins: the model, then
+    the input, drawn from one named stream; targets follow from rng."""
+    rng = rng_for(seed, stream)
     cfg = ModelConfig(
-        n_blstm_layers=1, hidden_total=4, embed_dim=E, n_freq=F,
+        n_blstm_layers=n_blstm_layers, hidden_total=4, embed_dim=3, n_freq=F,
         n_table_rows=4, n_mix_sources=M,
     )
     model = SeparationModel(cfg, rng)
-    x = rng.uniform(0, 1, (B, T, F))
-    ids = np.array([[0, 1], [2, 3]])
-    y = np.where(rng.standard_normal((B, T, F, M)) > 0, 1.0, -1.0)
+    return model, rng.uniform(0, 1, (2, T, F)), rng
+
+
+def _labels(rng, x):
+    return np.where(rng.standard_normal(x.shape + (M,)) > 0, 1.0, -1.0)
+
+
+def _check_sce_loss(seed):
+    model, x, rng = _tiny_model(seed, "gc-sce")
+    y = _labels(rng, x)
 
     def loss_fn():
-        v_i = model.forward_embeddings(x)
-        return sce_loss(v_i, gather_source_vectors(model, ids), y)
+        return sce_loss(model.forward_embeddings(x), gather_source_vectors(model, IDS), y)
 
     return nn.finite_difference_check(loss_fn, model.parameters())
 
 
 def _check_mi_loss(seed):
-    rng = rng_for(seed, "gc-mi")
-    B, T, F, E, M = 2, 3, 4, 3, 2
-    cfg = ModelConfig(
-        n_blstm_layers=1, hidden_total=4, embed_dim=E, n_freq=F,
-        n_table_rows=4, n_mix_sources=M,
-    )
-    model = SeparationModel(cfg, rng)
-    x = rng.uniform(0, 1, (B, T, F))
-    true = rng.uniform(0, 1, (B, T, F, M))
+    model, x, rng = _tiny_model(seed, "gc-mi")
+    true = rng.uniform(0, 1, x.shape + (M,))
 
     def loss_fn():
-        mask = model.mi_masks(model.forward_embeddings(x))
-        return mi_loss(mask, x, true)
+        return mi_loss(model.mi_masks(model.forward_embeddings(x)), x, true)
 
     return nn.finite_difference_check(loss_fn, model.parameters())
 
 
 def _check_full_model(seed):
-    rng = rng_for(seed, "gc-full")
-    B, T, F, E, M = 2, 4, 5, 3, 2
-    cfg = ModelConfig(
-        n_blstm_layers=2, hidden_total=4, embed_dim=E, n_freq=F,
-        n_table_rows=4, n_mix_sources=M, sce_weight=0.5,
-    )
-    model = SeparationModel(cfg, rng)
-    x = rng.uniform(0, 1, (B, T, F))
-    ids = np.array([[0, 1], [2, 3]])
-    y = np.where(rng.standard_normal((B, T, F, M)) > 0, 1.0, -1.0)
-    true = rng.uniform(0, 1, (B, T, F, M))
+    model, x, rng = _tiny_model(seed, "gc-full", n_blstm_layers=2, T=4, F=5)
+    y = _labels(rng, x)
+    true = rng.uniform(0, 1, x.shape + (M,))
 
     def loss_fn():
         v_i = model.forward_embeddings(x)
-        l_sce = sce_loss(v_i, gather_source_vectors(model, ids), y)
+        l_sce = sce_loss(v_i, gather_source_vectors(model, IDS), y)
         l_mi = mi_loss(model.mi_masks(v_i), x, true)
         return nn.add(nn.mul(l_sce, 0.5), nn.mul(l_mi, 0.5))
 

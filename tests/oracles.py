@@ -150,34 +150,51 @@ def _stack_time(tensors):
     return out
 
 
-def lstm_unrolled_oracle(x: nn.Tensor, p: nn.LstmCellParams, direction: str = "fwd") -> nn.Tensor:
-    """One LSTM direction over (B, T, D_in), recorded op by op on the tape.
+def _gate(p, k, d):
+    """p[k, d] of a gate-stacked BLSTM parameter, as its own tape node whose
+    gradient is added into that slice of p."""
+    out = nn.Tensor(p.data[k, d], parents=(p,))
 
-    direction="bwd" processes reversed time and re-reverses the output.
+    def bwd(g):
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
+        p.grad[k, d] += g
+
+    out._backward_fn = bwd
+    return out
+
+
+def lstm_unrolled_oracle(x: nn.Tensor, w: nn.Parameter, b: nn.Parameter, direction: int = 0) -> nn.Tensor:
+    """One LSTM direction of a BLSTM layer's (4, 2, H + D_in, H) weight and
+    (4, 2, H) bias over (B, T, D_in), recorded op by op on the tape.
+
+    direction=1 processes reversed time and re-reverses the output.
     """
-    if direction not in ("fwd", "bwd"):
-        raise ValueError("direction must be 'fwd' or 'bwd'")
+    if direction not in (0, 1):
+        raise ValueError("direction must be 0 (forward time) or 1 (reversed time)")
     B, T, _ = x.shape
-    H = p.hidden
+    H = w.shape[-1]
+    w_i, w_f, w_o, w_c = (_gate(w, k, direction) for k in range(4))
+    b_i, b_f, b_o, b_c = (_gate(b, k, direction) for k in range(4))
     h = nn.Tensor(np.zeros((B, H)))
     c = nn.Tensor(np.zeros((B, H)))
-    times = range(T) if direction == "fwd" else range(T - 1, -1, -1)
+    times = range(T) if direction == 0 else range(T - 1, -1, -1)
     outs = [None] * T
     for t in times:
         z = _concat([h, _time_slice(x, t)], axis=1)
-        i = sigmoid(nn.add(nn.matmul(z, p.w_input), p.b_input))
-        f = sigmoid(nn.add(nn.matmul(z, p.w_forget), p.b_forget))
-        o = sigmoid(nn.add(nn.matmul(z, p.w_output), p.b_output))
-        g = nn.tanh(nn.add(nn.matmul(z, p.w_candidate), p.b_candidate))
+        i = sigmoid(nn.add(nn.matmul(z, w_i), b_i))
+        f = sigmoid(nn.add(nn.matmul(z, w_f), b_f))
+        o = sigmoid(nn.add(nn.matmul(z, w_o), b_o))
+        g = nn.tanh(nn.add(nn.matmul(z, w_c), b_c))
         c = nn.add(nn.mul(f, c), nn.mul(i, g))
         h = nn.mul(o, nn.tanh(c))
         outs[t] = h
     return _stack_time(outs)
 
 
-def blstm_unrolled_oracle(x: nn.Tensor, p_fwd, p_bwd) -> nn.Tensor:
+def blstm_unrolled_oracle(x: nn.Tensor, w, b) -> nn.Tensor:
     """Reference for nn.blstm_layer: both unrolled directions, features joined."""
-    return _concat([lstm_unrolled_oracle(x, p_fwd, "fwd"), lstm_unrolled_oracle(x, p_bwd, "bwd")], axis=2)
+    return _concat([lstm_unrolled_oracle(x, w, b, 0), lstm_unrolled_oracle(x, w, b, 1)], axis=2)
 
 
 # --- K-means with broadcast (N, K, E) distances -------------------------------

@@ -142,6 +142,15 @@ class TestMix:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_no_rows_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("n_train = 0\nn_val = 0\nn_test = 0\n")
+        out = tmp_path / "data"
+        assert main(["--config", str(cfg), "--out", str(out), "mix"]) == 2
+        err = capsys.readouterr().err
+        assert "n_train, n_val and n_test are all 0" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_outputs_exist(self, workspace):
@@ -168,11 +177,22 @@ class TestTrain:
         assert code == 0
         assert "resuming" in capsys.readouterr().out
 
+    def test_resume_at_final_epoch_trains_nothing(self, workspace, tmp_path, capsys):
+        # the workspace checkpoint is already at epochs = 2
+        out = tmp_path / "resumed"
+        assert self.resume(workspace, out, "") == 0
+        stdout = capsys.readouterr().out
+        assert "no epochs trained (at epoch 2 of 2)" in stdout
+        assert "train_sce" not in stdout
+        assert (out / "model.scem").read_bytes() == (workspace["run"] / "model.scem").read_bytes()
+        assert (out / "train_log.csv").read_text() == "epoch,train_sce,train_mi,val_sce,val_mi\n"
+
     def test_snmf_dictionaries(self, workspace):
         dicts = sorted(p.name for p in workspace["run"].glob("snmf_class*.dict"))
         assert "snmf_class0.dict" in dicts  # speech
         assert len(dicts) >= 2  # plus at least one noise class
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_loss_fails_without_checkpoint(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "huge-lr.cfg"
         cfg.write_text(SMALL_CFG + "lr = 1e300\n")
@@ -380,8 +400,8 @@ class TestDenoise:
 
     @pytest.mark.parametrize("missing", [
         "meta:n_freq", "meta:lr", "meta:step", "meta:best_epoch",
-        "param/embed.w", "param/blstm1.bwd.b_candidate",
-        "adam/m/blstm0.fwd.w_input", "adam/v/table",
+        "param/embed.w", "param/blstm1.b",
+        "adam/m/blstm0.w", "adam/v/table",
     ])
     def test_checkpoint_missing_key_is_corrupt(self, workspace, tmp_path, capsys, missing):
         meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)
@@ -421,8 +441,8 @@ class TestDenoise:
         assert f"error: {bad}: {named}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key,bad", [
-        ("param/embed.w", np.nan), ("best/blstm0.fwd.w_input", np.inf),
-        ("adam/m/table", np.nan), ("adam/v/blstm1.bwd.b_forget", -np.inf),
+        ("param/embed.w", np.nan), ("best/blstm0.w", np.inf),
+        ("adam/m/table", np.nan), ("adam/v/blstm1.b", -np.inf),
     ])
     def test_non_finite_checkpoint_is_corrupt(self, workspace, tmp_path, capsys, key, bad):
         meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)

@@ -303,63 +303,83 @@ def test_random_expression_matches_finite_difference(seed):
     assert nn.finite_difference_check(loss, [p, w]) < 1e-5
 
 
+def _same_both_directions(w, b):
+    """The layer with its reversed-time LSTM set to the forward-time one."""
+    w.data[:, 1] = w.data[:, 0]
+    b.data[:, 1] = b.data[:, 0]
+    return w, b
+
+
 class TestLstm:
     def test_output_shape(self):
         rng = rng_for(0, "t")
-        p = nn.init_lstm_params(3, 4, rng, "cell")
+        w, b = nn.init_blstm_params(3, 4, rng, "cell")
         x = nn.Tensor(rng.standard_normal((2, 5, 3)))
-        assert nn.blstm_layer(x, p, p).shape == (2, 5, 8)
+        assert nn.blstm_layer(x, w, b).shape == (2, 5, 8)
 
     def test_forget_bias_initialized_to_one(self):
-        p = nn.init_lstm_params(3, 4, rng_for(0, "t"), "cell")
-        np.testing.assert_array_equal(p.b_forget.data, np.ones(4))
-        np.testing.assert_array_equal(p.b_input.data, np.zeros(4))
+        _, b = nn.init_blstm_params(3, 4, rng_for(0, "t"), "cell")
+        assert b.shape == (4, 2, 4)
+        np.testing.assert_array_equal(b.data[1], np.ones((2, 4)))
+        np.testing.assert_array_equal(b.data[[0, 2, 3]], np.zeros((3, 2, 4)))
+
+    def test_weights_are_consecutive_per_gate_draws(self):
+        # w[k, d] is the (4d + k)-th (D + H, H) draw of the stream: direction
+        # by direction, gate by gate in the order input, forget, output,
+        # candidate, so the layout keeps one draw per gate.
+        D, H = 3, 4
+        w, _ = nn.init_blstm_params(D, H, rng_for(0, "t"), "cell")
+        assert w.shape == (4, 2, D + H, H) and w.data.flags.c_contiguous
+        rng = rng_for(0, "t")
+        bound = 1.0 / np.sqrt(D + H)
+        draws = [rng.uniform(-bound, bound, (D + H, H)) for _ in range(8)]
+        for d in range(2):
+            for k in range(4):
+                np.testing.assert_array_equal(w.data[k, d], draws[4 * d + k], err_msg=f"gate {k}, direction {d}")
 
     def test_direction_is_time_reversal(self):
         rng = rng_for(1, "t")
-        p = nn.init_lstm_params(3, 4, rng, "cell")
+        w, b = _same_both_directions(*nn.init_blstm_params(3, 4, rng, "cell"))
         x = rng.standard_normal((1, 6, 3))
-        fwd_rev = nn.blstm_layer(nn.Tensor(x[:, ::-1]), p, p).data[:, ::-1, :4]
-        bwd = nn.blstm_layer(nn.Tensor(x), p, p).data[..., 4:]
+        fwd_rev = nn.blstm_layer(nn.Tensor(x[:, ::-1]), w, b).data[:, ::-1, :4]
+        bwd = nn.blstm_layer(nn.Tensor(x), w, b).data[..., 4:]
         np.testing.assert_allclose(bwd, fwd_rev, atol=1e-12)
 
     def test_causality(self):
         # forward features at time t must not depend on inputs after t, and
         # backward features not on inputs before t
         rng = rng_for(2, "t")
-        pf = nn.init_lstm_params(3, 4, rng, "f")
-        pb = nn.init_lstm_params(3, 4, rng, "b")
+        w, b = nn.init_blstm_params(3, 4, rng, "cell")
         x = rng.standard_normal((1, 6, 3))
         late, early = x.copy(), x.copy()
         late[:, 4:] += 10.0
         early[:, :2] += 10.0
-        a = nn.blstm_layer(nn.Tensor(x), pf, pb).data
-        b = nn.blstm_layer(nn.Tensor(late), pf, pb).data
-        c = nn.blstm_layer(nn.Tensor(early), pf, pb).data
-        np.testing.assert_array_equal(a[:, :4, :4], b[:, :4, :4])
-        assert np.abs(a[:, 4:, :4] - b[:, 4:, :4]).max() > 1e-6
+        a = nn.blstm_layer(nn.Tensor(x), w, b).data
+        b_late = nn.blstm_layer(nn.Tensor(late), w, b).data
+        c = nn.blstm_layer(nn.Tensor(early), w, b).data
+        np.testing.assert_array_equal(a[:, :4, :4], b_late[:, :4, :4])
+        assert np.abs(a[:, 4:, :4] - b_late[:, 4:, :4]).max() > 1e-6
         np.testing.assert_array_equal(a[:, 2:, 4:], c[:, 2:, 4:])
         assert np.abs(a[:, :2, 4:] - c[:, :2, 4:]).max() > 1e-6
 
     def test_blstm_concat(self):
         rng = rng_for(3, "t")
-        pf = nn.init_lstm_params(3, 4, rng, "f")
-        pb = nn.init_lstm_params(3, 4, rng, "b")
+        w, b = nn.init_blstm_params(3, 4, rng, "cell")
         x = nn.Tensor(rng.standard_normal((2, 5, 3)))
-        out = nn.blstm_layer(x, pf, pb)
+        out = nn.blstm_layer(x, w, b)
         assert out.shape == (2, 5, 8)
-        np.testing.assert_allclose(out.data[..., :4], lstm_unrolled_oracle(x, pf, "fwd").data, atol=1e-12)
-        np.testing.assert_allclose(out.data[..., 4:], lstm_unrolled_oracle(x, pb, "bwd").data, atol=1e-12)
+        np.testing.assert_allclose(out.data[..., :4], lstm_unrolled_oracle(x, w, b, 0).data, atol=1e-12)
+        np.testing.assert_allclose(out.data[..., 4:], lstm_unrolled_oracle(x, w, b, 1).data, atol=1e-12)
 
     def test_bad_rank(self):
-        p = nn.init_lstm_params(2, 2, rng_for(5, "t"), "cell")
+        w, b = nn.init_blstm_params(2, 2, rng_for(5, "t"), "cell")
         with pytest.raises(ShapeMismatch):
-            nn.blstm_layer(nn.Tensor(np.zeros((2, 2))), p, p)
+            nn.blstm_layer(nn.Tensor(np.zeros((2, 2))), w, b)
 
     def test_input_width_mismatch(self):
-        p = nn.init_lstm_params(3, 2, rng_for(5, "t"), "cell")
+        w, b = nn.init_blstm_params(3, 2, rng_for(5, "t"), "cell")
         with pytest.raises(ShapeMismatch):
-            nn.blstm_layer(nn.Tensor(np.zeros((1, 2, 4))), p, p)
+            nn.blstm_layer(nn.Tensor(np.zeros((1, 2, 4))), w, b)
 
     # (B, T, D, H): D != H, a single step and a single clip (the last batch
     # of an epoch can hold one), and a larger batch
@@ -371,11 +391,11 @@ class TestLstm:
         # upper layer's input gradient reaches the lower layer's weights.
         B, T, D, H = shape
         rng = rng_for(7, f"oracle-{shape}")
-        lower = (nn.init_lstm_params(D, H, rng, "1f"), nn.init_lstm_params(D, H, rng, "1b"))
-        upper = (nn.init_lstm_params(2 * H, H, rng, "2f"), nn.init_lstm_params(2 * H, H, rng, "2b"))
+        lower = nn.init_blstm_params(D, H, rng, "blstm0")
+        upper = nn.init_blstm_params(2 * H, H, rng, "blstm1")
         x = nn.Parameter(rng.standard_normal((B, T, D)), "x")
         weight = rng.standard_normal((B, T, 2 * H))
-        params = [x] + [p for cell in lower + upper for p in cell.parameters()]
+        params = [x, *lower, *upper]
 
         def run(layer):
             for p in params:
@@ -387,18 +407,21 @@ class TestLstm:
         out, grads = run(nn.blstm_layer)
         ref_out, ref_grads = run(blstm_unrolled_oracle)
         np.testing.assert_array_equal(out, ref_out)
+        assert np.abs(ref_grads[0]).max() > 0
+        for p, ref in zip(params[1:], ref_grads[1:]):
+            for k in range(4):
+                for d in range(2):
+                    # with one step the forget gate only ever sees the zero initial cell
+                    assert np.abs(ref[k, d]).max() > 0 or (T == 1 and k == 1), (p.name, k, d)
         for p, g, ref in zip(params, grads, ref_grads):
-            # with one step the forget gate only ever sees the zero initial cell
-            assert np.abs(ref).max() > 0 or (T == 1 and "forget" in p.name), p.name
             np.testing.assert_array_equal(g, ref, err_msg=p.name)
 
     def test_tape_nodes_independent_of_length(self):
         rng = rng_for(8, "t")
-        pf = nn.init_lstm_params(3, 4, rng, "f")
-        pb = nn.init_lstm_params(3, 4, rng, "b")
+        w, b = nn.init_blstm_params(3, 4, rng, "cell")
 
         def tape_nodes(T):
-            out = nn.blstm_layer(nn.Tensor(rng.standard_normal((2, T, 3))), pf, pb)
+            out = nn.blstm_layer(nn.Tensor(rng.standard_normal((2, T, 3))), w, b)
             seen, stack = set(), [out]
             while stack:
                 node = stack.pop()
