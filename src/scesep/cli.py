@@ -151,8 +151,8 @@ def cmd_denoise(cfg, out_dir: Path, checkpoint: Path, input_wav: Path, mode: str
     model = load_inference_model(checkpoint)
     w = read_wav(input_wav)
     stft_cfg = cfg.stft_config()
-    # One frame of the hop/2 reflect-padded STFT, counted at the model's rate.
-    need = max(1, stft_cfg.window_len - 2 * (stft_cfg.hop // 2))
+    # Counted at the model's rate, which the WAV is resampled to.
+    need = stft_cfg.min_samples
     if len(w) * stft_cfg.sample_rate_hz < need * w.sample_rate_hz:
         raise ValueError(f"{input_wav}: need >= {need} samples at {stft_cfg.sample_rate_hz} Hz, "
                          f"got {len(w)} at {w.sample_rate_hz} Hz")
@@ -179,7 +179,7 @@ def cmd_denoise(cfg, out_dir: Path, checkpoint: Path, input_wav: Path, mode: str
 def _check_partition_invariants(rec, result, stft_cfg) -> None:
     """Mask partition invariants, enforced on every eval run."""
     if result.mode == "mi":
-        roundtrip = istft(rec.mixture_spec, stft_cfg, trim=True, length=len(rec.mixture)).samples
+        roundtrip = istft(rec.mixture_spec, stft_cfg, len(rec.mixture)).samples
         total = np.sum([s.samples for s in result.stems], axis=0)
         if np.max(np.abs(total - roundtrip)) > 1e-9:
             raise ScesepError("ratio-mask stems do not sum to the mixture")
@@ -197,12 +197,12 @@ def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg, k):
     if algo == "identity":
         yield "", [rec.mixture for _ in rec.sources]
     elif algo == "oracle-binary":
-        yield "", reconstruct_binary(rec.mixture_spec, rec.labels, stft_cfg, length=len(rec.mixture))
+        yield "", reconstruct_binary(rec.mixture_spec, rec.labels, stft_cfg, len(rec.mixture))
     elif algo == "snmf":
         masks = snmf_mod.separate(
             compress(rec.mixture_spec).mag, dicts, cfg.snmf_config(), cfg.seed
         )
-        yield "", reconstruct_ratio(rec.mixture_spec, masks, stft_cfg, length=len(rec.mixture))
+        yield "", reconstruct_ratio(rec.mixture_spec, masks, stft_cfg, len(rec.mixture))
     else:  # sce-mi
         modes = ("cluster", "mi") if mode == "both" else (mode,)
         for m in modes:
@@ -219,11 +219,10 @@ def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg, k):
 
 def cmd_eval(cfg, out_dir: Path, manifest: Path, checkpoint: Path,
              snmf_dir: Path, algos, mode: str, k: int) -> int:
-    corpus = read_manifest(manifest, cfg.seed, cfg.stft_config(), cfg.clip_duration_s)
-    if not corpus.test:
-        raise EmptyCorpus(f"manifest {manifest} has no test rows")
-    stft_cfg = cfg.stft_config()
     algos = algos or ["sce-mi"]
+    for algo, flag, given in (("sce-mi", "--checkpoint", checkpoint), ("snmf", "--snmf-dir", snmf_dir)):
+        if algo in algos and given is None:
+            raise ValueError(f"eval --algo {algo} needs {flag}")
     model = load_inference_model(checkpoint) if "sce-mi" in algos else None
     dicts = None
     if "snmf" in algos:
@@ -233,7 +232,15 @@ def cmd_eval(cfg, out_dir: Path, manifest: Path, checkpoint: Path,
             path = snmf_dir / f"snmf_class{kind_idx}.dict"
             if path.exists():
                 noise_ws.append(snmf_mod.load_dictionary(path).w)
+        if not noise_ws:
+            raise FileNotFoundError(
+                f"{snmf_dir} holds no noise dictionary snmf_class1..{len(NOISE_KINDS)}.dict"
+            )
         dicts = [speech, snmf_mod.Dictionary(np.hstack(noise_ws), -1)]
+    corpus = read_manifest(manifest, cfg.seed, cfg.stft_config(), cfg.clip_duration_s)
+    if not corpus.test:
+        raise EmptyCorpus(f"manifest {manifest} has no test rows")
+    stft_cfg = cfg.stft_config()
 
     rows = []
     summaries = {}

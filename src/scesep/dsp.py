@@ -4,6 +4,10 @@ Analysis uses a periodic Hann window (512 samples, hop 256 by default).
 Synthesis overlap-adds Hann-windowed frames and divides by the running
 sum of squared windows, which reconstructs the input exactly wherever
 that sum is nonzero.
+
+One framing serves every spectrogram: :func:`stft` reflect-pads hop/2
+samples per side before framing, and :func:`istft` drops the leading
+hop/2 samples and fits the result to the input's length.
 """
 
 from dataclasses import dataclass
@@ -35,10 +39,6 @@ class Waveform:
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class StftConfig:
@@ -61,6 +61,11 @@ class StftConfig:
     @property
     def n_freq(self) -> int:
         return self.fft_len // 2 + 1
+
+    @property
+    def min_samples(self) -> int:
+        """Shortest input that fills one frame once reflect-padded."""
+        return max(1, self.window_len - 2 * (self.hop // 2))
 
 
 @dataclass(frozen=True)
@@ -101,46 +106,25 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
     return Waveform(y, target_hz)
 
 
-def reflect_pad(w: Waveform, cfg: StftConfig) -> Waveform:
-    """Reflect-pad hop/2 samples per side (framing convention for features)."""
-    pad = cfg.hop // 2
-    return Waveform(np.pad(w.samples, pad, mode="reflect"), w.sample_rate_hz)
-
-
-def n_frames(n_samples: int, cfg: StftConfig) -> int:
-    return (n_samples - cfg.window_len) // cfg.hop + 1
-
-
-def stft(w: Waveform, cfg: StftConfig = StftConfig(), pad: bool = False) -> np.ndarray:
-    """Complex spectrogram, shape (T, F) with F = fft_len/2 + 1.
-
-    With ``pad=True`` the waveform is reflect-padded hop/2 per side first,
-    so a 2 s clip at the default config yields T = 78 frames.
-    """
-    if pad:
-        w = reflect_pad(w, cfg)
-    x = w.samples
-    if len(x) < cfg.window_len:
-        raise TooShort(f"need >= {cfg.window_len} samples, got {len(x)}")
-    T = n_frames(len(x), cfg)
+def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> np.ndarray:
+    """Complex spectrogram, shape (T, F) with F = fft_len/2 + 1, of the
+    waveform reflect-padded hop/2 per side: a 2 s clip at the default
+    config yields T = 78 frames."""
+    if len(w) < cfg.min_samples:
+        raise TooShort(f"need >= {cfg.min_samples} samples, got {len(w)}")
+    x = np.pad(w.samples, cfg.hop // 2, mode="reflect")
+    T = (len(x) - cfg.window_len) // cfg.hop + 1
     win = hann_window(cfg.window_len)
     idx = np.arange(cfg.window_len)[None, :] + cfg.hop * np.arange(T)[:, None]
     return np.fft.rfft(x[idx] * win, n=cfg.fft_len, axis=1)
 
 
-def istft(
-    s: np.ndarray,
-    cfg: StftConfig = StftConfig(),
-    trim: bool = False,
-    length: int = None,
-) -> Waveform:
-    """Overlap-add inverse STFT (Hann analysis + Hann synthesis).
-
-    With ``trim=True`` drops the leading hop/2 samples, inverting the
-    ``pad=True`` framing of :func:`stft`; ``length`` then truncates or
-    zero-extends to the original waveform length (samples past the last
-    full analysis frame are not recoverable).
-    """
+def istft(s: np.ndarray, cfg: StftConfig, length: int) -> Waveform:
+    """Overlap-add inverse STFT (Hann analysis + Hann synthesis) of an
+    :func:`stft` spectrogram: drops the leading hop/2 samples, then
+    truncates or zero-extends to ``length``, the original waveform's
+    length (samples past the last full analysis frame are not
+    recoverable)."""
     s = np.asarray(s)
     if s.ndim != 2 or s.shape[1] != cfg.n_freq:
         raise ShapeMismatch(f"expected (T, {cfg.n_freq}), got {s.shape}")
@@ -162,13 +146,11 @@ def istft(
     nz = wsum > 1e-12
     y[nz] /= wsum[nz]
     y[~nz] = 0.0
-    if trim:
-        y = y[cfg.hop // 2 :]
-    if length is not None:
-        if len(y) < length:
-            y = np.pad(y, (0, length - len(y)))
-        else:
-            y = y[:length]
+    y = y[cfg.hop // 2 :]
+    if len(y) < length:
+        y = np.pad(y, (0, length - len(y)))
+    else:
+        y = y[:length]
     return Waveform(y, cfg.sample_rate_hz)
 
 

@@ -67,3 +67,7 @@ class CorruptCheckpoint(ScesepError):
 
 class NonFiniteLoss(ScesepError):
     """Training loss became NaN or infinite."""
+
+
+class NonFiniteEmbedding(ScesepError):
+    """An embedding's norm is infinite or NaN, so it has no direction."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import StftConfig, Waveform, compress, istft, resample, stft
-from .errors import NotNormalized, ShapeMismatch, TooFewPoints
+from .errors import NonFiniteEmbedding, NotNormalized, ShapeMismatch, TooFewPoints
 from .seeding import rng_for
 
 
@@ -147,28 +147,25 @@ def masks_from_clusters(assignment: ClusterAssignment, shape) -> np.ndarray:
     return y.reshape(T, F, k)
 
 
-def reconstruct_binary(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, trim=True, length=None):
+def reconstruct_binary(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, length: int):
     """Apply S_hat = X * (mask + 1) / 2 per cluster, then inverse STFT."""
     if masks.shape[:2] != x_spec.shape:
         raise ShapeMismatch(f"masks {masks.shape} vs spec {x_spec.shape}")
     out = []
     for k in range(masks.shape[2]):
         s_hat = x_spec * 0.5 * (masks[:, :, k] + 1.0)
-        out.append(istft(s_hat, cfg, trim=trim, length=length))
+        out.append(istft(s_hat, cfg, length))
     return out
 
 
-def reconstruct_ratio(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, trim=True, length=None):
+def reconstruct_ratio(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, length: int):
     """Apply a ratio mask (entries in [0,1], summing to 1 per bin)."""
     if masks.shape[:2] != x_spec.shape:
         raise ShapeMismatch(f"masks {masks.shape} vs spec {x_spec.shape}")
     sums = masks.sum(axis=2)
     if np.max(np.abs(sums - 1.0)) > 1e-9:
         raise NotNormalized("ratio mask bins must sum to 1")
-    return [
-        istft(x_spec * masks[:, :, m], cfg, trim=trim, length=length)
-        for m in range(masks.shape[2])
-    ]
+    return [istft(x_spec * masks[:, :, m], cfg, length) for m in range(masks.shape[2])]
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,7 @@ def denoise(
     """
     if mixture.sample_rate_hz != cfg.sample_rate_hz:
         mixture = resample(mixture, cfg.sample_rate_hz)
-    x_spec = stft(mixture, cfg, pad=True)
+    x_spec = stft(mixture, cfg)
     feat = compress(x_spec)
     v_i = model.forward_embeddings(feat.mag[None]).data[0]  # (T, F, E)
     T, F, E = v_i.shape
@@ -209,7 +206,12 @@ def denoise(
         # on the energetic bins only: the near-silent majority forms a tight
         # blob that would otherwise dominate the K=2 split.
         points = v_i.reshape(T * F, E)
-        points = points / (np.linalg.norm(points, axis=1, keepdims=True) + 1e-12)
+        with np.errstate(over="ignore"):  # an overflowing norm is caught below
+            norms = np.linalg.norm(points, axis=1, keepdims=True)
+        bad = int(np.count_nonzero(~np.isfinite(norms)))
+        if bad:
+            raise NonFiniteEmbedding(f"embedding norm is not finite at {bad} of {T * F} bins")
+        points = points / (norms + 1e-12)
         keep = feat.mag.reshape(T * F) >= low_energy_threshold
         fit_points = points[keep] if int(keep.sum()) >= k else points
         fitted = kmeans(fit_points, k, seed=seed, restarts=restarts, max_iter=max_iter)
@@ -221,12 +223,12 @@ def denoise(
             fitted.inertia_history,
         )
         masks = masks_from_clusters(assignment, (T, F))
-        stems = reconstruct_binary(x_spec, masks, cfg, length=len(mixture))
+        stems = reconstruct_binary(x_spec, masks, cfg, len(mixture))
     elif mode == "mi":
         from . import nn
 
         masks = model.mi_masks(nn.Tensor(v_i[None])).data[0]  # (T, F, M)
-        stems = reconstruct_ratio(x_spec, masks, cfg, length=len(mixture))
+        stems = reconstruct_ratio(x_spec, masks, cfg, len(mixture))
     else:
         raise ValueError(f"unknown mode {mode!r}; use 'cluster' or 'mi'")
     return DenoiseResult(stems, masks, mode, low_energy, assignment)

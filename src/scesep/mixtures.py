@@ -179,8 +179,8 @@ def mix_at_snr(
     scaled = [s, g * v]
     mixture = Waveform(scaled[0] + scaled[1], cfg.sample_rate_hz)
     source_wavs = [Waveform(x, cfg.sample_rate_hz) for x in scaled]
-    source_specs = [stft(w, cfg, pad=True) for w in source_wavs]
-    mixture_spec = stft(mixture, cfg, pad=True)
+    source_specs = [stft(w, cfg) for w in source_wavs]
+    mixture_spec = stft(mixture, cfg)
     labels = make_labels(source_specs)
     return MixRecord(
         clip_id=clip_id or f"mix-{seed}",

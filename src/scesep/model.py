@@ -49,7 +49,7 @@ class ModelConfig:
 class SeparationModel:
     """Parameters of the BLSTM stack, embedding layer, MI head, and table."""
 
-    def __init__(self, config: ModelConfig, rng=None, values=None):
+    def __init__(self, config: ModelConfig, rng=None):
         self.config = config
         h = config.hidden_total // 2
         if rng is None:
@@ -69,8 +69,6 @@ class SeparationModel:
         rows = rng.standard_normal((config.n_table_rows, config.embed_dim))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         self.table = nn.Parameter(rows, "table")
-        if values is not None:
-            self.load_values(values)
 
     def parameters(self):
         return [p for layer in self.layers for p in layer] + [

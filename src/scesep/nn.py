@@ -58,9 +58,9 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self, grad=None):
-        """Accumulate gradients of a scalar (or seeded) output into every
-        requires_grad ancestor."""
+    def backward(self):
+        """Accumulate gradients of a scalar output into every requires_grad
+        ancestor."""
         if self._backward_fn is None and not self._parents:
             raise NoForwardRecorded("tensor has no recorded computation")
         topo, visited = [], set()
@@ -77,8 +77,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad:
                     stack.append((p, False))
-        # A copy of a given seed: the backward functions may write into it.
-        self.grad = np.ones_like(self.data) if grad is None else np.array(grad, dtype=np.float64)
+        self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 g, node.grad = node.grad, None
@@ -263,17 +262,10 @@ def softmax(a, axis=-1):
     return out
 
 
-def tsum(a, axis=None):
+def tsum(a):
     a = _as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis), parents=(a,))
-
-    def bwd(g):
-        if axis is None:
-            a._accum(np.broadcast_to(g, a.shape).copy() if np.ndim(g) else np.full(a.shape, g), own=True)
-        else:
-            a._accum(np.broadcast_to(np.expand_dims(g, axis), a.shape))
-
-    out._backward_fn = bwd
+    out = Tensor(a.data.sum(), parents=(a,))
+    out._backward_fn = lambda g: a._accum(np.full(a.shape, g), own=True)
     return out
 
 
@@ -346,16 +338,19 @@ def blstm_layer(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
     tcs = np.empty((T, 2, B, H))  # tanh(c)
     hs = np.empty((T, 2, B, H))
     c = np.zeros((2, B, H))
-    for s in range(T):
-        if s:
-            z[s, :, :, :H] = hs[s - 1]
-        a = z[s] @ wd + bd
-        act = acts[s]
-        act[:3] = 1.0 / (1.0 + np.exp(-a[:3]))
-        act[3] = np.tanh(a[3])
-        c = cs[s] = act[1] * c + act[0] * act[3]
-        tcs[s] = np.tanh(c)
-        hs[s] = act[2] * tcs[s]
+    # A very negative gate input overflows exp to inf, and 1 / (1 + inf) is
+    # the exact 0 the sigmoid tends to, so the overflow is not an error.
+    with np.errstate(over="ignore"):
+        for s in range(T):
+            if s:
+                z[s, :, :, :H] = hs[s - 1]
+            a = z[s] @ wd + bd
+            act = acts[s]
+            act[:3] = 1.0 / (1.0 + np.exp(-a[:3]))
+            act[3] = np.tanh(a[3])
+            c = cs[s] = act[1] * c + act[0] * act[3]
+            tcs[s] = np.tanh(c)
+            hs[s] = act[2] * tcs[s]
     out = Tensor(_to_time(hs).reshape(B, T, 2 * H), parents=(x, w, b))
 
     def bwd(g):

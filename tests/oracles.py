@@ -78,8 +78,9 @@ def log_sigmoid_two_pass_oracle(a):
 # --- inverse STFT overlap-added one frame at a time ---------------------------
 
 
-def istft_loop_oracle(s, cfg: StftConfig = StftConfig(), trim: bool = False, length: int = None) -> Waveform:
-    """Reference for dsp.istft: frames overlap-added in a loop over time."""
+def istft_loop_oracle(s, cfg: StftConfig, length: int) -> Waveform:
+    """Reference for dsp.istft: frames overlap-added in a loop over time, the
+    leading hop/2 samples dropped and the rest fitted to ``length``."""
     T = s.shape[0]
     win = hann_window(cfg.window_len)
     frames = np.fft.irfft(s, n=cfg.fft_len, axis=1) * win
@@ -93,10 +94,8 @@ def istft_loop_oracle(s, cfg: StftConfig = StftConfig(), trim: bool = False, len
     nz = wsum > 1e-12
     y[nz] /= wsum[nz]
     y[~nz] = 0.0
-    if trim:
-        y = y[cfg.hop // 2 :]
-    if length is not None:
-        y = np.pad(y, (0, length - len(y))) if len(y) < length else y[:length]
+    y = y[cfg.hop // 2 :]
+    y = np.pad(y, (0, length - len(y))) if len(y) < length else y[:length]
     return Waveform(y, cfg.sample_rate_hz)
 
 

@@ -460,6 +460,43 @@ class TestDenoise:
         assert "non-finite" in err and key in err
         assert "Traceback" not in err
 
+    def scaled_checkpoint(self, workspace, tmp_path, key, scale):
+        meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)
+        tensors[key] = tensors[key] * scale
+        path = tmp_path / "scaled.scem"
+        write_container(path, MAGIC_MODEL, meta, tensors)
+        return path
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["cluster", "mi"])
+    def test_huge_gate_weights_run_without_warnings(self, workspace, tmp_path, capsys, mode):
+        # exp overflows to inf in the gate sigmoid, whose value is then exactly 0
+        path = self.scaled_checkpoint(workspace, tmp_path, "best/blstm0.w", -1e300)
+        wav = next(iter(workspace["data"].glob("*.mix.wav")))
+        out = tmp_path / "stems"
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(out),
+            "denoise", "--checkpoint", str(path), str(wav), "--mode", mode,
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        stems = [read_wav(p) for p in sorted(out.glob("*.src*.wav"))]
+        assert len(stems) == 2 and all(np.all(np.isfinite(s.samples)) for s in stems)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_embedding_norm_fails(self, workspace, tmp_path, capsys):
+        path = self.scaled_checkpoint(workspace, tmp_path, "best/embed.w", 1e300)
+        wav = next(iter(workspace["data"].glob("*.mix.wav")))
+        out = tmp_path / "stems"
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(out),
+            "denoise", "--checkpoint", str(path), str(wav), "--mode", "cluster",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: embedding norm is not finite" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEval:
     def run_eval(self, workspace, out, algos, extra=()):
@@ -530,6 +567,31 @@ class TestEval:
         assert code == 1
         assert f"manifest {manifest} has no test rows" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("algos,named", [
+        pytest.param([], "eval --algo sce-mi needs --checkpoint", id="default-sce-mi"),
+        pytest.param(["snmf"], "eval --algo snmf needs --snmf-dir", id="snmf"),
+    ])
+    def test_missing_model_flag_is_usage_error(self, workspace, tmp_path, capsys, monkeypatch, algos, named):
+        import scesep.cli as cli
+
+        built = []
+        monkeypatch.setattr(cli, "read_manifest", lambda *args, **kwargs: built.append(args))
+        code = self.run_eval(workspace, tmp_path / "eval", algos)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {named}" in err and "Traceback" not in err
+        assert not built  # rejected before any audio is built
+
+    def test_snmf_dir_without_noise_dictionaries(self, workspace, tmp_path, capsys):
+        speech_only = tmp_path / "speech_only"
+        speech_only.mkdir()
+        (speech_only / "snmf_class0.dict").write_bytes((workspace["run"] / "snmf_class0.dict").read_bytes())
+        code = self.run_eval(workspace, tmp_path / "eval", ["snmf"], extra=["--snmf-dir", str(speech_only)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {speech_only} holds no noise dictionary snmf_class1..4.dict" in err
+        assert "Traceback" not in err
 
     def test_mode_filter(self, workspace, tmp_path):
         out = tmp_path / "mi_only"

@@ -80,12 +80,9 @@ class TestResample:
 
 
 class TestStft:
-    def test_frame_count_unpadded(self):
-        assert stft(rand_wave()).shape == (77, 257)
-
     def test_frame_count_padded(self):
         # 2 s at 10 kHz with hop/2 reflect padding per side gives 78 frames
-        assert stft(rand_wave(), pad=True).shape == (78, 257)
+        assert stft(rand_wave()).shape == (78, 257)
 
     def test_bin_center_tone(self):
         fs = 10000
@@ -103,6 +100,18 @@ class TestStft:
         with pytest.raises(TooShort):
             stft(Waveform(np.zeros(100), 10000))
 
+    @pytest.mark.parametrize("window_len,hop", [(512, 256), (512, 128), (256, 256)])
+    def test_min_samples_counts_unpadded_input(self, window_len, hop):
+        cfg = StftConfig(window_len=window_len, hop=hop)
+        need = cfg.min_samples
+        assert need == max(1, window_len - 2 * (hop // 2))
+        assert stft(rand_wave(n=need), cfg).shape == (1, cfg.n_freq)
+        # 0 samples cannot be reflect-padded; 1 sample gives "need >= 256,
+        # got 1" at the default config
+        for n in {0, 1, need // 2, need - 1} - {need}:
+            with pytest.raises(TooShort, match=f"need >= {need} samples, got {n}$"):
+                stft(rand_wave(n=n), cfg)
+
     def test_linearity(self):
         x, y = rand_wave(seed=4), rand_wave(seed=5)
         combo = Waveform(2.0 * x.samples - 0.5 * y.samples, 10000)
@@ -113,34 +122,26 @@ class TestStft:
 class TestIstft:
     def test_round_trip(self):
         w = rand_wave(seed=6)
-        out = istft(stft(w, pad=True), trim=True, length=len(w))
+        out = istft(stft(w), CFG, len(w))
         rel = np.linalg.norm(out.samples - w.samples) / np.linalg.norm(w.samples)
         assert rel < 1e-6
 
-    def test_round_trip_interior_unpadded(self):
-        w = rand_wave(seed=7)
-        out = istft(stft(w))
-        n = len(out)
-        interior = slice(CFG.window_len // 2, n - CFG.window_len // 2)
-        rel = np.linalg.norm(out.samples[interior] - w.samples[: n][interior]) / np.linalg.norm(
-            w.samples[:n][interior]
-        )
-        assert rel < 1e-6
-
     def test_zero_spectrogram(self):
-        out = istft(np.zeros((10, 257), dtype=complex))
+        out = istft(np.zeros((10, 257), dtype=complex), CFG, 2560)
+        assert len(out) == 2560
         assert np.all(out.samples == 0)
 
     def test_linearity(self):
-        a = stft(rand_wave(seed=8))
-        b = stft(rand_wave(seed=9))
-        lhs = istft(a + b).samples
-        rhs = istft(a).samples + istft(b).samples
+        n = 20000
+        a = stft(rand_wave(n, seed=8))
+        b = stft(rand_wave(n, seed=9))
+        lhs = istft(a + b, CFG, n).samples
+        rhs = istft(a, CFG, n).samples + istft(b, CFG, n).samples
         assert np.abs(lhs - rhs).max() < 1e-10 * np.abs(lhs).max()
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            istft(np.zeros((10, 100), dtype=complex))
+            istft(np.zeros((10, 100), dtype=complex), CFG, 2560)
 
     @pytest.mark.parametrize("window_len,hop", [(512, 256), (512, 128), (256, 256)])
     @pytest.mark.parametrize("duration_s", [2, 3, 8])
@@ -149,12 +150,11 @@ class TestIstft:
         w = rand_wave(n=duration_s * cfg.sample_rate_hz, seed=duration_s + hop)
         # A masked spectrogram is not the STFT of any signal, so the frames
         # disagree where they overlap and the order of the sums shows.
-        spec = stft(w, cfg, pad=True)
+        spec = stft(w, cfg)
         spec *= np.random.default_rng(hop).uniform(size=spec.shape)
-        for trim, length in [(False, None), (True, len(w))]:
-            out = istft(spec, cfg, trim=trim, length=length)
-            ref = istft_loop_oracle(spec, cfg, trim=trim, length=length)
-            np.testing.assert_array_equal(out.samples, ref.samples)
+        out = istft(spec, cfg, len(w))
+        ref = istft_loop_oracle(spec, cfg, len(w))
+        np.testing.assert_array_equal(out.samples, ref.samples)
 
 
 def test_cola_window_sum_constant():
@@ -171,11 +171,13 @@ def test_parseval_sanity():
     w = rand_wave(seed=10)
     s = stft(w)
     win = hann_window(CFG.window_len)
-    # Frame the windowed time-domain energy the same way as the analysis
+    # Frame the windowed time-domain energy the same way as the analysis,
+    # over the reflect-padded samples it frames
+    x = np.pad(w.samples, CFG.hop // 2, mode="reflect")
     T = s.shape[0]
     framed = 0.0
     for t in range(T):
-        seg = w.samples[t * CFG.hop : t * CFG.hop + CFG.window_len] * win
+        seg = x[t * CFG.hop : t * CFG.hop + CFG.window_len] * win
         framed += np.sum(seg**2)
     # rfft energy: double the positive bins except DC/Nyquist
     weights = np.full(CFG.n_freq, 2.0)

@@ -160,7 +160,7 @@ class TestMasksFromClusters:
 class TestReconstruct:
     def mixture_spec(self, seed=0):
         w = Waveform(np.random.default_rng(seed).standard_normal(20000), 10000)
-        return w, stft(w, CFG, pad=True)
+        return w, stft(w, CFG)
 
     def test_binary_all_ones_recovers_mixture(self):
         w, x = self.mixture_spec()
@@ -179,9 +179,9 @@ class TestReconstruct:
         np.testing.assert_allclose(total, w.samples, atol=1e-9)
 
     def test_binary_shape_mismatch(self):
-        _, x = self.mixture_spec(3)
+        w, x = self.mixture_spec(3)
         with pytest.raises(ShapeMismatch):
-            reconstruct_binary(x, np.ones((3, 3, 2)), CFG)
+            reconstruct_binary(x, np.ones((3, 3, 2)), CFG, len(w))
 
     def test_ratio_sums_to_mixture(self):
         w, x = self.mixture_spec(4)
@@ -192,10 +192,10 @@ class TestReconstruct:
         np.testing.assert_allclose(total, w.samples, atol=1e-9)
 
     def test_ratio_rejects_unnormalized(self):
-        _, x = self.mixture_spec(6)
+        w, x = self.mixture_spec(6)
         masks = np.full(x.shape + (2,), 0.6)
         with pytest.raises(NotNormalized):
-            reconstruct_ratio(x, masks, CFG)
+            reconstruct_ratio(x, masks, CFG, len(w))
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +225,7 @@ class TestDenoise:
     def test_cluster_k3(self, model, mixture):
         r = denoise(model, mixture, mode="cluster", k=3, seed=3)
         assert len(r.stems) == 3
-        assert r.masks.shape == stft(mixture, CFG, pad=True).shape + (3,)
+        assert r.masks.shape == stft(mixture, CFG).shape + (3,)
         assert set(np.unique(r.masks)) <= {-1.0, 1.0}
         np.testing.assert_array_equal(((r.masks + 1.0) / 2.0).sum(axis=2), 1.0)
 

@@ -115,7 +115,7 @@ class TestSeparationModel:
         values = a.named_values()
         del values["table"]
         with pytest.raises(ShapeMismatch):
-            SeparationModel(TINY, values=values)
+            SeparationModel(TINY).load_values(values)
 
     def test_gather_rejects_out_of_range(self):
         model = SeparationModel(TINY, rng_for(7, "init"))
