@@ -75,7 +75,6 @@ def _build_parser():
     p_eval.add_argument("--snmf-dir", type=Path, help="directory of SNMF dictionaries")
     p_eval.add_argument("--algo", action="append", choices=ALGOS)
     p_eval.add_argument("--mode", choices=("cluster", "mi", "both"), default="both")
-    p_eval.add_argument("--K", type=_cluster_count, default=2)
 
     sub.add_parser("gradcheck", help="finite-difference verification suite")
     return parser
@@ -192,7 +191,7 @@ def _check_partition_invariants(rec, result, stft_cfg) -> None:
             raise ScesepError("K-means inertia increased across Lloyd iterations")
 
 
-def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg, k):
+def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg):
     """Yield (mode_tag, stems) pairs for one algorithm on one record."""
     if algo == "identity":
         yield "", [rec.mixture for _ in rec.sources]
@@ -207,7 +206,7 @@ def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg, k):
         modes = ("cluster", "mi") if mode == "both" else (mode,)
         for m in modes:
             result = denoise(
-                model, rec.mixture, mode=m, k=k,
+                model, rec.mixture, mode=m, k=len(rec.sources),
                 cfg=stft_cfg, seed=stream_seed(cfg.seed, f"eval-{rec.clip_id}"),
                 restarts=cfg.kmeans_restarts,
                 low_energy_threshold=cfg.low_energy_threshold,
@@ -218,7 +217,7 @@ def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg, k):
 
 
 def cmd_eval(cfg, out_dir: Path, manifest: Path, checkpoint: Path,
-             snmf_dir: Path, algos, mode: str, k: int) -> int:
+             snmf_dir: Path, algos, mode: str) -> int:
     algos = algos or ["sce-mi"]
     for algo, flag, given in (("sce-mi", "--checkpoint", checkpoint), ("snmf", "--snmf-dir", snmf_dir)):
         if algo in algos and given is None:
@@ -246,7 +245,7 @@ def cmd_eval(cfg, out_dir: Path, manifest: Path, checkpoint: Path,
     summaries = {}
     for algo in algos:
         for rec in corpus.test:
-            for mode_tag, stems in _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg, k):
+            for mode_tag, stems in _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg):
                 res = best_permutation(
                     rec.sources, stems, mixture=rec.mixture,
                     snr_db=rec.snr_db, noise_kind=rec.noise_kind,
@@ -294,7 +293,7 @@ def main(argv=None) -> int:
             return cmd_denoise(cfg, args.out, args.checkpoint, args.input_wav, args.mode, args.K)
         if args.command == "eval":
             return cmd_eval(cfg, args.out, args.manifest, args.checkpoint,
-                            args.snmf_dir, args.algo, args.mode, args.K)
+                            args.snmf_dir, args.algo, args.mode)
         return cmd_gradcheck(cfg.seed)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

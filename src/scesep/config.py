@@ -52,6 +52,10 @@ class RunConfig:
         for key in ("n_train", "n_val", "n_test"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.snr_min_db > self.snr_max_db:
+            raise ValueError(
+                f"snr_min_db must be <= snr_max_db, got {self.snr_min_db} > {self.snr_max_db}"
+            )
         if self.clip_duration_s < SEGMENT_SECONDS:
             raise ValueError(f"clip_duration_s must be >= {SEGMENT_SECONDS}, got {self.clip_duration_s}")
         # model_config builds the StftConfig too: a bad value fails every command.

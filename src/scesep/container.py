@@ -7,6 +7,7 @@ Layout (little-endian throughout):
            row-major float64 data
 """
 
+import math
 import struct
 
 import numpy as np
@@ -68,7 +69,12 @@ def read_container(path, expected_magic: bytes):
             off += 1
             dims = struct.unpack_from(f"<{rank}Q", blob, off)
             off += 8 * rank
-            count = int(np.prod(dims)) if rank else 1
+            count = math.prod(dims)
+            if 8 * count > len(blob) - off:
+                raise CorruptCheckpoint(
+                    f"{path}: tensor {name!r} (rank {rank}) overruns the file's "
+                    f"{len(blob) - off} remaining bytes"
+                )
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(dims)
             off += 8 * count
             tensors[name] = arr.astype(np.float64)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from .errors import ConstantSignal, ShapeMismatch, TooShort
 
@@ -100,6 +99,10 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
         raise ValueError("target_hz must be positive")
     if target_hz == w.sample_rate_hz:
         return w
+    # Imported here, not at module level: scipy.signal costs every command
+    # about 1 s and 70 MB at start-up, and only foreign-rate WAVs need it.
+    from scipy.signal import resample_poly
+
     g = gcd(target_hz, w.sample_rate_hz)
     up, down = target_hz // g, w.sample_rate_hz // g
     y = resample_poly(w.samples, up, down, window=("kaiser", 5.0))

@@ -36,6 +36,12 @@ class SnmfConfig:
     def __post_init__(self):
         if self.rank < 1 or self.sparsity < 0:
             raise ValueError("rank >= 1 and sparsity >= 0 required")
+        # trim_silence keeps frames above the threshold, and the loudest is at 0.
+        if self.trim_threshold >= 0:
+            raise ValueError(
+                f"trim_threshold must be < 0 (log10 relative to the loudest frame), "
+                f"got {self.trim_threshold}"
+            )
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ REJECTED_CORPUS_KEYS = [
     ("n_val = -1", "n_val must be >= 0, got -1"),
     ("n_test = -2", "n_test must be >= 0, got -2"),
     ("clip_duration_s = 1.5", "clip_duration_s must be >= 2.0, got 1.5"),
+    ("snr_min_db = 6", "snr_min_db must be <= snr_max_db, got 6.0 > 5.0"),
 ]
 
 CRITERION_9_CFG = "n_train = 4\nn_val = 2\nn_test = 2\nepochs = 2\nbatch_size = 2\n"
@@ -245,6 +246,7 @@ class TestTrain:
             ("grad_clip = -1", "grad_clip must be > 0, got -1.0"),
             ("window_len = 0", "window_len >= 2 and hop >= 1 required"),
             ("hop = 0", "window_len >= 2 and hop >= 1 required"),
+            ("trim_threshold = 0", "trim_threshold must be < 0"),
             *REJECTED_CORPUS_KEYS,
         ]
     ])
@@ -550,10 +552,11 @@ class TestEval:
             assert self.run_eval(workspace, out, ["identity", "oracle-binary"]) == 0
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
-    def test_nonpositive_k_rejected_at_parse_time(self, workspace, tmp_path):
+    def test_k_is_not_an_eval_flag(self, workspace, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            self.run_eval(workspace, tmp_path, ["sce-mi"], extra=["--K", "-1"])
+            self.run_eval(workspace, tmp_path, ["sce-mi"], extra=["--K", "2"])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --K 2" in capsys.readouterr().err
 
     def test_empty_test_split_fails(self, workspace, tmp_path, capsys):
         rows = workspace["manifest"].read_text().splitlines()

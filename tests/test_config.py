@@ -71,6 +71,19 @@ class TestResolve:
         assert cfg.epochs == 3
 
 
+class TestCrossKeyChecks:
+    @pytest.mark.parametrize("overrides,named", [
+        ({"snr_min_db": 6.0}, "snr_min_db must be <= snr_max_db, got 6.0 > 5.0"),
+        ({"snr_min_db": 0.0, "snr_max_db": -0.5}, "snr_min_db must be <= snr_max_db"),
+    ])
+    def test_rejected_with_keys_named(self, overrides, named):
+        with pytest.raises(ValueError, match=named):
+            resolve(overrides)
+
+    def test_equal_snr_bounds_accepted(self):
+        assert resolve({"snr_min_db": 3.0, "snr_max_db": 3.0}).snr_min_db == 3.0
+
+
 class TestDerivedConfigs:
     def test_stft_config(self):
         s = RunConfig(window_len=256, hop=128).stft_config()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,20 @@ def test_absurd_dims(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptCheckpoint):
         read_container(path, MAGIC_MODEL)
+
+
+def test_absurd_rank_fails_without_warnings(tmp_path):
+    path = tmp_path / "c.bin"
+    write_container(path, MAGIC_MODEL, {"k": "v"}, {"t": np.full((8, 8), -1.0)})
+    blob = bytearray(path.read_bytes())
+    # The rank byte: 40 dims, 38 of them read from the data; -1.0 read as a
+    # u64 is above 2**63, so their product overflows even a float64.
+    blob[18] = 40
+    path.write_bytes(bytes(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptCheckpoint, match="overruns the file"):
+            read_container(path, MAGIC_MODEL)
 
 
 def test_byte_identical_rewrites(tmp_path):

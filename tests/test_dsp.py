@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scesep
 from scesep.dsp import (
     StftConfig,
     Waveform,
@@ -77,6 +84,27 @@ class TestResample:
         out_power = np.mean(down.samples**2)
         assert 10 * np.log10(in_power / max(out_power, 1e-30)) > 40
         assert spec.max() < 1e-3 * len(down)
+
+    def test_scipy_loaded_only_to_change_rate(self):
+        # A fresh interpreter, since this one may already hold scipy.
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import scesep.cli
+            from scesep.dsp import Waveform, resample
+            loaded = lambda: any(m.split(".")[0] == "scipy" for m in sys.modules)
+            w = Waveform(np.ones(64), 10000)
+            print(loaded())
+            resample(w, w.sample_rate_hz)
+            print(loaded())
+            resample(w, 8000)
+            print(loaded())
+        """)
+        paths = [str(Path(scesep.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["False", "False", "True"]
 
 
 class TestStft:

@@ -31,6 +31,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SnmfConfig(sparsity=-0.1)
 
+    @pytest.mark.parametrize("threshold", [0.0, 0.5])
+    def test_nonnegative_trim_threshold(self, threshold):
+        # The loudest frame sits at 0, so such a threshold would trim every frame.
+        with pytest.raises(ValueError, match="trim_threshold must be < 0"):
+            SnmfConfig(trim_threshold=threshold)
+
 
 class TestTrimSilence:
     def test_keeps_loud_frames_in_order(self):
