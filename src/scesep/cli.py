@@ -19,8 +19,8 @@ from .metrics import CSV_HEADER, best_permutation, report
 from .mixtures import (
     NOISE_KINDS,
     corpus_rows,
-    iter_records,
     read_manifest,
+    stream_records,
     write_manifest,
 )
 from .model import (
@@ -92,7 +92,8 @@ def cmd_mix(cfg, out_dir: Path, materialize: bool) -> int:
     print(f"wrote {manifest}: train={cfg.n_train} val={cfg.n_val} test={cfg.n_test}")
     if materialize:
         n_wavs = 0
-        for _, rec in iter_records(rows, cfg.seed, cfg.stft_config(), cfg.clip_duration_s):
+        stream = stream_records(rows, cfg.seed, cfg.stft_config(), cfg.clip_duration_s)
+        for _, rec in stream.records:
             wavs = {"mix": rec.mixture, **{f"src{i}": s for i, s in enumerate(rec.sources)}}
             for name, wav in wavs.items():
                 write_wav(out_dir / f"{rec.clip_id}.{name}.wav", wav)
@@ -102,11 +103,13 @@ def cmd_mix(cfg, out_dir: Path, materialize: bool) -> int:
 
 
 def cmd_train(cfg, out_dir: Path, manifest: Path, algo: str, resume: Path) -> int:
-    corpus = read_manifest(manifest, cfg.seed, cfg.stft_config(), cfg.clip_duration_s)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    stream = read_manifest(manifest, cfg.seed, cfg.stft_config(), cfg.clip_duration_s)
     if algo == "snmf":
-        return _train_snmf(cfg, out_dir, corpus)
-    model_cfg = cfg.model_config(corpus.n_sources)
+        return _train_snmf(cfg, out_dir, stream.records)
+    # Test records are built and dropped at once; no loop variable outlives them.
+    kept = [(split, rec) for split, rec in stream.records if split != "test"]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    model_cfg = cfg.model_config(stream.n_sources)
     state = None
     if resume is not None:
         state, meta = load_checkpoint(resume)
@@ -118,7 +121,8 @@ def cmd_train(cfg, out_dir: Path, manifest: Path, algo: str, resume: Path) -> in
             raise ValueError(f"{resume}: run config conflicts with the checkpoint on {conflicts}")
         state.model.config = model_cfg
         print(f"resuming from {resume} at epoch {state.epoch}")
-    state = train(corpus.train, corpus.val, model_cfg, cfg.seed, state=state)
+    state = train([rec for split, rec in kept if split == "train"],
+                  [rec for split, rec in kept if split == "val"], model_cfg, cfg.seed, state=state)
     ckpt = out_dir / "model.scem"
     save_checkpoint(ckpt, state, cfg.seed)
     write_log(out_dir / "train_log.csv", state.log_rows)
@@ -131,13 +135,16 @@ def cmd_train(cfg, out_dir: Path, manifest: Path, algo: str, resume: Path) -> in
     return EXIT_OK
 
 
-def _train_snmf(cfg, out_dir: Path, corpus) -> int:
+def _train_snmf(cfg, out_dir: Path, records) -> int:
     snmf_cfg = cfg.snmf_config()
-    by_class = {}
-    for rec in corpus.train:
+    by_class = {}  # each train record is folded in as it is built, then dropped
+    for split, rec in records:
+        if split != "train":
+            continue
         for class_id, spec in zip((0, 1 + NOISE_KINDS.index(rec.noise_kind)), rec.source_specs):
             mag = snmf_mod.trim_silence(compress(spec).mag, snmf_cfg.trim_threshold)
             by_class.setdefault(class_id, []).append(mag)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for class_id, mags in sorted(by_class.items()):
         d, history = snmf_mod.fit_dictionary(mags, snmf_cfg, class_id, cfg.seed)
         path = out_dir / f"snmf_class{class_id}.dict"
@@ -218,7 +225,7 @@ def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg):
 
 def cmd_eval(cfg, out_dir: Path, manifest: Path, checkpoint: Path,
              snmf_dir: Path, algos, mode: str) -> int:
-    algos = algos or ["sce-mi"]
+    algos = list(dict.fromkeys(algos or ["sce-mi"]))  # a repeated --algo counts once
     for algo, flag, given in (("sce-mi", "--checkpoint", checkpoint), ("snmf", "--snmf-dir", snmf_dir)):
         if algo in algos and given is None:
             raise ValueError(f"eval --algo {algo} needs {flag}")
@@ -236,15 +243,19 @@ def cmd_eval(cfg, out_dir: Path, manifest: Path, checkpoint: Path,
                 f"{snmf_dir} holds no noise dictionary snmf_class1..{len(NOISE_KINDS)}.dict"
             )
         dicts = [speech, snmf_mod.Dictionary(np.hstack(noise_ws), -1)]
-    corpus = read_manifest(manifest, cfg.seed, cfg.stft_config(), cfg.clip_duration_s)
-    if not corpus.test:
+    stream = read_manifest(manifest, cfg.seed, cfg.stft_config(), cfg.clip_duration_s)
+    if "test" not in stream.splits:
         raise EmptyCorpus(f"manifest {manifest} has no test rows")
     stft_cfg = cfg.stft_config()
 
-    rows = []
+    # Each test record is scored by every algo as it is built, then dropped;
+    # metrics.csv keeps its rows grouped by algo.
+    by_algo = {algo: [] for algo in algos}
     summaries = {}
-    for algo in algos:
-        for rec in corpus.test:
+    for split, rec in stream.records:
+        if split != "test":
+            continue
+        for algo in algos:
             for mode_tag, stems in _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg):
                 res = best_permutation(
                     rec.sources, stems, mixture=rec.mixture,
@@ -252,11 +263,12 @@ def cmd_eval(cfg, out_dir: Path, manifest: Path, checkpoint: Path,
                 )
                 summaries.setdefault((algo, mode_tag), []).append(res)
                 for est_idx, ref_idx in enumerate(res.permutation):
-                    rows.append(
+                    by_algo[algo].append(
                         f"{rec.clip_id},{algo},{mode_tag},{rec.snr_db!r},{rec.noise_kind},"
                         f"{ref_idx},{res.per_source_sdr_db[est_idx]!r},"
                         f"{res.sdr_improvement_db[est_idx]!r}"
                     )
+    rows = [row for algo_rows in by_algo.values() for row in algo_rows]
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "metrics.csv"
     with open(csv_path, "w", encoding="utf-8") as f:

@@ -46,12 +46,16 @@ class StftConfig:
     sample_rate_hz: int = 10000
 
     def __post_init__(self):
-        if self.window_len < 2 or self.hop < 1:
-            raise ValueError("window_len >= 2 and hop >= 1 required")
+        if self.window_len < 2:
+            raise ValueError(f"window_len must be >= 2, got {self.window_len}")
+        if self.hop < 1:
+            raise ValueError(f"hop must be >= 1, got {self.hop}")
         if self.window_len & (self.window_len - 1) != 0:
-            raise ValueError("window_len must be a power of two")
+            raise ValueError(f"window_len must be a power of two, got {self.window_len}")
         if self.hop > self.window_len or self.window_len % self.hop != 0:
-            raise ValueError("hop must divide window_len")
+            raise ValueError(
+                f"hop must divide window_len, got hop {self.hop} and window_len {self.window_len}"
+            )
 
     @property
     def fft_len(self) -> int:

@@ -5,7 +5,7 @@ desk scale; real WAV clips can be substituted through the manifest.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -246,9 +246,13 @@ def build_corpus(
     clip_duration_s: float = 3.0,
 ) -> Corpus:
     """Synthetic corpus with disjoint source clips across splits, built from
-    :func:`corpus_rows` exactly as :func:`read_manifest` builds its rows."""
+    :func:`corpus_rows` exactly as :func:`read_manifest` streams its rows."""
     rows = corpus_rows(n_train, n_val, n_test, snr_range_db, seed)
-    return _corpus_from_rows(rows, seed, cfg, clip_duration_s)
+    stream = stream_records(rows, seed, cfg, clip_duration_s)
+    splits = {split: [] for split in SPLITS}
+    for split, rec in stream.records:
+        splits[split].append(rec)
+    return Corpus(**splits, n_sources=stream.n_sources)
 
 
 def _clip_from_spec(spec: str, corpus_seed: int, cfg: StftConfig, duration_s: float) -> SourceClip:
@@ -289,21 +293,29 @@ def _speaker_rows(rows) -> dict:
     return speakers
 
 
-def iter_records(rows, corpus_seed: int, cfg: StftConfig, clip_duration_s: float):
-    """Yield `(split, MixRecord)` for each row in order, one record at a time."""
+class RecordStream(NamedTuple):
+    """A manifest's records, built one at a time as `records` is read; the
+    other fields come from the rows alone, before any audio is made."""
+
+    records: Iterator  # (split, MixRecord) for each row, in order
+    n_sources: int  # rows needed in the source table (train + val sources)
+    splits: frozenset  # splits that have at least one row
+
+
+def stream_records(rows, corpus_seed: int, cfg: StftConfig, clip_duration_s: float) -> RecordStream:
+    """Check every row, then stream `(split, MixRecord)` for each row in order;
+    a record is built only when the reader reaches its row."""
     speakers = _speaker_rows(rows)
-    for row in rows:
-        speech, noise = (_clip_from_spec(s, corpus_seed, cfg, clip_duration_s) for s in row.specs)
-        noise = SourceClip(noise.waveform, row.class_id, noise.clip_id)
-        source_ids = [0 if row.split == "test" else speakers[row.specs[0]], row.class_id]
-        yield row.split, mix_at_snr(speech, noise, row.snr_db, row.seed, cfg, row.clip_id, source_ids)
 
+    def records():
+        for row in rows:
+            speech, noise = (_clip_from_spec(s, corpus_seed, cfg, clip_duration_s) for s in row.specs)
+            noise = SourceClip(noise.waveform, row.class_id, noise.clip_id)
+            source_ids = [0 if row.split == "test" else speakers[row.specs[0]], row.class_id]
+            yield row.split, mix_at_snr(speech, noise, row.snr_db, row.seed, cfg, row.clip_id, source_ids)
 
-def _corpus_from_rows(rows, corpus_seed: int, cfg: StftConfig, clip_duration_s: float) -> Corpus:
-    splits = {split: [] for split in SPLITS}
-    for split, rec in iter_records(rows, corpus_seed, cfg, clip_duration_s):
-        splits[split].append(rec)
-    return Corpus(**splits, n_sources=1 + len(NOISE_KINDS) + len(_speaker_rows(rows)))
+    return RecordStream(records(), 1 + len(NOISE_KINDS) + len(speakers),
+                        frozenset(row.split for row in rows))
 
 
 # --- manifest (external interface) -------------------------------------
@@ -348,6 +360,7 @@ def read_manifest(
     corpus_seed: int,
     cfg: StftConfig = StftConfig(),
     clip_duration_s: float = 3.0,
-) -> Corpus:
-    """Rebuild a corpus from a manifest (synthetic clips are regenerated)."""
-    return _corpus_from_rows(manifest_rows(path), corpus_seed, cfg, clip_duration_s)
+) -> RecordStream:
+    """Parse and check a manifest once, and stream its records (synthetic
+    clips are regenerated as each record is built)."""
+    return stream_records(manifest_rows(path), corpus_seed, cfg, clip_duration_s)

@@ -34,8 +34,10 @@ class SnmfConfig:
     trim_threshold: float = -2.0  # log10 relative to global max
 
     def __post_init__(self):
-        if self.rank < 1 or self.sparsity < 0:
-            raise ValueError("rank >= 1 and sparsity >= 0 required")
+        if self.rank < 1:
+            raise ValueError(f"snmf_rank must be >= 1, got {self.rank}")
+        if self.sparsity < 0:
+            raise ValueError(f"snmf_sparsity must be >= 0, got {self.sparsity}")
         # trim_silence keeps frames above the threshold, and the loudest is at 0.
         if self.trim_threshold >= 0:
             raise ValueError(

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import struct
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
@@ -244,9 +245,13 @@ class TestTrain:
             ("epochs = -1", "epochs must be >= 0, got -1"),
             ("lr = 0", "lr must be > 0, got 0.0"),
             ("grad_clip = -1", "grad_clip must be > 0, got -1.0"),
-            ("window_len = 0", "window_len >= 2 and hop >= 1 required"),
-            ("hop = 0", "window_len >= 2 and hop >= 1 required"),
+            ("window_len = 0", "window_len must be >= 2, got 0"),
+            ("hop = 0", "hop must be >= 1, got 0"),
             ("trim_threshold = 0", "trim_threshold must be < 0"),
+            ("snmf_rank = 0", "snmf_rank must be >= 1, got 0"),
+            ("snmf_sparsity = -0.5", "snmf_sparsity must be >= 0, got -0.5"),
+            ("window_len = 384", "window_len must be a power of two, got 384"),
+            ("hop = 96", "hop must divide window_len, got hop 96 and window_len 512"),
             *REJECTED_CORPUS_KEYS,
         ]
     ])
@@ -558,7 +563,22 @@ class TestEval:
         assert exc.value.code == 2
         assert "unrecognized arguments: --K 2" in capsys.readouterr().err
 
-    def test_empty_test_split_fails(self, workspace, tmp_path, capsys):
+    def test_repeated_algo_counts_once(self, workspace, tmp_path, capsys):
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        snmf_dir = ["--snmf-dir", str(workspace["run"])]
+        assert self.run_eval(workspace, once, ["snmf"], extra=snmf_dir) == 0
+        printed_once = capsys.readouterr().out.replace(str(once), "OUT")
+        assert self.run_eval(workspace, twice, ["snmf", "snmf"], extra=snmf_dir) == 0
+        printed_twice = capsys.readouterr().out.replace(str(twice), "OUT")
+        assert (twice / "metrics.csv").read_bytes() == (once / "metrics.csv").read_bytes()
+        assert printed_twice == printed_once
+
+    def test_empty_test_split_fails(self, workspace, tmp_path, capsys, monkeypatch):
+        def no_audio(*args, **kwargs):
+            raise AssertionError("eval synthesized audio")
+
+        for name in ("synth_speechlike", "synth_noise"):
+            monkeypatch.setattr(mixtures, name, no_audio)
         rows = workspace["manifest"].read_text().splitlines()
         manifest = tmp_path / "no_test.tsv"
         manifest.write_text("".join(r + "\n" for r in rows if r.split("\t")[1] != "test"))
@@ -608,6 +628,77 @@ class TestEval:
         assert {r["mode"] for r in rows} == {"mi"}
 
 
+def track_live_records(monkeypatch):
+    """Wrap `mix_at_snr` so every MixRecord it builds is tracked until freed.
+
+    Returns `(built, live, peak)`: the clip ids built, in order; the ids of
+    the records still alive; and how many were alive after each build."""
+    built, live, peak, real = [], set(), [], mixtures.mix_at_snr
+
+    def tracked(*args, **kwargs):
+        rec = real(*args, **kwargs)
+        built.append(rec.clip_id)
+        live.add(rec.clip_id)
+        weakref.finalize(rec, live.discard, rec.clip_id)
+        peak.append(len(live))
+        return rec
+
+    monkeypatch.setattr(mixtures, "mix_at_snr", tracked)
+    return built, live, peak
+
+
+class TestStreamedRecords:
+    """Commands hold only the records they still need, whatever n_test is."""
+
+    ALL_ROWS = ["train-0", "train-1", "train-2", "train-3", "val-0", "val-1", "test-0", "test-1"]
+
+    def test_eval_holds_at_most_two_records(self, workspace, tmp_path, monkeypatch):
+        built, live, peak = track_live_records(monkeypatch)
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(tmp_path), "eval",
+            "--manifest", str(workspace["manifest"]),
+            "--checkpoint", str(workspace["run"] / "model.scem"),
+            "--snmf-dir", str(workspace["run"]),
+            *[arg for algo in ("sce-mi", "snmf", "oracle-binary", "identity")
+              for arg in ("--algo", algo)],
+        ])
+        assert code == 0
+        assert built == self.ALL_ROWS
+        assert max(peak) <= 2 and not live
+
+    def test_snmf_train_holds_at_most_two_records(self, workspace, tmp_path, monkeypatch):
+        built, live, peak = track_live_records(monkeypatch)
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(tmp_path),
+            "train", "--manifest", str(workspace["manifest"]), "--algo", "snmf",
+        ])
+        assert code == 0
+        assert built == self.ALL_ROWS
+        assert max(peak) <= 2 and not live
+        for path in workspace["run"].glob("snmf_class*.dict"):
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+    def test_train_holds_no_test_record(self, workspace, tmp_path, monkeypatch):
+        import scesep.cli as cli
+
+        built, live, _ = track_live_records(monkeypatch)
+        alive_at_train, real_train = [], cli.train
+
+        def spy(*args, **kwargs):
+            alive_at_train.extend(sorted(live))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", spy)
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(tmp_path),
+            "train", "--manifest", str(workspace["manifest"]),
+        ])
+        assert code == 0
+        assert built == self.ALL_ROWS
+        assert alive_at_train == sorted(self.ALL_ROWS[:6])  # train and val, no test
+        assert (tmp_path / "model.scem").read_bytes() == (workspace["run"] / "model.scem").read_bytes()
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
@@ -640,12 +731,13 @@ def _mutate(data, blob):
 CONFIG_VALUES = ("-2", "-1", "0", "1", "2", "3", "0.5", "-0.5", "1e-9")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("target", ["wav", "checkpoint", "config"])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_hostile_input_keeps_exit_contract(workspace, tmp_path_factory, target, data):
     """Damaged WAVs and checkpoints and out-of-range config values end in
-    exit 0, 1 or 2 with a message, never a traceback."""
+    exit 0, 1 or 2 with a message, never a traceback or a numpy warning."""
     tmp = tmp_path_factory.mktemp("fuzz")
     clip = read_wav(next(iter(workspace["data"].glob("*.mix.wav"))))
     wav, ckpt, cfg = tmp / "clip.wav", tmp / "model.scem", tmp / "run.cfg"

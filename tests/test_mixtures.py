@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scesep import mixtures
 from scesep.audio_io import write_wav
 from scesep.dsp import StftConfig, Waveform, stft
 from scesep.errors import ShapeMismatch, SilentSource, UnknownKind
@@ -8,6 +9,8 @@ from scesep.inference import reconstruct_binary
 from scesep.metrics import best_permutation
 from scesep.mixtures import (
     NOISE_KINDS,
+    SPLITS,
+    Corpus,
     SourceClip,
     build_corpus,
     corpus_rows,
@@ -198,11 +201,39 @@ def assert_same_records(a, b):
             assert ra.seed == rb.seed
 
 
+def read_corpus(path, corpus_seed):
+    """Collect the records `read_manifest` streams into a Corpus."""
+    stream = read_manifest(path, corpus_seed=corpus_seed)
+    splits = {split: [] for split in SPLITS}
+    for split, rec in stream.records:
+        splits[split].append(rec)
+    return Corpus(**splits, n_sources=stream.n_sources)
+
+
 def test_manifest_round_trip(tmp_path):
     corpus = build_corpus(3, 1, 1, seed=5)
     path = tmp_path / "manifest.tsv"
     write_manifest(path, corpus_rows(3, 1, 1, seed=5))
-    assert_same_records(corpus, read_manifest(path, corpus_seed=5))
+    assert_same_records(corpus, read_corpus(path, corpus_seed=5))
+
+
+def test_read_manifest_builds_records_only_when_read(tmp_path, monkeypatch):
+    path = tmp_path / "manifest.tsv"
+    write_manifest(path, corpus_rows(3, 2, 0, seed=5))
+    built, real_mix = [], mixtures.mix_at_snr
+
+    def counting_mix(*args, **kwargs):
+        built.append(args[5])  # clip_id
+        return real_mix(*args, **kwargs)
+
+    monkeypatch.setattr(mixtures, "mix_at_snr", counting_mix)
+    stream = read_manifest(path, corpus_seed=5)
+    assert stream.n_sources == 1 + len(NOISE_KINDS) + 5  # one speaker per train/val row
+    assert stream.splits == {"train", "val"}
+    assert built == []  # parsing and checking the rows makes no audio
+    assert next(stream.records)[0] == "train" and built == ["train-0"]
+    assert [split for split, _ in stream.records] == ["train", "train", "val", "val"]
+    assert built == ["train-0", "train-1", "train-2", "val-0", "val-1"]
 
 
 def write_tone_wav(path, freq_hz, fs=10000):
@@ -227,16 +258,16 @@ def test_wav_manifest_round_trip(tmp_path):
     text = wav_manifest(tmp_path)
     first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
     first.write_text(text)
-    corpus = read_manifest(first, corpus_seed=3)
+    corpus = read_corpus(first, corpus_seed=3)
     write_manifest(second, manifest_rows(first))
     assert second.read_text() == text
-    assert_same_records(corpus, read_manifest(second, corpus_seed=3))
+    assert_same_records(corpus, read_corpus(second, corpus_seed=3))
 
 
 def test_shared_wav_speaker_gets_one_table_row(tmp_path):
     path = tmp_path / "manifest.tsv"
     path.write_text(wav_manifest(tmp_path))
-    corpus = read_manifest(path, corpus_seed=3)
+    corpus = read_corpus(path, corpus_seed=3)
     first, second = corpus.train
     speaker_row = 1 + len(NOISE_KINDS)
     assert first.source_ids == [speaker_row, 1]
