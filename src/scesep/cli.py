@@ -14,7 +14,13 @@ from .audio_io import read_wav, write_wav
 from .config import parse_config_file, resolve
 from .dsp import compress, istft, stft
 from .errors import EmptyCorpus, ScesepError
-from .inference import denoise, reconstruct_binary, reconstruct_ratio
+from .inference import (
+    denoise,
+    embed_mixture,
+    reconstruct_binary,
+    reconstruct_ratio,
+    separate_embedded,
+)
 from .metrics import CSV_HEADER, best_permutation, report
 from .mixtures import (
     NOISE_KINDS,
@@ -211,9 +217,10 @@ def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg):
         yield "", reconstruct_ratio(rec.mixture_spec, masks, stft_cfg, len(rec.mixture))
     else:  # sce-mi
         modes = ("cluster", "mi") if mode == "both" else (mode,)
+        emb = embed_mixture(model, rec.mixture, stft_cfg)  # one forward serves every mode
         for m in modes:
-            result = denoise(
-                model, rec.mixture, mode=m, k=len(rec.sources),
+            result = separate_embedded(
+                model, emb, mode=m, k=len(rec.sources),
                 cfg=stft_cfg, seed=stream_seed(cfg.seed, f"eval-{rec.clip_id}"),
                 restarts=cfg.kmeans_restarts,
                 low_energy_threshold=cfg.low_energy_threshold,

@@ -251,6 +251,93 @@ def kmeans_broadcast_oracle(points, k, seed=0, restarts=8, max_iter=300) -> Clus
     return best
 
 
+# --- K-means with fresh (K, N) scores, labels and one-hot per iteration -------
+
+
+def _kmeans_pp_init_score(points, points_t, k, rng):
+    n = points_t.shape[1]
+    centroids = np.empty((k, points_t.shape[0]))
+    centroids[0] = points[int(rng.integers(n))]
+    d2 = ((points_t - centroids[0][:, None]) ** 2).sum(axis=0)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[j] = points[int(rng.integers(n))]
+            continue
+        probs = d2 / total
+        centroids[j] = points[int(rng.choice(n, p=probs))]
+        d2 = np.minimum(d2, ((points_t - centroids[j][:, None]) ** 2).sum(axis=0))
+    return centroids
+
+
+def assign_score_oracle(points_t, centroids):
+    """Labels and (K, N) scores ``‖c‖² − 2⟨x, c⟩`` (squared distances less
+    ``‖x‖²``) for the columns of ``points_t`` (E, N); ties to the lowest index."""
+    score = centroids @ points_t
+    score *= -2.0
+    score += (centroids**2).sum(axis=1)[:, None]
+    labels = np.zeros(points_t.shape[1], dtype=np.intp)
+    best = score[0]
+    for j in range(1, len(centroids)):
+        np.maximum(labels, (score[j] < best) * j, out=labels)
+        best = np.minimum(best, score[j])
+    return labels, score
+
+
+def _reseed_empty_score(points, sq, labels, score, k):
+    centroids = np.empty((k, points.shape[1]))
+    for j in range(k):
+        members = labels == j
+        if members.any():
+            centroids[j] = points[members].mean(axis=0)
+        else:
+            worst = int(np.argmax(score[labels, np.arange(len(points))] + sq))
+            centroids[j] = points[worst]
+            labels[worst] = j
+    return centroids, float(((points - centroids[labels]) ** 2).sum())
+
+
+def _lloyd_score(points, points_t, sq, centroids, max_iter):
+    k = len(centroids)
+    total = float(sq.sum())
+    labels = None
+    history = []
+    for _ in range(max_iter):
+        new_labels, score = assign_score_oracle(points_t, centroids)
+        onehot = (new_labels == np.arange(k)[:, None]).astype(np.float64)
+        counts = onehot.sum(axis=1)
+        if counts.all():
+            sums = onehot @ points
+            centroids = sums / counts[:, None]
+            history.append(total - float(np.sort((sums * centroids).sum(axis=1)).sum()))
+        else:
+            centroids, inertia = _reseed_empty_score(points, sq, new_labels, score, k)
+            history.append(inertia)
+        if labels is not None and np.array_equal(labels, new_labels):
+            break
+        labels = new_labels
+    return labels, centroids, history
+
+
+def kmeans_score_oracle(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
+    """Bit-exact reference for inference.kmeans: the same GEMMs and sums in
+    the same order, written plainly. Each Lloyd iteration takes the (K, N)
+    scores ``‖c‖² − 2⟨x, c⟩``, integer labels by a running minimum and a
+    one-hot cast from them, each a fresh array; k-means++ takes distances to
+    every centroid it draws, the last one included."""
+    points = np.asarray(points, dtype=np.float64)
+    points_t = np.ascontiguousarray(points.T)
+    sq = (points_t**2).sum(axis=0)
+    best = None
+    for r in range(restarts):
+        rng = rng_for(seed, f"kmeans-restart-{r}")
+        centroids = _kmeans_pp_init_score(points, points_t, k, rng)
+        labels, centroids, history = _lloyd_score(points, points_t, sq, centroids, max_iter)
+        if best is None or history[-1] < best.inertia:
+            best = ClusterAssignment(labels, centroids, history[-1], tuple(history))
+    return best
+
+
 # --- SNMF with the objective and updates taken on the (F, N) product WH -------
 
 

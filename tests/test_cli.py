@@ -616,6 +616,29 @@ class TestEval:
         assert f"error: {speech_only} holds no noise dictionary snmf_class1..4.dict" in err
         assert "Traceback" not in err
 
+    def test_both_modes_embed_each_clip_once(self, workspace, tmp_path, monkeypatch):
+        from scesep.model import SeparationModel
+
+        checkpoint = ["--checkpoint", str(workspace["run"] / "model.scem")]
+        rows = {}
+        for mode in ("cluster", "mi"):
+            assert self.run_eval(workspace, tmp_path / mode, ["sce-mi"], extra=checkpoint + ["--mode", mode]) == 0
+            rows[mode] = (tmp_path / mode / "metrics.csv").read_text().splitlines()[1:]
+        calls = []
+        real = SeparationModel.forward_embeddings
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SeparationModel, "forward_embeddings", counted)
+        assert self.run_eval(workspace, tmp_path / "both", ["sce-mi"], extra=checkpoint) == 0
+        n_test = sum(r.split("\t")[1] == "test" for r in workspace["manifest"].read_text().splitlines())
+        assert n_test and len(calls) == n_test
+        both = (tmp_path / "both" / "metrics.csv").read_text().splitlines()[1:]
+        for mode, mode_rows in rows.items():
+            assert [r for r in both if r.split(",")[2] == mode] == mode_rows
+
     def test_mode_filter(self, workspace, tmp_path):
         out = tmp_path / "mi_only"
         code = self.run_eval(

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
-from oracles import kmeans_broadcast_oracle
+from oracles import assign_score_oracle, kmeans_broadcast_oracle, kmeans_score_oracle
 
+from scesep import inference
 from scesep.dsp import StftConfig, Waveform, istft, resample, stft
 from scesep.errors import NotNormalized, ShapeMismatch, TooFewPoints
 from scesep.inference import (
     ClusterAssignment,
     _assign,
+    _labels,
     denoise,
+    embed_mixture,
     kmeans,
     masks_from_clusters,
     reconstruct_binary,
     reconstruct_ratio,
+    separate_embedded,
 )
 from scesep.model import ModelConfig, SeparationModel
 from scesep.seeding import rng_for
@@ -83,11 +87,13 @@ class TestKmeans:
     def test_ties_go_to_lowest_index(self):
         centroids = np.array([[0.0, 5.0], [1.0, 0.0], [-1.0, 0.0]])
         pts = np.array([[0.0, 0.0], [0.0, -2.0], [0.0, 3.0], [2.0, 0.0], [-2.0, 0.0]])
-        labels, score = _assign(np.ascontiguousarray(pts.T), centroids)
+        gain, member = _assign(np.ascontiguousarray(pts.T), centroids)
+        np.testing.assert_array_equal(member.sum(axis=0), 1)
+        labels = _labels(member)
         np.testing.assert_array_equal(labels, [1, 1, 0, 1, 2])
         d2 = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2)
         np.testing.assert_array_equal(labels, np.argmin(d2, axis=1))
-        np.testing.assert_allclose(score + (pts**2).sum(axis=1), d2.T, atol=1e-12)
+        np.testing.assert_allclose((pts**2).sum(axis=1) - gain, d2.T, atol=1e-12)
 
     def test_recovers_separated_blobs(self):
         pts, truth = blobs()
@@ -127,10 +133,10 @@ class TestKmeans:
         with pytest.raises(ShapeMismatch):
             kmeans(np.zeros(10), 2)
 
-    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"max_iter": 0}])
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"max_iter": 0}, {"k": 0}])
     def test_no_iterations_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            kmeans(np.zeros((4, 2)), 2, **kwargs)
+            kmeans(np.zeros((4, 2)), **{"k": 2, **kwargs})
 
     def test_all_clusters_populated(self):
         pts, _ = blobs(seed=8, per=10)
@@ -144,6 +150,75 @@ class TestKmeans:
             np.testing.assert_allclose(
                 a.centroids[j], pts[a.labels == j].mean(axis=0), atol=1e-9
             )
+
+
+def integer_points(seed, n, e, k, low=-2, high=3):
+    """Points on a small integer grid: many exact distance ties."""
+    return np.random.default_rng(seed).integers(low, high, (n, e)).astype(np.float64), k
+
+
+def repeated_points(seed, n, e, k, distinct=3):
+    """Fewer distinct points than clusters, so k-means++ draws duplicate
+    centroids and Lloyd must reseed the empty clusters."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((distinct, e))[rng.integers(0, distinct, n)], k
+
+
+# name: (points and K, seed, max_iter, reseeds)
+EXACT_CASES = {
+    "k1": (lambda: (np.random.default_rng(20).standard_normal((500, 4)), 1), 21, 300, False),
+    "k2-n-equals-k": (lambda: (np.array([[0.0, 1.0], [2.0, -1.0]]), 2), 22, 300, False),
+    "k2-unit-15k": (lambda: (unit_points(23, n=15000), 2), 24, 300, False),
+    "k3-unit": (lambda: (unit_points(25, n=4000, spread=2.0), 3), 26, 300, False),
+    "k5-n-equals-k": (lambda: (np.random.default_rng(27).standard_normal((5, 3)), 5), 28, 300, False),
+    "k2-integer-ties": (lambda: integer_points(29, 3000, 2, 2), 30, 300, False),
+    "k3-integer-ties": (lambda: integer_points(31, 2000, 3, 3), 32, 300, False),
+    "k5-integer-ties": (lambda: integer_points(33, 5000, 2, 5, 0, 2), 34, 300, True),
+    "k3-reseed": (lambda: (np.array([[0.0, 0.0]] * 6 + [[1.0, 0.0]] * 2), 3), 0, 300, True),
+    "k5-reseed": (lambda: repeated_points(35, 600, 4, 5), 36, 300, True),
+    "k3-max-iter-cap": (lambda: (unit_points(37, n=3000, spread=2.0), 3), 38, 2, False),
+}
+
+
+class TestKmeansBitIdentity:
+    """``kmeans`` against the plainly written loop it replaced: the same
+    labels, centroid bytes, inertia history and restart."""
+
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_matches_score_oracle(self, case, monkeypatch):
+        make, seed, max_iter, reseeds = EXACT_CASES[case]
+        pts, k = make()
+        calls = []
+        real = inference._reseed_empty
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(inference, "_reseed_empty", counted)
+        a = kmeans(pts, k, seed=seed, max_iter=max_iter)
+        b = kmeans_score_oracle(pts, k, seed=seed, max_iter=max_iter)
+        assert a.labels.dtype == b.labels.dtype
+        np.testing.assert_array_equal(a.labels, b.labels)
+        assert a.centroids.tobytes() == b.centroids.tobytes()
+        assert a.inertia_history == b.inertia_history
+        assert a.inertia == b.inertia
+        assert bool(calls) == reseeds
+        if max_iter < 300:
+            assert len(a.inertia_history) == max_iter
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_gain_is_negated_score(self, k):
+        rng = np.random.default_rng(40 + k)
+        pts = rng.integers(-2, 3, (2000, 3)).astype(np.float64)
+        pts[:500] = rng.standard_normal((500, 3))
+        centroids = np.concatenate([pts[:1], rng.integers(-2, 3, (k - 1, 3)).astype(np.float64)])
+        points_t = np.ascontiguousarray(pts.T)
+        gain, member = _assign(points_t, centroids)
+        labels, score = assign_score_oracle(points_t, centroids)
+        np.testing.assert_array_equal(-gain, score)  # equal as numbers: a zero gain negates to -0.0
+        np.testing.assert_array_equal(_labels(member), labels)
+        np.testing.assert_array_equal(member, labels == np.arange(k)[:, None])
 
 
 class TestMasksFromClusters:
@@ -243,6 +318,14 @@ class TestDenoise:
         b = denoise(model, mixture, mode="cluster", seed=9)
         np.testing.assert_array_equal(a.masks, b.masks)
         np.testing.assert_array_equal(a.stems[0].samples, b.stems[0].samples)
+
+    def test_one_embedding_serves_both_modes(self, model, mixture):
+        emb = embed_mixture(model, mixture, CFG)
+        for mode in ("cluster", "mi"):
+            a = separate_embedded(model, emb, mode=mode, cfg=CFG, seed=3)
+            b = denoise(model, mixture, mode=mode, cfg=CFG, seed=3)
+            np.testing.assert_array_equal(a.masks, b.masks)
+            assert [s.samples.tobytes() for s in a.stems] == [s.samples.tobytes() for s in b.stems]
 
     def test_resamples_foreign_rate(self, model):
         w = Waveform(np.random.default_rng(8).standard_normal(32000), 16000)
