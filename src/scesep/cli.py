@@ -147,8 +147,8 @@ def _train_snmf(cfg, out_dir: Path, records) -> int:
     for split, rec in records:
         if split != "train":
             continue
-        for class_id, spec in zip((0, 1 + NOISE_KINDS.index(rec.noise_kind)), rec.source_specs):
-            mag = snmf_mod.trim_silence(compress(spec).mag, snmf_cfg.trim_threshold)
+        for class_id, source_mag in zip((0, 1 + NOISE_KINDS.index(rec.noise_kind)), rec.source_mags):
+            mag = snmf_mod.trim_silence(compress(source_mag).mag, snmf_cfg.trim_threshold)
             by_class.setdefault(class_id, []).append(mag)
     out_dir.mkdir(parents=True, exist_ok=True)
     for class_id, mags in sorted(by_class.items()):

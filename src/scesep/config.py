@@ -11,6 +11,12 @@ from .mixtures import SEGMENT_SECONDS
 from .model import ModelConfig
 from .snmf import SnmfConfig
 
+# Speech is mixed at unit gain, so at -140 dB the noise samples reach ~1e7,
+# where float64 rounding exceeds the absolute 1e-9 tolerance of eval's
+# partition check and a correct pipeline fails it; -100 dB passes. The bound
+# is symmetric.
+SNR_LIMIT_DB = 100.0
+
 
 @dataclass
 class RunConfig:
@@ -52,6 +58,10 @@ class RunConfig:
         for key in ("n_train", "n_val", "n_test"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        for key in ("snr_min_db", "snr_max_db"):
+            if not -SNR_LIMIT_DB <= getattr(self, key) <= SNR_LIMIT_DB:
+                raise ValueError(f"{key} must be in [-{SNR_LIMIT_DB:g}, {SNR_LIMIT_DB:g}] dB, "
+                                 f"got {getattr(self, key)}")
         if self.snr_min_db > self.snr_max_db:
             raise ValueError(
                 f"snr_min_db must be <= snr_max_db, got {self.snr_min_db} > {self.snr_max_db}"

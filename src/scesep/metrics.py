@@ -47,11 +47,6 @@ def sdr(reference: Waveform, estimate: Waveform) -> float:
     return float(np.clip(10.0 * np.log10(p_target / p_error), -SDR_CAP_DB, SDR_CAP_DB))
 
 
-def sdr_improvement(mixture: Waveform, reference: Waveform, estimate: Waveform) -> float:
-    """SDR gain of the estimate over using the mixture as the estimate."""
-    return sdr(reference, estimate) - sdr(reference, mixture)
-
-
 def best_permutation(
     references,
     estimates,

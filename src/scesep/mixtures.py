@@ -27,15 +27,16 @@ class SourceClip:
 
 @dataclass(frozen=True)
 class MixRecord:
-    """One mixture: waveforms, true source spectrograms, labels, provenance."""
+    """One mixture: waveforms, mixture spectrogram, true source magnitudes,
+    labels, provenance."""
 
     clip_id: str
     mixture: Waveform
     sources: list  # scaled source Waveforms, speech first
     snr_db: float
-    mixture_spec: np.ndarray
-    source_specs: list
-    labels: np.ndarray  # (T, F, M) in {-1, +1}
+    mixture_spec: np.ndarray  # complex STFT (T, F) of the mixture
+    source_mags: list  # |STFT| (T, F) float64 per source; no phase is kept
+    labels: np.ndarray  # (T, F, M) int8 in {-1, +1}
     source_ids: list  # global source-table row per source
     source_clip_ids: list
     noise_kind: str
@@ -138,7 +139,8 @@ def _segment(clip: SourceClip, n_samples: int, rng: np.random.Generator) -> np.n
 
 
 def make_labels(source_specs) -> np.ndarray:
-    """Per-bin dominance labels: +1 for the loudest source, -1 otherwise.
+    """Per-bin dominance labels as int8: +1 for the loudest source, -1
+    otherwise. Takes magnitudes or complex spectrograms (compared by |.|).
 
     Ties (including all-zero bins) go to the lowest source index.
     """
@@ -147,9 +149,9 @@ def make_labels(source_specs) -> np.ndarray:
         raise ShapeMismatch(f"source spectrograms differ in shape: {shapes}")
     mags = np.stack([np.abs(s) for s in source_specs], axis=-1)  # (T, F, M)
     winner = np.argmax(mags, axis=-1)
-    y = -np.ones(mags.shape, dtype=np.float64)
+    y = np.full(mags.shape, -1, dtype=np.int8)
     t_idx, f_idx = np.indices(winner.shape)
-    y[t_idx, f_idx, winner] = 1.0
+    y[t_idx, f_idx, winner] = 1
     return y
 
 
@@ -179,16 +181,16 @@ def mix_at_snr(
     scaled = [s, g * v]
     mixture = Waveform(scaled[0] + scaled[1], cfg.sample_rate_hz)
     source_wavs = [Waveform(x, cfg.sample_rate_hz) for x in scaled]
-    source_specs = [stft(w, cfg) for w in source_wavs]
+    source_mags = [np.abs(stft(w, cfg)) for w in source_wavs]
     mixture_spec = stft(mixture, cfg)
-    labels = make_labels(source_specs)
+    labels = make_labels(source_mags)
     return MixRecord(
         clip_id=clip_id or f"mix-{seed}",
         mixture=mixture,
         sources=source_wavs,
         snr_db=float(snr_db),
         mixture_spec=mixture_spec,
-        source_specs=source_specs,
+        source_mags=source_mags,
         labels=labels,
         source_ids=list(source_ids) if source_ids is not None else [0, 1],
         source_clip_ids=[speech.clip_id, noise.clip_id],

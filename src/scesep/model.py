@@ -104,7 +104,7 @@ class SeparationModel:
         """Ratio mask (B, T, F, M): per-bin affine over E, softmax over M."""
         B, T, F, E = v_i.shape
         flat = nn.reshape(v_i, (B * T * F, E))
-        logits = nn.add(nn.matmul(flat, self.mi_w), self.mi_b)
+        logits = nn.affine(flat, self.mi_w, self.mi_b)
         return nn.reshape(nn.softmax(logits, axis=-1), (B, T, F, self.config.n_mix_sources))
 
 
@@ -147,7 +147,7 @@ def mi_loss(mask: nn.Tensor, x_mag: np.ndarray, true_source_mags: np.ndarray) ->
 @dataclass
 class Batch:
     x_mag: np.ndarray  # (B, T, F) compressed mixture magnitudes
-    labels: np.ndarray  # (B, T, F, M)
+    labels: np.ndarray  # (B, T, F, M) int8 in {-1, +1}
     source_ids: np.ndarray  # (B, M)
     true_mags: np.ndarray  # (B, T, F, M) compressed per-source magnitudes
 
@@ -161,12 +161,7 @@ def batch_from_records(records) -> Batch:
         xs.append(feat.mag)
         ys.append(rec.labels)
         ids.append(rec.source_ids)
-        trues.append(
-            np.stack(
-                [np.sqrt(np.abs(s)) / feat.norm_scale for s in rec.source_specs],
-                axis=-1,
-            )
-        )
+        trues.append(np.stack([np.sqrt(m) / feat.norm_scale for m in rec.source_mags], axis=-1))
     return Batch(np.stack(xs), np.stack(ys), np.asarray(ids), np.stack(trues))
 
 

@@ -1,11 +1,17 @@
 """Minimal reverse-mode tensor engine and the layers the model needs.
 
 Only the operations required by the separation network are implemented:
-broadcast arithmetic, square, matmul, reshape, row gathers, tanh, log-sigmoid,
-softmax, and sums, plus one fused bidirectional LSTM sequence op with
-hand-written backpropagation through time. Everything is float64 so
-gradient checks can be tight. Forward passes are pure functions of (inputs,
-parameters).
+broadcast arithmetic, square, matmul, affine (x @ w + b as one node),
+reshape, row gathers, tanh, log-sigmoid, softmax, and sums, plus one fused
+bidirectional LSTM sequence op with hand-written backpropagation through
+time. Everything is float64 so gradient checks can be tight; the one
+exception is a constant int8 array (the +-1 dominance labels), which is
+kept as it is, since numpy promotes it to float64 exactly wherever it meets
+a float. Forward passes are pure functions of (inputs, parameters).
+``affine``, ``softmax`` and ``log_sigmoid`` compute in their output buffer,
+with the same operations in the same order as the plain expressions (so
+the same bits); ``affine`` adds the bias into its product, so the tape holds
+one array where a matmul node and an add node held two.
 
 Gradients are computed only for operands with ``requires_grad``: labels,
 input magnitudes and other constants get none. ``Tensor.backward`` hands
@@ -33,7 +39,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        if isinstance(data, np.ndarray) and data.dtype == np.int8 and not (requires_grad or parents):
+            self.data = data
+        else:
+            self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
@@ -198,6 +207,27 @@ def matmul(a, b):
     return out
 
 
+def affine(x, w, b):
+    """x @ w + b as one tape node. The bias is added into the product in
+    place, so b must broadcast to the product's shape; the backward takes
+    matmul's two GEMMs and add's bias sum."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    y = np.matmul(x.data, w.data)
+    y += b.data
+    out = Tensor(y, parents=(x, w, b))
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accum(_unbroadcast(np.matmul(g, np.swapaxes(w.data, -1, -2)), x.shape), own=True)
+        if w.requires_grad:
+            w._accum(_unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape), own=True)
+        if b.requires_grad:
+            b._accum(_unbroadcast(g, b.shape), own=True)
+
+    out._backward_fn = bwd
+    return out
+
+
 def swap_last(a):
     a = _as_tensor(a)
     out = Tensor(np.swapaxes(a.data, -1, -2), parents=(a,))
@@ -241,8 +271,13 @@ def log_sigmoid(a):
     """Numerically stable log(sigmoid(x))."""
     a = _as_tensor(a)
     x = a.data
-    t = np.log1p(np.exp(-np.abs(x)))
-    out = Tensor(np.where(x > 0, -t, x - t), parents=(a,))
+    t = np.abs(x)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    y = x - t
+    np.negative(t, out=y, where=x > 0)
+    out = Tensor(y, parents=(a,))
 
     def bwd(g):
         # d/dx = sigmoid(-x); exp overflows to inf for x > 709, giving the right 0.
@@ -255,8 +290,9 @@ def log_sigmoid(a):
 
 def softmax(a, axis=-1):
     a = _as_tensor(a)
-    e = np.exp(a.data - _fold(np.maximum, a.data, axis))
-    s = e / _fold(np.add, e, axis)
+    s = a.data - _fold(np.maximum, a.data, axis)
+    np.exp(s, out=s)
+    s /= _fold(np.add, s, axis)
     out = Tensor(s, parents=(a,))
     out._backward_fn = lambda g: a._accum(s * (g - _fold(np.add, g * s, axis)), own=True)
     return out
@@ -403,7 +439,7 @@ def time_affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.shape[0] != D:
         raise ShapeMismatch(f"weight rows {w.shape[0]} != input width {D}")
     flat = reshape(x, (B * T, D))
-    return reshape(add(matmul(flat, w), b), (B, T, w.shape[1]))
+    return reshape(affine(flat, w, b), (B, T, w.shape[1]))
 
 
 # --- optimization ---------------------------------------------------------
@@ -424,17 +460,32 @@ class Adam:
             p.zero_grad()
 
     def step(self):
+        """Update m, v and each parameter in place. Two scratch buffers, as
+        long as the largest parameter, hold every parameter's intermediates
+        in turn; they live for one step, so they add nothing to the memory
+        held between steps. Each product and quotient is that of
+        m += (1 - b1) * g, v += (1 - b2) * g * g and
+        p -= lr * m_hat / (sqrt(v_hat) + eps), in that order."""
         self.step_count += 1
         t = self.step_count
+        scratch = np.empty((2, max((p.data.size for p in self.params), default=0)))
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            a, c = (buf[: p.data.size].reshape(p.data.shape) for buf in scratch)
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            np.multiply(1 - self.beta1, g, out=a)
+            m += a
             v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(1 - self.beta2, g, out=a)
+            a *= g
+            v += a
+            np.divide(m, 1 - self.beta1**t, out=a)  # m_hat
+            a *= self.lr
+            np.divide(v, 1 - self.beta2**t, out=c)  # v_hat
+            np.sqrt(c, out=c)
+            c += self.eps
+            a /= c
+            p.data -= a
 
 
 def clip_global_norm(params, max_norm=5.0):

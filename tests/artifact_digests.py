@@ -1,0 +1,84 @@
+"""Print a sha256 digest of every artifact of a small end-to-end run.
+
+    python3 tests/artifact_digests.py [--seed N]
+
+Runs, in one process and into a fresh temporary directory, at a fixed small
+config: ``mix --materialize``, ``train`` for 3 epochs, ``train --algo snmf``,
+a four-algorithm ``eval`` in both modes, and ``denoise`` in cluster and mi
+mode on one materialized mixture. It then prints ``sha256  relative/path``
+for every file written (manifest, WAVs, checkpoint, train log, SNMF
+dictionaries, ``metrics.csv``, stems) and for each command's standard
+output, in which the temporary directory reads ``<out>``.
+
+Two checkouts that print the same lines produce the same bytes. scesep is
+imported from the ``src/`` next to this file, so a copy of the script run
+inside another checkout digests that checkout. pytest does not collect it.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from scesep.cli import main as scesep_main  # noqa: E402
+
+CONFIG = """\
+n_train = 8
+n_val = 2
+n_test = 3
+epochs = 3
+batch_size = 2
+"""
+
+
+def run_all(root: Path, seed: int) -> None:
+    """Run every command into ``root``; each one's stdout goes to
+    ``root/stdout/<step>.txt`` with ``root`` masked."""
+    cfg = root / "run.cfg"
+    cfg.write_text(CONFIG)
+    data, run = root / "data", root / "run"
+    manifest = str(data / "manifest.tsv")
+    steps = [
+        ("1-mix", data, ["mix", "--materialize"]),
+        ("2-train", run, ["train", "--manifest", manifest]),
+        ("3-train-snmf", run, ["train", "--manifest", manifest, "--algo", "snmf"]),
+        ("4-eval", root / "eval", [
+            "eval", "--manifest", manifest, "--checkpoint", str(run / "model.scem"),
+            "--snmf-dir", str(run), "--algo", "sce-mi", "--algo", "snmf",
+            "--algo", "oracle-binary", "--algo", "identity",
+        ]),
+    ]
+    for mode in ("cluster", "mi"):
+        steps.append((f"5-denoise-{mode}", root / f"denoise-{mode}", [
+            "denoise", "--checkpoint", str(run / "model.scem"),
+            str(data / "test-0.mix.wav"), "--mode", mode,
+        ]))
+    (root / "stdout").mkdir()
+    for name, out, argv in steps:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = scesep_main(["--config", str(cfg), "--seed", str(seed), "--out", str(out)] + argv)
+        if code != 0:
+            raise SystemExit(f"{name} exited {code}")
+        (root / "stdout" / f"{name}.txt").write_text(buf.getvalue().replace(str(root), "<out>"))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=5)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        run_all(root, args.seed)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

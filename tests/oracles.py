@@ -75,6 +75,26 @@ def log_sigmoid_two_pass_oracle(a):
     return out
 
 
+def affine_add_matmul_oracle(x, w, b):
+    """Reference for nn.affine: the product and the bias sum as two tape nodes."""
+    return nn.add(nn.matmul(x, w), b)
+
+
+def adam_step_oracle(opt):
+    """Reference for nn.Adam.step: every intermediate a fresh array."""
+    opt.step_count += 1
+    t = opt.step_count
+    for p, m, v in zip(opt.params, opt.m, opt.v):
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m *= opt.beta1
+        m += (1 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1 - opt.beta2) * g * g
+        m_hat = m / (1 - opt.beta1**t)
+        v_hat = v / (1 - opt.beta2**t)
+        p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
 # --- inverse STFT overlap-added one frame at a time ---------------------------
 
 

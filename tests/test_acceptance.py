@@ -169,10 +169,10 @@ def desk_run():
     snmf_cfg = snmf_mod.SnmfConfig()
     by_class = {}
     for rec in corpus.train:
-        for idx, spec in enumerate(rec.source_specs):
+        for idx, mag in enumerate(rec.source_mags):
             class_id = 0 if idx == 0 else 1
             by_class.setdefault(class_id, []).append(
-                snmf_mod.trim_silence(compress(spec).mag, snmf_cfg.trim_threshold)
+                snmf_mod.trim_silence(compress(mag).mag, snmf_cfg.trim_threshold)
             )
     dicts = [
         snmf_mod.fit_dictionary(mags, snmf_cfg, class_id, seed=0)[0]
@@ -223,8 +223,8 @@ def test_criterion_7_snmf_baseline_sanity(desk_run):
     train_recs = [disjoint_mixture(s) for s in range(30, 36)]
     per_class = {0: [], 1: []}
     for rec in train_recs:
-        for idx, spec in enumerate(rec.source_specs):
-            per_class[idx].append(compress(spec).mag)
+        for idx, mag in enumerate(rec.source_mags):
+            per_class[idx].append(compress(mag).mag)
     dicts = [
         snmf_mod.fit_dictionary(mags, snmf_cfg, cid, seed=0)[0]
         for cid, mags in sorted(per_class.items())

@@ -670,6 +670,30 @@ def track_live_records(monkeypatch):
     return built, live, peak
 
 
+@pytest.mark.parametrize("command", ["mix", "train", "train-snmf", "denoise", "eval", "gradcheck"])
+def test_snr_beyond_limit_is_usage_error_on_every_command(workspace, tmp_path, capsys, command):
+    # At -140 dB the noise gain is 1e7 and eval's absolute partition check
+    # would fail a correct pipeline; the key is rejected before any work.
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text(SMALL_CFG + "snr_min_db = -140\nsnr_max_db = -140\n")
+    manifest, ckpt = str(workspace["manifest"]), str(workspace["run"] / "model.scem")
+    wav = str(next(iter(workspace["data"].glob("*.mix.wav"))))
+    argv = {
+        "mix": ["mix", "--materialize"],
+        "train": ["train", "--manifest", manifest],
+        "train-snmf": ["train", "--manifest", manifest, "--algo", "snmf"],
+        "denoise": ["denoise", "--checkpoint", ckpt, wav],
+        "eval": ["eval", "--manifest", manifest, "--checkpoint", ckpt],
+        "gradcheck": ["gradcheck"],
+    }[command]
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)] + argv) == 2
+    captured = capsys.readouterr()
+    assert "snr_min_db must be in [-100, 100] dB, got -140.0" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 class TestStreamedRecords:
     """Commands hold only the records they still need, whatever n_test is."""
 

@@ -75,6 +75,8 @@ class TestCrossKeyChecks:
     @pytest.mark.parametrize("overrides,named", [
         ({"snr_min_db": 6.0}, "snr_min_db must be <= snr_max_db, got 6.0 > 5.0"),
         ({"snr_min_db": 0.0, "snr_max_db": -0.5}, "snr_min_db must be <= snr_max_db"),
+        ({"snr_min_db": -140.0}, r"snr_min_db must be in \[-100, 100\] dB, got -140.0"),
+        ({"snr_max_db": 100.5}, r"snr_max_db must be in \[-100, 100\] dB, got 100.5"),
     ])
     def test_rejected_with_keys_named(self, overrides, named):
         with pytest.raises(ValueError, match=named):
@@ -82,6 +84,10 @@ class TestCrossKeyChecks:
 
     def test_equal_snr_bounds_accepted(self):
         assert resolve({"snr_min_db": 3.0, "snr_max_db": 3.0}).snr_min_db == 3.0
+
+    def test_snr_limits_accepted(self):
+        cfg = resolve({"snr_min_db": -100.0, "snr_max_db": 100.0})
+        assert (cfg.snr_min_db, cfg.snr_max_db) == (-100.0, 100.0)
 
 
 class TestDerivedConfigs:

@@ -74,9 +74,16 @@ class TestMixAtSnr:
         total = rec.sources[0].samples + rec.sources[1].samples
         assert np.abs(rec.mixture.samples - total).max() < 1e-12
         spec_err = np.abs(
-            rec.mixture_spec - rec.source_specs[0] - rec.source_specs[1]
+            rec.mixture_spec - stft(rec.sources[0], CFG) - stft(rec.sources[1], CFG)
         ).max()
         assert spec_err < 1e-9
+
+
+    def test_source_mags_are_stft_magnitudes(self):
+        rec = mix_at_snr(synth_speechlike(3.0, 7), synth_noise("siren", 3.0, 8), 2.0, seed=9)
+        for wav, mag in zip(rec.sources, rec.source_mags, strict=True):
+            assert mag.dtype == np.float64
+            np.testing.assert_array_equal(mag, np.abs(stft(wav, CFG)))
 
 
 class TestMakeLabels:
@@ -103,6 +110,23 @@ class TestMakeLabels:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             make_labels([np.zeros((2, 3)), np.zeros((3, 2))])
+
+    def test_int8_plus_minus_one(self):
+        rec = mix_at_snr(synth_speechlike(3.0, 7), synth_noise("siren", 3.0, 8), 2.0, seed=9)
+        rng = np.random.default_rng(1)
+        specs = [rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6)) for _ in range(3)]
+        for y in (rec.labels, make_labels(specs), make_labels(rec.source_mags)):
+            assert y.dtype == np.int8
+            assert set(np.unique(y)) == {-1, 1}
+        np.testing.assert_array_equal(rec.labels, make_labels(rec.source_mags))
+
+    def test_int8_labels_reconstruct_like_float64(self):
+        rec = mix_at_snr(synth_speechlike(3.0, 7), synth_noise("siren", 3.0, 8), 2.0, seed=9)
+        n = len(rec.mixture)
+        fast = reconstruct_binary(rec.mixture_spec, rec.labels, CFG, n)
+        ref = reconstruct_binary(rec.mixture_spec, rec.labels.astype(np.float64), CFG, n)
+        for a, b in zip(fast, ref, strict=True):
+            np.testing.assert_array_equal(a.samples, b.samples)
 
 
 class TestGenerators:
@@ -192,7 +216,7 @@ def assert_same_records(a, b):
                 np.testing.assert_array_equal(sa.samples, sb.samples)
             assert ra.snr_db == rb.snr_db
             np.testing.assert_array_equal(ra.mixture_spec, rb.mixture_spec)
-            for sa, sb in zip(ra.source_specs, rb.source_specs, strict=True):
+            for sa, sb in zip(ra.source_mags, rb.source_mags, strict=True):
                 np.testing.assert_array_equal(sa, sb)
             np.testing.assert_array_equal(ra.labels, rb.labels)
             assert ra.source_ids == rb.source_ids

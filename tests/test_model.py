@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from scesep.model import (
     ModelConfig,
     SeparationModel,
     TrainState,
+    _losses,
     batch_from_records,
     evaluate_losses,
     gather_source_vectors,
@@ -27,6 +29,8 @@ from scesep.seeding import rng_for
 
 from oracles import (
     accum_copy_oracle,
+    adam_step_oracle,
+    affine_add_matmul_oracle,
     log_sigmoid_two_pass_oracle,
     sce_loss_oracle,
     softmax_reduce_oracle,
@@ -57,7 +61,7 @@ def tiny_record(seed, source_ids=(2, 0), t=6, f=5):
         sources=[wave, wave],
         snr_db=0.0,
         mixture_spec=mix,
-        source_specs=specs,
+        source_mags=[np.abs(s) for s in specs],
         labels=make_labels(specs),
         source_ids=list(source_ids),
         source_clip_ids=["a", "b"],
@@ -161,6 +165,26 @@ class TestSceLoss:
         loss = float(sce_loss(nn.Tensor(v), nn.Tensor(v_o), y).data)
         assert loss / 4 < math.log(2.0)
 
+    def test_int8_labels_match_float64_bit_for_bit(self):
+        # The default model's embedding field for a batch of two 2 s clips.
+        rng = rng_for(23, "sce-int8")
+        B, T, F, M, E = 2, 78, 257, 2, 8
+        y8 = np.stack([make_labels([np.abs(rng.standard_normal((T, F))) for _ in range(M)])
+                       for _ in range(B)])
+        assert y8.dtype == np.int8
+        v_i0, table0 = rng.standard_normal((B, T, F, E)), rng.standard_normal((6, E))
+
+        def run(y):
+            v_i = nn.Tensor(v_i0, requires_grad=True)
+            table = nn.Parameter(table0.copy(), "table")
+            table.zero_grad()
+            loss = sce_loss(v_i, nn.gather_rows(table, [[2, 0], [5, 1]]), y)
+            loss.backward()
+            return loss.data, v_i.grad, table.grad
+
+        for a, ref in zip(run(y8), run(y8.astype(np.float64)), strict=True):
+            np.testing.assert_array_equal(a, ref)
+
     def test_label_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             sce_loss(nn.Tensor(np.zeros((1, 2, 2, 3))), nn.Tensor(np.zeros((1, 2, 3))), np.zeros((1, 2, 2, 3)))
@@ -200,7 +224,7 @@ class TestBatchFromRecords:
         rec = tiny_record(3)
         batch = batch_from_records([rec])
         scale = np.sqrt(np.abs(rec.mixture_spec)).max()
-        expect = np.sqrt(np.abs(rec.source_specs[0])) / scale
+        expect = np.sqrt(np.abs(rec.source_mags[0])) / scale
         np.testing.assert_allclose(batch.true_mags[0, :, :, 0], expect)
 
 
@@ -232,8 +256,10 @@ class TestTraining:
         assert a.log_rows == b.log_rows
 
     def test_matches_reduction_oracle_ops(self, monkeypatch):
-        # Two Adam steps with the fast tape ops and with the reduction-based,
-        # always-copying ones end in the same parameters and moments, bit for bit.
+        # Two Adam steps with the fast tape ops, int8 labels and the in-place
+        # Adam step, and with the reduction-based, always-copying ops, a
+        # separate matmul and bias add, float64 labels and an Adam step of
+        # fresh arrays, end in the same parameters and moments, bit for bit.
         recs = self.records()
         cfg = ModelConfig(
             n_blstm_layers=2, hidden_total=4, embed_dim=3, n_freq=5,
@@ -241,10 +267,12 @@ class TestTraining:
         )
         fast = train(recs, [], cfg, seed=3)
         for name, oracle in [("softmax", softmax_reduce_oracle), ("log_sigmoid", log_sigmoid_two_pass_oracle),
-                             ("_unbroadcast", unbroadcast_sum_oracle)]:
+                             ("_unbroadcast", unbroadcast_sum_oracle), ("affine", affine_add_matmul_oracle)]:
             monkeypatch.setattr(nn, name, oracle)
         monkeypatch.setattr(nn.Tensor, "_accum", accum_copy_oracle)
-        ref = train(recs, [], cfg, seed=3)
+        monkeypatch.setattr(nn.Adam, "step", adam_step_oracle)
+        float_recs = [dataclasses.replace(r, labels=r.labels.astype(np.float64)) for r in recs]
+        ref = train(float_recs, [], cfg, seed=3)
         assert fast.optimizer.step_count == ref.optimizer.step_count == 2
         for p, q in zip(fast.model.parameters(), ref.model.parameters()):
             np.testing.assert_array_equal(p.data, q.data, err_msg=p.name)
@@ -252,6 +280,21 @@ class TestTraining:
             for p, m, r in zip(fast.model.parameters(), moments, ref_moments):
                 np.testing.assert_array_equal(m, r, err_msg=p.name)
         assert fast.log_rows == ref.log_rows
+
+    def test_tape_nodes_per_step(self):
+        # Per BLSTM layer one node and its two parameters; affine heads are
+        # one node each. The benchmark's train workload reads 44 at 2 layers.
+        cfg = ModelConfig(n_blstm_layers=2, hidden_total=4, embed_dim=3, n_freq=5, n_table_rows=4)
+        model = SeparationModel(cfg, rng_for(4, "init"))
+        l_sce, l_mi = _losses(model, batch_from_records(self.records()[:2]))
+        total = nn.add(nn.mul(l_sce, 0.1), nn.mul(l_mi, 0.8))
+        seen, stack = set(), [total]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        assert len(seen) == 44
 
     def test_resume_matches_straight_run(self):
         recs = self.records()

@@ -11,6 +11,8 @@ from scesep.seeding import rng_for
 
 from oracles import (
     accum_copy_oracle,
+    adam_step_oracle,
+    affine_add_matmul_oracle,
     blstm_unrolled_oracle,
     log_sigmoid_two_pass_oracle,
     lstm_unrolled_oracle,
@@ -265,6 +267,18 @@ class TestGradientOwnership:
         assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
         assert s.grad is None
 
+    def test_int8_constant_kept_as_is(self):
+        labels = np.array([[1, -1], [-1, 1]], dtype=np.int8)
+        assert nn.Tensor(labels).data is labels
+        assert nn.Tensor(labels, requires_grad=True).data.dtype == np.float64
+        p = nn.Parameter(np.array([[0.5, -2.0], [3.0, 1e300]]), "p")
+        p.zero_grad()
+        out = nn.mul(p, labels)
+        nn.tsum(out).backward()
+        np.testing.assert_array_equal(out.data, p.data * labels.astype(np.float64))
+        np.testing.assert_array_equal(p.grad, labels.astype(np.float64))
+        assert out.data.dtype == p.grad.dtype == np.float64
+
     def test_constants_get_no_gradient(self):
         p = nn.Parameter(np.array([1.0, -2.0]), "p")
         p.zero_grad()
@@ -418,6 +432,41 @@ class TestLstm:
         assert tape_nodes(1) == tape_nodes(3) == tape_nodes(40)
 
 
+class TestAffine:
+    @staticmethod
+    def value_and_grads(op, data, weight, needs_grad=(True, True, True)):
+        leaves = [nn.Tensor(d, requires_grad=r) for d, r in zip(data, needs_grad)]
+        out = op(*leaves)
+        nn.tsum(nn.mul(out, weight)).backward()
+        return out.data, [leaf.grad for leaf in leaves]
+
+    # The embedding layer's (B*T, 2H) @ (2H, F*E) and the MI head's
+    # (B*T*F, E) @ (E, M) at the default model and batch sizes.
+    @pytest.mark.parametrize("x_shape,w_shape", [((312, 32), (32, 2056)), ((80184, 8), (8, 2))])
+    def test_matches_add_of_matmul_bit_for_bit(self, x_shape, w_shape):
+        rng = rng_for(20, f"affine-{x_shape}")
+        data = [rng.standard_normal(s) for s in (x_shape, w_shape, w_shape[1:])]
+        weight = rng.standard_normal((x_shape[0], w_shape[1]))
+        out, grads = self.value_and_grads(nn.affine, data, weight)
+        ref_out, ref_grads = self.value_and_grads(affine_add_matmul_oracle, data, weight)
+        np.testing.assert_array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads, strict=True):
+            assert g is not None
+            np.testing.assert_array_equal(g, ref)
+
+    def test_one_tape_node(self):
+        x, w, b = (nn.Tensor(np.ones(s), requires_grad=True) for s in ((3, 2), (2, 4), (4,)))
+        out = nn.affine(x, w, b)
+        assert out._parents == (x, w, b)
+
+    def test_constants_get_no_gradient(self):
+        rng = rng_for(21, "affine-constants")
+        data = [rng.standard_normal(s) for s in ((5, 3), (3, 2), (2,))]
+        _, grads = self.value_and_grads(nn.affine, data, np.ones((5, 2)), (False, True, False))
+        assert grads[0] is None and grads[2] is None
+        np.testing.assert_array_equal(grads[1], data[0].T @ np.ones((5, 2)))
+
+
 class TestTimeAffine:
     def test_matches_loop(self):
         rng = rng_for(6, "t")
@@ -450,6 +499,29 @@ class TestAdam:
             p.grad[:] = 2.0 * p.data
             opt.step()
         assert np.abs(p.data).max() < 1e-3
+
+    def test_matches_fresh_temporaries_bit_for_bit(self, monkeypatch):
+        # Parameters of several shapes (the largest sizes the shared scratch),
+        # gradients over twelve orders of magnitude, and one step where a
+        # parameter has no gradient.
+        shapes = [(32, 2056), (2056,), (4, 2, 48, 16), (3,)]
+
+        def run():
+            rng = rng_for(22, "adam")
+            params = [nn.Parameter(rng.standard_normal(s), f"p{i}") for i, s in enumerate(shapes)]
+            opt = nn.Adam(params, lr=0.01)
+            for step in range(6):
+                for p in params:
+                    p.grad = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 6, p.shape)
+                if step == 3:
+                    params[2].grad = None
+                opt.step()
+            return [p.data for p in params] + opt.m + opt.v
+
+        fast = run()
+        monkeypatch.setattr(nn.Adam, "step", adam_step_oracle)
+        for a, ref in zip(fast, run(), strict=True):
+            np.testing.assert_array_equal(a, ref)
 
     def test_deterministic(self):
         def run():
