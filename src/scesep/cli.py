@@ -21,7 +21,7 @@ from .inference import (
     reconstruct_ratio,
     separate_embedded,
 )
-from .metrics import CSV_HEADER, best_permutation, report
+from .metrics import CSV_HEADER, best_permutation
 from .mixtures import (
     NOISE_KINDS,
     corpus_rows,
@@ -230,6 +230,14 @@ def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg):
             yield m, result.stems
 
 
+def _load_dictionary(path, n_freq):
+    """An SNMF dictionary with one row per frequency bin of the STFT."""
+    d = snmf_mod.load_dictionary(path)
+    if len(d.w) != n_freq:
+        raise ValueError(f"{path}: dictionary has {len(d.w)} rows, expected n_freq = {n_freq}")
+    return d
+
+
 def cmd_eval(cfg, out_dir: Path, manifest: Path, checkpoint: Path,
              snmf_dir: Path, algos, mode: str) -> int:
     algos = list(dict.fromkeys(algos or ["sce-mi"]))  # a repeated --algo counts once
@@ -237,38 +245,36 @@ def cmd_eval(cfg, out_dir: Path, manifest: Path, checkpoint: Path,
         if algo in algos and given is None:
             raise ValueError(f"eval --algo {algo} needs {flag}")
     model = load_inference_model(checkpoint) if "sce-mi" in algos else None
+    stft_cfg = cfg.stft_config()
     dicts = None
     if "snmf" in algos:
-        speech = snmf_mod.load_dictionary(snmf_dir / "snmf_class0.dict")
+        speech = _load_dictionary(snmf_dir / "snmf_class0.dict", stft_cfg.n_freq)
         noise_ws = []
         for kind_idx in range(1, 1 + len(NOISE_KINDS)):
             path = snmf_dir / f"snmf_class{kind_idx}.dict"
             if path.exists():
-                noise_ws.append(snmf_mod.load_dictionary(path).w)
+                noise_ws.append(_load_dictionary(path, stft_cfg.n_freq).w)
         if not noise_ws:
             raise FileNotFoundError(
                 f"{snmf_dir} holds no noise dictionary snmf_class1..{len(NOISE_KINDS)}.dict"
             )
         dicts = [speech, snmf_mod.Dictionary(np.hstack(noise_ws), -1)]
-    stream = read_manifest(manifest, cfg.seed, cfg.stft_config(), cfg.clip_duration_s)
+    stream = read_manifest(manifest, cfg.seed, stft_cfg, cfg.clip_duration_s)
     if "test" not in stream.splits:
         raise EmptyCorpus(f"manifest {manifest} has no test rows")
-    stft_cfg = cfg.stft_config()
 
     # Each test record is scored by every algo as it is built, then dropped;
     # metrics.csv keeps its rows grouped by algo.
     by_algo = {algo: [] for algo in algos}
-    summaries = {}
+    gains = {}  # (algo, mode_tag) -> noise kind -> SDR improvements
     for split, rec in stream.records:
         if split != "test":
             continue
         for algo in algos:
             for mode_tag, stems in _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg):
-                res = best_permutation(
-                    rec.sources, stems, mixture=rec.mixture,
-                    snr_db=rec.snr_db, noise_kind=rec.noise_kind,
-                )
-                summaries.setdefault((algo, mode_tag), []).append(res)
+                res = best_permutation(rec.sources, stems, mixture=rec.mixture)
+                by_kind = gains.setdefault((algo, mode_tag), {})
+                by_kind.setdefault(rec.noise_kind, []).extend(res.sdr_improvement_db)
                 for est_idx, ref_idx in enumerate(res.permutation):
                     by_algo[algo].append(
                         f"{rec.clip_id},{algo},{mode_tag},{rec.snr_db!r},{rec.noise_kind},"
@@ -282,11 +288,12 @@ def cmd_eval(cfg, out_dir: Path, manifest: Path, checkpoint: Path,
         f.write(CSV_HEADER + "\n")
         f.write("\n".join(rows) + "\n")
     print(f"wrote {csv_path} ({len(rows)} rows)")
-    for (algo, mode_tag), results in summaries.items():
+    for (algo, mode_tag), by_kind in gains.items():
         label = f"{algo}/{mode_tag}" if mode_tag else algo
-        for group, mean, median, count in report(results, "noise_kind"):
-            print(f"{label:24s} noise={group:12s} mean={mean:+7.2f} dB "
-                  f"median={median:+7.2f} dB n={count}")
+        for kind, vals in sorted(by_kind.items()):
+            vals = np.array(vals)
+            print(f"{label:24s} noise={kind:12s} mean={vals.mean():+7.2f} dB "
+                  f"median={np.median(vals):+7.2f} dB n={len(vals)}")
     return EXIT_OK
 
 

@@ -7,15 +7,9 @@ import math
 from dataclasses import dataclass, fields
 
 from .dsp import StftConfig
-from .mixtures import SEGMENT_SECONDS
+from .mixtures import SEGMENT_SECONDS, SNR_LIMIT_DB
 from .model import ModelConfig
 from .snmf import SnmfConfig
-
-# Speech is mixed at unit gain, so at -140 dB the noise samples reach ~1e7,
-# where float64 rounding exceeds the absolute 1e-9 tolerance of eval's
-# partition check and a correct pipeline fails it; -100 dB passes. The bound
-# is symmetric.
-SNR_LIMIT_DB = 100.0
 
 
 @dataclass
@@ -55,9 +49,10 @@ class RunConfig:
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        for key in ("n_train", "n_val", "n_test"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        lows = {"n_train": 0, "n_val": 0, "n_test": 0, "kmeans_restarts": 1, "kmeans_max_iter": 1}
+        for key, low in lows.items():
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         for key in ("snr_min_db", "snr_max_db"):
             if not -SNR_LIMIT_DB <= getattr(self, key) <= SNR_LIMIT_DB:
                 raise ValueError(f"{key} must be in [-{SNR_LIMIT_DB:g}, {SNR_LIMIT_DB:g}] dB, "

@@ -20,8 +20,6 @@ MAGIC_NMF = b"SNMF"
 
 
 def write_container(path, magic: bytes, meta: dict, tensors: dict) -> None:
-    if len(magic) != 4:
-        raise ValueError("magic must be 4 bytes")
     meta_blob = "\n".join(f"{k}={v}" for k, v in meta.items()).encode("utf-8")
     with open(path, "wb") as f:
         f.write(magic)
@@ -81,3 +79,19 @@ def read_container(path, expected_magic: bytes):
     except (struct.error, UnicodeDecodeError, ValueError, OverflowError) as e:
         raise CorruptCheckpoint(f"{path}: truncated or corrupt ({e})") from e
     return meta, tensors
+
+
+def require(path, table, key, convert=None):
+    """``table[key]`` of a container read from ``path``, passed through
+    ``convert`` if given; a missing key or a value that does not convert is
+    CorruptCheckpoint naming the path and the key."""
+    if key not in table:
+        raise CorruptCheckpoint(f"{path}: checkpoint has no {key!r}")
+    if convert is None:
+        return table[key]
+    try:
+        return convert(table[key])
+    except ValueError:
+        raise CorruptCheckpoint(
+            f"{path}: checkpoint meta {key!r} is not a valid {convert.__name__}: {table[key]!r}"
+        ) from None

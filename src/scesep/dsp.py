@@ -58,12 +58,8 @@ class StftConfig:
             )
 
     @property
-    def fft_len(self) -> int:
-        return self.window_len
-
-    @property
     def n_freq(self) -> int:
-        return self.fft_len // 2 + 1
+        return self.window_len // 2 + 1
 
     @property
     def min_samples(self) -> int:
@@ -114,7 +110,7 @@ def resample(w: Waveform, target_hz: int) -> Waveform:
 
 
 def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> np.ndarray:
-    """Complex spectrogram, shape (T, F) with F = fft_len/2 + 1, of the
+    """Complex spectrogram, shape (T, F) with F = window_len/2 + 1, of the
     waveform reflect-padded hop/2 per side: a 2 s clip at the default
     config yields T = 78 frames."""
     if len(w) < cfg.min_samples:
@@ -123,7 +119,7 @@ def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> np.ndarray:
     T = (len(x) - cfg.window_len) // cfg.hop + 1
     win = hann_window(cfg.window_len)
     idx = np.arange(cfg.window_len)[None, :] + cfg.hop * np.arange(T)[:, None]
-    return np.fft.rfft(x[idx] * win, n=cfg.fft_len, axis=1)
+    return np.fft.rfft(x[idx] * win, n=cfg.window_len, axis=1)
 
 
 def istft(s: np.ndarray, cfg: StftConfig, length: int) -> Waveform:
@@ -138,7 +134,7 @@ def istft(s: np.ndarray, cfg: StftConfig, length: int) -> Waveform:
     T = s.shape[0]
     r = cfg.window_len // cfg.hop  # hop-sized blocks per frame
     win = hann_window(cfg.window_len)
-    frames = (np.fft.irfft(s, n=cfg.fft_len, axis=1) * win).reshape(T, r, cfg.hop)
+    frames = (np.fft.irfft(s, n=cfg.window_len, axis=1) * win).reshape(T, r, cfg.hop)
     n = (T - 1 + r) * cfg.hop
     y = np.zeros(n)
     wsum = np.zeros(n)

@@ -19,11 +19,12 @@ no comparison sees). So every comparison, tie and reseed comes out as it
 would on the score. Membership is a reused (K, N)
 bool array; the centroid update is one GEMM of its float copy with the
 points, divided by exact integer counts; and the inertia comes in closed
-form from the cluster sums, ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩``. Short of the rare
-empty-cluster reseed, no Lloyd iteration allocates an array of N.
+form from the cluster sums, ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩``. For K ≤ 2, short of
+the rare empty-cluster reseed, no Lloyd iteration allocates an array of N;
+for K > 2 each assignment also allocates its running maxima.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,20 +61,18 @@ def _kmeans_pp_init(points, points_t, k, rng):
     return centroids
 
 
-def _assign(points_t, centroids, gain=None, member=None, top=None):
+def _assign(points_t, centroids, gain=None, member=None):
     """Nearest centroid for each column of ``points_t`` (E, N).
 
     Fills and returns the (K, N) gains ``2⟨x, c⟩ − ‖c‖²``, which are ``‖x‖²``
     less the squared distances (one (K, E) @ (E, N) GEMM), and the (K, N)
     bool membership, one True per column. A strict ``>`` over the K rows
     gives ties to the lowest index, as ``argmin`` of the distances does.
-    ``top`` is an (N,) buffer, needed for K > 2 only; buffers that are not
-    passed are allocated.
+    Buffers that are not passed are allocated.
     """
     k, n = len(centroids), points_t.shape[1]
     gain = np.empty((k, n)) if gain is None else gain
     member = np.empty((k, n), dtype=bool) if member is None else member
-    top = np.empty(n) if top is None and k > 2 else top
     np.matmul(2.0 * centroids, points_t, out=gain)
     gain -= (centroids**2).sum(axis=1)[:, None]
     if k == 1:
@@ -85,7 +84,7 @@ def _assign(points_t, centroids, gain=None, member=None, top=None):
     for j in range(1, k):
         np.greater(gain[j], best, out=member[j])
         if j < k - 1:
-            best = np.maximum(best, gain[j], out=top)
+            best = np.maximum(best, gain[j])
     taken = member[k - 1]
     for j in range(k - 2, 0, -1):
         np.greater(member[j], taken, out=member[j])  # and not taken by a later row
@@ -119,10 +118,10 @@ def _reseed_empty(points, sq, labels, gain, k):
     return centroids, float(((points - centroids[labels]) ** 2).sum())
 
 
-def _lloyd(points, points_t, sq, centroids, max_iter, gain, onehot, top):
+def _lloyd(points, points_t, sq, centroids, max_iter, gain, onehot):
     """Lloyd iterations from ``centroids``, in the (K, N) buffers ``gain``
-    and ``onehot`` and the (N,) buffer ``top`` (K > 2 only); returns the
-    (K, N) bool membership, the centroids and the inertia history.
+    and ``onehot``; returns the (K, N) bool membership, the centroids and
+    the inertia history.
 
     With every cluster populated the inertia is closed-form,
     ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩`` with ``S_k`` the cluster sums, so it needs no
@@ -136,7 +135,7 @@ def _lloyd(points, points_t, sq, centroids, max_iter, gain, onehot, top):
     history = []
     for i in range(max_iter):
         member, last = last, member
-        _assign(points_t, centroids, gain, member, top)
+        _assign(points_t, centroids, gain, member)
         for j in range(1, k):
             counts[j] = np.count_nonzero(member[j])
         counts[0] = n - counts[1:].sum()
@@ -178,12 +177,11 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
     sq = (points_t**2).sum(axis=0)
     n = len(points)
     gain, onehot = np.empty((k, n)), np.empty((k, n))
-    top = np.empty(n) if k > 2 else None
     best = None
     for r in range(restarts):
         rng = rng_for(seed, f"kmeans-restart-{r}")
         centroids = _kmeans_pp_init(points, points_t, k, rng)
-        member, centroids, history = _lloyd(points, points_t, sq, centroids, max_iter, gain, onehot, top)
+        member, centroids, history = _lloyd(points, points_t, sq, centroids, max_iter, gain, onehot)
         if best is None or history[-1] < best[2][-1]:
             best = (member, centroids, history)
     member, centroids, history = best
@@ -277,13 +275,8 @@ def separate_embedded(
         keep = emb.mag.reshape(T * F) >= low_energy_threshold
         fit_points = points[keep] if int(keep.sum()) >= k else points
         fitted = kmeans(fit_points, k, seed=seed, restarts=restarts, max_iter=max_iter)
-        labels = _labels(_assign(np.ascontiguousarray(points.T), fitted.centroids)[1])
-        assignment = ClusterAssignment(
-            labels,
-            fitted.centroids,
-            fitted.inertia,
-            fitted.inertia_history,
-        )
+        member = _assign(np.ascontiguousarray(points.T), fitted.centroids)[1]
+        assignment = replace(fitted, labels=_labels(member))
         masks = masks_from_clusters(assignment, (T, F))
         stems = reconstruct_binary(emb.x_spec, masks, cfg, emb.length)
     elif mode == "mi":

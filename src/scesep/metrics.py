@@ -21,8 +21,6 @@ class EvalResult:
     per_source_sdr_db: list
     sdr_improvement_db: list
     permutation: tuple  # estimate index -> reference index
-    snr_db: float = float("nan")
-    noise_kind: str = ""
 
 
 def _aligned(reference: Waveform, estimate: Waveform):
@@ -47,13 +45,7 @@ def sdr(reference: Waveform, estimate: Waveform) -> float:
     return float(np.clip(10.0 * np.log10(p_target / p_error), -SDR_CAP_DB, SDR_CAP_DB))
 
 
-def best_permutation(
-    references,
-    estimates,
-    mixture: Waveform = None,
-    snr_db: float = float("nan"),
-    noise_kind: str = "",
-) -> EvalResult:
+def best_permutation(references, estimates, mixture: Waveform = None) -> EvalResult:
     """Exhaustive matching maximizing mean SDR (ties to the
     lexicographically smallest permutation)."""
     if len(references) != len(estimates):
@@ -71,29 +63,8 @@ def best_permutation(
         improvement = [s - b for s, b in zip(per_source, base)]
     else:
         improvement = [float("nan")] * m
-    return EvalResult(per_source, improvement, best_perm, snr_db, noise_kind)
+    return EvalResult(per_source, improvement, best_perm)
 
 
 CSV_HEADER = "clip_id,algorithm,mode,snr_db,noise_kind,source_idx,sdr_db,sdr_improvement_db"
 
-
-def report(results, group_by: str = "noise_kind"):
-    """Mean/median/count of SDR improvement per group.
-
-    group_by is "noise_kind" or "snr" (1 dB buckets). Returns a list of
-    (group, mean, median, count) rows sorted by group.
-    """
-    groups = {}
-    for res in results:
-        if group_by == "snr":
-            key = int(np.floor(res.snr_db + 0.5))
-        elif group_by == "noise_kind":
-            key = res.noise_kind
-        else:
-            raise ValueError(f"unknown group_by {group_by!r}")
-        groups.setdefault(key, []).extend(res.sdr_improvement_db)
-    rows = []
-    for key in sorted(groups, key=str):
-        vals = np.array(groups[key])
-        rows.append((key, float(vals.mean()), float(np.median(vals)), len(vals)))
-    return rows

@@ -16,6 +16,11 @@ from .seeding import rng_for, stream_seed
 NOISE_KINDS = ("siren", "jackhammer", "engine", "crowd")
 SPEECH_CLASS_ID = 0
 SEGMENT_SECONDS = 2.0
+# Speech is mixed at unit gain, so at -140 dB the noise samples reach ~1e7,
+# where float64 rounding exceeds the absolute 1e-9 tolerance of eval's
+# partition check and a correct pipeline fails it; -100 dB passes. The bound
+# is symmetric, and it holds for config keys and manifest rows alike.
+SNR_LIMIT_DB = 100.0
 
 
 @dataclass(frozen=True)
@@ -138,16 +143,16 @@ def _segment(clip: SourceClip, n_samples: int, rng: np.random.Generator) -> np.n
     return x[start : start + n_samples]
 
 
-def make_labels(source_specs) -> np.ndarray:
-    """Per-bin dominance labels as int8: +1 for the loudest source, -1
-    otherwise. Takes magnitudes or complex spectrograms (compared by |.|).
+def make_labels(source_mags) -> np.ndarray:
+    """Per-bin dominance labels as int8 from per-source magnitudes: +1 for
+    the loudest source, -1 otherwise.
 
     Ties (including all-zero bins) go to the lowest source index.
     """
-    shapes = {s.shape for s in source_specs}
+    shapes = {m.shape for m in source_mags}
     if len(shapes) != 1:
         raise ShapeMismatch(f"source spectrograms differ in shape: {shapes}")
-    mags = np.stack([np.abs(s) for s in source_specs], axis=-1)  # (T, F, M)
+    mags = np.stack(source_mags, axis=-1)  # (T, F, M)
     winner = np.argmax(mags, axis=-1)
     y = np.full(mags.shape, -1, dtype=np.int8)
     t_idx, f_idx = np.indices(winner.shape)
@@ -281,7 +286,7 @@ def _clip_from_spec(spec: str, corpus_seed: int, cfg: StftConfig, duration_s: fl
 
 
 def _speaker_rows(rows) -> dict:
-    """Check every row's split and noise class, and give each distinct
+    """Check every row's split, noise class, seed and SNR, and give each distinct
     train/val speech spec (one "speaker") its own source-table row after the
     noise-kind rows 1..4. Test-split sources are out-of-set and get none."""
     speakers = {}
@@ -290,6 +295,11 @@ def _speaker_rows(rows) -> dict:
             raise ValueError(f"{row.where}: unknown split {row.split!r}")
         if not 1 <= row.class_id <= len(NOISE_KINDS):
             raise ValueError(f"{row.where}: noise class {row.class_id} outside 1..{len(NOISE_KINDS)}")
+        if not 0 <= row.seed < 2**64:
+            raise ValueError(f"{row.where}: seed must be in [0, 2**64), got {row.seed}")
+        if not -SNR_LIMIT_DB <= row.snr_db <= SNR_LIMIT_DB:
+            raise ValueError(f"{row.where}: snr_db must be in [-{SNR_LIMIT_DB:g}, {SNR_LIMIT_DB:g}] dB, "
+                             f"got {row.snr_db}")
         if row.split != "test":
             speakers.setdefault(row.specs[0], 1 + len(NOISE_KINDS) + len(speakers))
     return speakers

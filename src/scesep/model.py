@@ -9,11 +9,12 @@ yields a ratio mask. Inference never touches the source table.
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from . import nn
-from .container import MAGIC_MODEL, read_container, write_container
+from .container import MAGIC_MODEL, read_container, require, write_container
 from .errors import CorruptCheckpoint, EmptyCorpus, NonFiniteLoss, ShapeMismatch, UnknownSource
 from .seeding import rng_for
 
@@ -314,38 +315,26 @@ def load_checkpoint(path):
     for key, value in tensors.items():
         if not np.all(np.isfinite(value)):
             raise CorruptCheckpoint(f"{path}: checkpoint tensor {key!r} holds non-finite values")
-
-    def require(table, key, convert=None):
-        if key not in table:
-            raise CorruptCheckpoint(f"{path}: checkpoint has no {key!r}")
-        if convert is None:
-            return table[key]
-        try:
-            return convert(table[key])
-        except ValueError:
-            raise CorruptCheckpoint(
-                f"{path}: checkpoint meta {key!r} is not a valid {convert.__name__}: {table[key]!r}"
-            ) from None
-
+    need = partial(require, path)
     try:
-        config = ModelConfig(**{f.name: require(meta, f.name, f.type) for f in fields(ModelConfig)})
+        config = ModelConfig(**{f.name: need(meta, f.name, f.type) for f in fields(ModelConfig)})
     except ValueError as e:  # a parsed value out of ModelConfig's range
         raise CorruptCheckpoint(f"{path}: checkpoint config rejected: {e}") from None
-    meta["seed"] = require(meta, "seed", int)
+    meta["seed"] = need(meta, "seed", int)
     model = SeparationModel(config)
-    values = {p.name: require(tensors, f"param/{p.name}") for p in model.parameters()}
+    values = {p.name: need(tensors, f"param/{p.name}") for p in model.parameters()}
     model.load_values(values)
-    opt = nn.Adam(model.parameters(), lr=require(meta, "lr_opt", float))
-    opt.step_count = require(meta, "step", int)
-    opt.m = [require(tensors, f"adam/m/{p.name}").copy() for p in opt.params]
-    opt.v = [require(tensors, f"adam/v/{p.name}").copy() for p in opt.params]
+    opt = nn.Adam(model.parameters(), lr=need(meta, "lr_opt", float))
+    opt.step_count = need(meta, "step", int)
+    opt.m = [need(tensors, f"adam/m/{p.name}").copy() for p in opt.params]
+    opt.v = [need(tensors, f"adam/v/{p.name}").copy() for p in opt.params]
     best_values = {k[len("best/") :]: v.copy() for k, v in tensors.items() if k.startswith("best/")}
     state = TrainState(
         model,
         opt,
-        epoch=require(meta, "epoch", int),
-        best_val=require(meta, "best_val", float),
-        best_epoch=require(meta, "best_epoch", int),
+        epoch=need(meta, "epoch", int),
+        best_val=need(meta, "best_val", float),
+        best_epoch=need(meta, "best_epoch", int),
         best_values=best_values,
     )
     return state, meta

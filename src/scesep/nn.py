@@ -504,12 +504,17 @@ def clip_global_norm(params, max_norm=5.0):
 # --- verification ---------------------------------------------------------
 
 
-def finite_difference_check(loss_fn, params, eps=1e-5, floor=1e-6):
+def finite_difference_check(loss_fn, params, eps=1e-3, floor=1e-6):
     """Max relative error between analytic and central-difference gradients.
 
     loss_fn() must rebuild the forward pass from the current parameter
     values and return a scalar Tensor. ``floor`` bounds the denominator so
     finite-difference noise on near-zero gradients does not dominate.
+
+    The estimate is the fourth-order five-point stencil
+    ``(8(f(x+h) − f(x−h)) − (f(x+2h) − f(x−2h))) / 12h``. Its truncation
+    error is O(h⁴), so a step as large as 1e-3 keeps it small, and the
+    rounding error of f, which enters as ≈ 1e-16·|f| / h, stays small too.
     """
     for p in params:
         p.zero_grad()
@@ -522,12 +527,12 @@ def finite_difference_check(loss_fn, params, eps=1e-5, floor=1e-6):
         gflat = ga.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
-            up = float(loss_fn().data)
-            flat[i] = orig - eps
-            down = float(loss_fn().data)
+            f = []
+            for step in (eps, -eps, 2 * eps, -2 * eps):
+                flat[i] = orig + step
+                f.append(float(loss_fn().data))
             flat[i] = orig
-            numeric = (up - down) / (2 * eps)
+            numeric = (8 * (f[0] - f[1]) - (f[2] - f[3])) / (12 * eps)
             denom = max(abs(numeric), abs(gflat[i]), floor)
             worst = max(worst, abs(numeric - gflat[i]) / denom)
     return worst

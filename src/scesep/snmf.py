@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import MAGIC_NMF, read_container, write_container
-from .errors import AllTrimmed, NegativeInput
+from .container import MAGIC_NMF, read_container, require, write_container
+from .errors import AllTrimmed, CorruptCheckpoint, NegativeInput
 from .seeding import rng_for
 
 EPS_MASK = 1e-12
@@ -158,4 +158,9 @@ def save_dictionary(path, d: Dictionary) -> None:
 
 def load_dictionary(path) -> Dictionary:
     meta, tensors = read_container(path, MAGIC_NMF)
-    return Dictionary(tensors["w"], int(meta["class_id"]))
+    w = require(path, tensors, "w")
+    # Saved columns are nonnegative with unit l2 norm, so every entry is in
+    # [0, 1]; this also rejects NaN and inf.
+    if w.ndim != 2 or not np.all((w >= 0) & (w <= 1)):
+        raise CorruptCheckpoint(f"{path}: dictionary 'w' must be a matrix with entries in [0, 1]")
+    return Dictionary(w, require(path, meta, "class_id", int))

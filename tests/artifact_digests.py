@@ -4,8 +4,8 @@
 
 Runs, in one process and into a fresh temporary directory, at a fixed small
 config: ``mix --materialize``, ``train`` for 3 epochs, ``train --algo snmf``,
-a four-algorithm ``eval`` in both modes, and ``denoise`` in cluster and mi
-mode on one materialized mixture. It then prints ``sha256  relative/path``
+a four-algorithm ``eval`` in both modes, and ``denoise`` in cluster mode
+(K = 2 and K = 3) and mi mode on one materialized mixture. It then prints ``sha256  relative/path``
 for every file written (manifest, WAVs, checkpoint, train log, SNMF
 dictionaries, ``metrics.csv``, stems) and for each command's standard
 output, in which the temporary directory reads ``<out>``.
@@ -58,6 +58,10 @@ def run_all(root: Path, seed: int) -> None:
             "denoise", "--checkpoint", str(run / "model.scem"),
             str(data / "test-0.mix.wav"), "--mode", mode,
         ]))
+    steps.append(("6-denoise-cluster-k3", root / "denoise-cluster-k3", [
+        "denoise", "--checkpoint", str(run / "model.scem"),
+        str(data / "test-0.mix.wav"), "--mode", "cluster", "--K", "3",
+    ]))
     (root / "stdout").mkdir()
     for name, out, argv in steps:
         buf = io.StringIO()

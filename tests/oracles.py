@@ -103,7 +103,7 @@ def istft_loop_oracle(s, cfg: StftConfig, length: int) -> Waveform:
     leading hop/2 samples dropped and the rest fitted to ``length``."""
     T = s.shape[0]
     win = hann_window(cfg.window_len)
-    frames = np.fft.irfft(s, n=cfg.fft_len, axis=1) * win
+    frames = np.fft.irfft(s, n=cfg.window_len, axis=1) * win
     n = (T - 1) * cfg.hop + cfg.window_len
     y = np.zeros(n)
     wsum = np.zeros(n)

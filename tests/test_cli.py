@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import re
 import struct
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,7 +16,7 @@ from scesep import mixtures
 from scesep.audio_io import read_wav, write_wav
 from scesep.cli import main
 from scesep.config import RunConfig
-from scesep.container import MAGIC_MODEL, read_container, write_container
+from scesep.container import MAGIC_MODEL, MAGIC_NMF, read_container, write_container
 from scesep.dsp import Waveform
 from scesep.metrics import CSV_HEADER
 
@@ -232,6 +233,39 @@ class TestTrain:
         captured = capsys.readouterr()
         assert code == 2
         assert f"error: {manifest}:1: noise class 5" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value,named", [
+        pytest.param(4, "-1", "seed must be in [0, 2**64), got -1", id="seed=-1"),
+        pytest.param(4, str(2**64), f"seed must be in [0, 2**64), got {2**64}", id="seed=2**64"),
+        pytest.param(5, "1e6", "snr_db must be in [-100, 100] dB, got 1000000.0", id="snr=1e6"),
+        pytest.param(5, "-1e6", "snr_db must be in [-100, 100] dB, got -1000000.0", id="snr=-1e6"),
+        pytest.param(5, "nan", "snr_db must be in [-100, 100] dB, got nan", id="snr=nan"),
+        pytest.param(5, "inf", "snr_db must be in [-100, 100] dB, got inf", id="snr=inf"),
+    ])
+    def test_out_of_range_manifest_row_is_usage_error(
+        self, workspace, tmp_path, capsys, monkeypatch, field, value, named
+    ):
+        lines = workspace["manifest"].read_text().splitlines()
+        row = lines[-1].split("\t")
+        row[field] = value
+        lines[-1] = "\t".join(row)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("\n".join(lines) + "\n")
+
+        def no_audio(*args, **kwargs):
+            raise AssertionError("a record was built before every row was checked")
+
+        monkeypatch.setattr(mixtures, "mix_at_snr", no_audio)
+        out = tmp_path / "run"
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(out),
+            "train", "--manifest", str(manifest), "--algo", "snmf",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: {manifest}:{len(lines)}: {named}" in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 
@@ -616,6 +650,78 @@ class TestEval:
         assert f"error: {speech_only} holds no noise dictionary snmf_class1..4.dict" in err
         assert "Traceback" not in err
 
+    def copy_dictionaries(self, workspace, tmp_path):
+        snmf_dir = tmp_path / "snmf"
+        snmf_dir.mkdir()
+        for path in workspace["run"].glob("snmf_class*.dict"):
+            (snmf_dir / path.name).write_bytes(path.read_bytes())
+        return snmf_dir
+
+    @pytest.mark.parametrize("damage", ["no-w", "no-class_id", "nan", "inf", "negative"])
+    def test_damaged_dictionary_is_corrupt(self, workspace, tmp_path, capsys, damage):
+        snmf_dir = self.copy_dictionaries(workspace, tmp_path)
+        path = snmf_dir / "snmf_class0.dict"
+        meta, tensors = read_container(path, MAGIC_NMF)
+        w = tensors["w"].copy()
+        if damage == "no-w":
+            tensors = {"v": w}
+        elif damage == "no-class_id":
+            meta = {}
+        else:
+            w[3, 2] = {"nan": np.nan, "inf": np.inf, "negative": -0.25}[damage]
+            tensors = {"w": w}
+        write_container(path, MAGIC_NMF, meta, tensors)
+        out = tmp_path / "eval"
+        code = self.run_eval(workspace, out, ["snmf"], extra=["--snmf-dir", str(snmf_dir)])
+        err = capsys.readouterr().err
+        named = {
+            "no-w": "checkpoint has no 'w'", "no-class_id": "checkpoint has no 'class_id'",
+        }.get(damage, "dictionary 'w' must be a matrix with entries in [0, 1]")
+        assert code == 1
+        assert f"error: {path}: {named}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_dictionary_rows_must_match_n_freq(self, workspace, tmp_path, capsys):
+        snmf_dir = self.copy_dictionaries(workspace, tmp_path)
+        path = snmf_dir / "snmf_class0.dict"
+        meta, tensors = read_container(path, MAGIC_NMF)
+        write_container(path, MAGIC_NMF, meta, {"w": tensors["w"][:-1]})
+        out = tmp_path / "eval"
+        code = self.run_eval(workspace, out, ["snmf"], extra=["--snmf-dir", str(snmf_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {path}: dictionary has 256 rows, expected n_freq = 257" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_summary_lines_match_metrics_csv(self, workspace, tmp_path, capsys):
+        out = tmp_path / "eval"
+        code = self.run_eval(
+            workspace, out, ["sce-mi", "snmf", "oracle-binary", "identity"],
+            extra=["--checkpoint", str(workspace["run"] / "model.scem"),
+                   "--snmf-dir", str(workspace["run"])],
+        )
+        assert code == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            m = re.fullmatch(r"(\S+) +noise=(\S+) +mean= *(\S+) dB median= *(\S+) dB n=(\d+)", line)
+            assert m, line
+            printed[m[1], m[2]] = (float(m[3]), float(m[4]), int(m[5]))
+        gains = {}
+        with open(out / "metrics.csv") as f:
+            for r in csv.DictReader(f):
+                label = f"{r['algorithm']}/{r['mode']}" if r["mode"] else r["algorithm"]
+                gains.setdefault((label, r["noise_kind"]), []).append(float(r["sdr_improvement_db"]))
+        assert set(printed) == set(gains)
+        for key, vals in gains.items():
+            mean, median, count = printed[key]
+            assert abs(mean - np.mean(vals)) <= 0.005 + 1e-12
+            assert abs(median - np.median(vals)) <= 0.005 + 1e-12
+            assert count == len(vals)
+        # Labels in the order eval first meets them, noise kinds sorted in each.
+        labels = list(dict.fromkeys(label for label, _ in gains))
+        assert list(printed) == [(label, kind) for label in labels
+                                 for kind in sorted(k for lb, k in gains if lb == label)]
+
     def test_both_modes_embed_each_clip_once(self, workspace, tmp_path, monkeypatch):
         from scesep.model import SeparationModel
 
@@ -670,12 +776,14 @@ def track_live_records(monkeypatch):
     return built, live, peak
 
 
-@pytest.mark.parametrize("command", ["mix", "train", "train-snmf", "denoise", "eval", "gradcheck"])
-def test_snr_beyond_limit_is_usage_error_on_every_command(workspace, tmp_path, capsys, command):
-    # At -140 dB the noise gain is 1e7 and eval's absolute partition check
-    # would fail a correct pipeline; the key is rejected before any work.
-    cfg = tmp_path / "loud.cfg"
-    cfg.write_text(SMALL_CFG + "snr_min_db = -140\nsnr_max_db = -140\n")
+COMMANDS = ["mix", "train", "train-snmf", "denoise", "eval", "gradcheck"]
+
+
+def rejected_on(workspace, tmp_path, capsys, command, cfg_lines):
+    """Run `command` with `cfg_lines` added to the config; assert exit 2 with
+    no output and nothing written, and return stderr."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_CFG + cfg_lines)
     manifest, ckpt = str(workspace["manifest"]), str(workspace["run"] / "model.scem")
     wav = str(next(iter(workspace["data"].glob("*.mix.wav"))))
     argv = {
@@ -689,9 +797,24 @@ def test_snr_beyond_limit_is_usage_error_on_every_command(workspace, tmp_path, c
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)] + argv) == 2
     captured = capsys.readouterr()
-    assert "snr_min_db must be in [-100, 100] dB, got -140.0" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
+    return captured.err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_snr_beyond_limit_is_usage_error_on_every_command(workspace, tmp_path, capsys, command):
+    # At -140 dB the noise gain is 1e7 and eval's absolute partition check
+    # would fail a correct pipeline; the key is rejected before any work.
+    err = rejected_on(workspace, tmp_path, capsys, command, "snr_min_db = -140\nsnr_max_db = -140\n")
+    assert "snr_min_db must be in [-100, 100] dB, got -140.0" in err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("key", ["kmeans_restarts", "kmeans_max_iter"])
+def test_kmeans_bound_is_usage_error_on_every_command(workspace, tmp_path, capsys, key, command):
+    err = rejected_on(workspace, tmp_path, capsys, command, f"{key} = 0\n")
+    assert f"{key} must be >= 1, got 0" in err
 
 
 class TestStreamedRecords:
@@ -779,12 +902,13 @@ CONFIG_VALUES = ("-2", "-1", "0", "1", "2", "3", "0.5", "-0.5", "1e-9")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("target", ["wav", "checkpoint", "config"])
+@pytest.mark.parametrize("target", ["wav", "checkpoint", "config", "manifest", "dictionary"])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_hostile_input_keeps_exit_contract(workspace, tmp_path_factory, target, data):
-    """Damaged WAVs and checkpoints and out-of-range config values end in
-    exit 0, 1 or 2 with a message, never a traceback or a numpy warning."""
+    """Damaged WAVs, checkpoints, manifests and SNMF dictionaries and
+    out-of-range config values end in exit 0, 1 or 2 with a message, never a
+    traceback or a numpy warning."""
     tmp = tmp_path_factory.mktemp("fuzz")
     clip = read_wav(next(iter(workspace["data"].glob("*.mix.wav"))))
     wav, ckpt, cfg = tmp / "clip.wav", tmp / "model.scem", tmp / "run.cfg"
@@ -797,12 +921,26 @@ def test_hostile_input_keeps_exit_contract(workspace, tmp_path_factory, target, 
         wav.write_bytes(_mutate(data, wav.read_bytes()))
     elif target == "checkpoint":
         ckpt.write_bytes(_mutate(data, ckpt.read_bytes()))
-    else:
+    elif target == "config":
         key = data.draw(st.sampled_from([f.name for f in fields(RunConfig)]), label="key")
         value = data.draw(st.sampled_from(CONFIG_VALUES), label="value")
         cfg.write_text(SMALL_CFG + f"{key} = {value}\n")
         if data.draw(st.booleans(), label="mix"):
             command = ["mix"]
+    elif target == "manifest":
+        manifest = tmp / "manifest.tsv"
+        manifest.write_bytes(_mutate(data, workspace["manifest"].read_bytes()))
+        command = ["eval", "--manifest", str(manifest), "--algo", "identity"]
+    else:
+        snmf_dir = tmp / "snmf"
+        snmf_dir.mkdir()
+        paths = sorted(workspace["run"].glob("snmf_class*.dict"))
+        damaged = data.draw(st.sampled_from(paths), label="dictionary")
+        for path in paths:
+            blob = path.read_bytes()
+            (snmf_dir / path.name).write_bytes(_mutate(data, blob) if path == damaged else blob)
+        command = ["eval", "--manifest", str(workspace["manifest"]), "--algo", "snmf",
+                   "--snmf-dir", str(snmf_dir)]
     output = io.StringIO()
     with redirect_stdout(output), redirect_stderr(output):
         code = main(["--config", str(cfg), "--out", str(tmp / "out"), *command])

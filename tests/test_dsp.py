@@ -210,7 +210,7 @@ def test_parseval_sanity():
     # rfft energy: double the positive bins except DC/Nyquist
     weights = np.full(CFG.n_freq, 2.0)
     weights[0] = weights[-1] = 1.0
-    spec_energy = np.sum(weights * np.abs(s) ** 2) / CFG.fft_len
+    spec_energy = np.sum(weights * np.abs(s) ** 2) / CFG.window_len
     assert abs(spec_energy - framed) / framed < 0.01
 
 

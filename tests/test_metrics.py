@@ -3,13 +3,7 @@ import pytest
 
 from scesep.dsp import Waveform
 from scesep.errors import CountMismatch, SilentReference
-from scesep.metrics import (
-    SDR_CAP_DB,
-    EvalResult,
-    best_permutation,
-    report,
-    sdr,
-)
+from scesep.metrics import SDR_CAP_DB, best_permutation, sdr
 
 
 def wave(samples):
@@ -92,25 +86,3 @@ class TestBestPermutation:
         res = best_permutation(srcs, [srcs[2], srcs[0], srcs[1]])
         assert res.permutation == (2, 0, 1)
 
-
-class TestReport:
-    def result(self, imp, snr=0.0, kind="siren"):
-        return EvalResult([0.0], [imp], (0,), snr_db=snr, noise_kind=kind)
-
-    def test_group_by_noise_kind(self):
-        rows = report(
-            [self.result(2.0, kind="siren"), self.result(4.0, kind="siren"), self.result(1.0, kind="crowd")],
-            group_by="noise_kind",
-        )
-        assert rows == [("crowd", 1.0, 1.0, 1), ("siren", 3.0, 3.0, 2)]
-
-    def test_group_by_snr_buckets(self):
-        rows = report(
-            [self.result(1.0, snr=-0.4), self.result(3.0, snr=0.4), self.result(5.0, snr=1.2)],
-            group_by="snr",
-        )
-        assert rows == [(0, 2.0, 2.0, 2), (1, 5.0, 5.0, 1)]
-
-    def test_unknown_group(self):
-        with pytest.raises(ValueError):
-            report([self.result(1.0)], group_by="algorithm")

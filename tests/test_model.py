@@ -54,6 +54,7 @@ def tiny_record(seed, source_ids=(2, 0), t=6, f=5):
         for _ in range(2)
     ]
     mix = specs[0] + specs[1]
+    mags = [np.abs(s) for s in specs]
     wave = Waveform(rng.standard_normal(100), 10000)
     return MixRecord(
         clip_id=f"tiny-{seed}",
@@ -61,8 +62,8 @@ def tiny_record(seed, source_ids=(2, 0), t=6, f=5):
         sources=[wave, wave],
         snr_db=0.0,
         mixture_spec=mix,
-        source_mags=[np.abs(s) for s in specs],
-        labels=make_labels(specs),
+        source_mags=mags,
+        labels=make_labels(mags),
         source_ids=list(source_ids),
         source_clip_ids=["a", "b"],
         noise_kind="siren",

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scesep import nn
@@ -290,6 +290,7 @@ class TestGradientOwnership:
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(1136850433)  # the two-point estimate's rounding error was 1.8e-5 here
 def test_random_expression_matches_finite_difference(seed):
     rng = np.random.default_rng(seed)
     p = nn.Parameter(rng.standard_normal((3, 4)), "p")
