@@ -70,4 +70,4 @@ class NonFiniteLoss(ScesepError):
 
 
 class NonFiniteEmbedding(ScesepError):
-    """An embedding's norm is infinite or NaN, so it has no direction."""
+    """An embedding, its norm or the mask the head makes from it is infinite or NaN."""

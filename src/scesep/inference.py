@@ -22,6 +22,13 @@ points, divided by exact integer counts; and the inertia comes in closed
 form from the cluster sums, ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩``. For K ≤ 2, short of
 the rare empty-cluster reseed, no Lloyd iteration allocates an array of N;
 for K > 2 each assignment also allocates its running maxima.
+
+Cluster mode holds no whole-field copy beyond the embeddings themselves: it
+takes the embedding norms in blocks of ``FRAME_BLOCK`` frames, normalizes
+only the energetic rows that K-means fits, and then normalizes and assigns
+every bin, block by block, against the fitted centroids. Each row's norm,
+and each column of the assignment GEMM, comes out the same in a block as in
+the whole field.
 """
 
 from dataclasses import dataclass, replace
@@ -188,6 +195,9 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
     return ClusterAssignment(_labels(member), centroids, history[-1], tuple(history))
 
 
+FRAME_BLOCK = 64  # frames per block of cluster mode's passes over the embedding field
+
+
 def masks_from_clusters(assignment: ClusterAssignment, shape) -> np.ndarray:
     """One-hot {-1, +1} masks, shape (T, F, K), from flat cluster labels."""
     T, F = shape
@@ -213,7 +223,7 @@ def reconstruct_ratio(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, le
     if masks.shape[:2] != x_spec.shape:
         raise ShapeMismatch(f"masks {masks.shape} vs spec {x_spec.shape}")
     sums = masks.sum(axis=2)
-    if np.max(np.abs(sums - 1.0)) > 1e-9:
+    if not np.max(np.abs(sums - 1.0)) <= 1e-9:  # NaN fails too
         raise NotNormalized("ratio mask bins must sum to 1")
     return [istft(x_spec * masks[:, :, m], cfg, length) for m in range(masks.shape[2])]
 
@@ -241,7 +251,10 @@ def embed_mixture(model, mixture: Waveform, cfg: StftConfig = StftConfig()) -> E
         mixture = resample(mixture, cfg.sample_rate_hz)
     x_spec = stft(mixture, cfg)
     feat = compress(x_spec)
-    v = model.forward_embeddings(feat.mag[None]).data[0]
+    # Huge finite weights overflow to non-finite embeddings, which each mode
+    # reports as NonFiniteEmbedding.
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = model.forward_embeddings(feat.mag[None]).data[0]
     return EmbeddedMixture(x_spec, feat.mag, v, len(mixture))
 
 
@@ -265,24 +278,38 @@ def separate_embedded(
         # Cluster by direction (unit-normalized embeddings), and fit centroids
         # on the energetic bins only: the near-silent majority forms a tight
         # blob that would otherwise dominate the K=2 split.
-        points = emb.v.reshape(T * F, E)
+        n, rows = T * F, FRAME_BLOCK * F
+        points = emb.v.reshape(n, E)
+        keep = emb.mag.reshape(n) >= low_energy_threshold
+        if np.count_nonzero(keep) < k:
+            keep[:] = True
         with np.errstate(over="ignore"):  # an overflowing norm is caught below
-            norms = np.linalg.norm(points, axis=1, keepdims=True)
+            norms = np.concatenate([np.linalg.norm(points[lo : lo + rows], axis=1) for lo in range(0, n, rows)])
         bad = int(np.count_nonzero(~np.isfinite(norms)))
         if bad:
-            raise NonFiniteEmbedding(f"embedding norm is not finite at {bad} of {T * F} bins")
-        points = points / (norms + 1e-12)
-        keep = emb.mag.reshape(T * F) >= low_energy_threshold
-        fit_points = points[keep] if int(keep.sum()) >= k else points
-        fitted = kmeans(fit_points, k, seed=seed, restarts=restarts, max_iter=max_iter)
-        member = _assign(np.ascontiguousarray(points.T), fitted.centroids)[1]
-        assignment = replace(fitted, labels=_labels(member))
+            raise NonFiniteEmbedding(f"embedding norm is not finite at {bad} of {n} bins")
+        norms += 1e-12
+        fit = points[keep]
+        fit /= norms[keep, None]
+        fitted = kmeans(fit, k, seed=seed, restarts=restarts, max_iter=max_iter)
+        del fit
+        labels = np.empty(n, dtype=np.intp)
+        for lo in range(0, n, rows):
+            block = points[lo : lo + rows]
+            unit_t = np.divide(block.T, norms[lo : lo + rows], out=np.empty((E, len(block))))
+            labels[lo : lo + rows] = _labels(_assign(unit_t, fitted.centroids)[1])
+        assignment = replace(fitted, labels=labels)
         masks = masks_from_clusters(assignment, (T, F))
         stems = reconstruct_binary(emb.x_spec, masks, cfg, emb.length)
     elif mode == "mi":
         from . import nn
 
-        masks = model.mi_masks(nn.Tensor(emb.v[None])).data[0]  # (T, F, M)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mask is caught below
+            masks = model.mi_masks(nn.Tensor(emb.v[None])).data[0]  # (T, F, M)
+        finite = np.isfinite(masks)
+        if not finite.all():  # a whole-array reduction; one over the M axis is per-bin slow
+            bad = int(np.count_nonzero(~finite.all(axis=2)))
+            raise NonFiniteEmbedding(f"mask of the embedding is not finite at {bad} of {T * F} bins")
         stems = reconstruct_ratio(emb.x_spec, masks, cfg, emb.length)
     else:
         raise ValueError(f"unknown mode {mode!r}; use 'cluster' or 'mi'")

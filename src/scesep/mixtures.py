@@ -351,12 +351,13 @@ def write_manifest(path, rows) -> None:
 def manifest_rows(path) -> list:
     """Parse a manifest into the rows :func:`write_manifest` writes."""
     rows = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as f:  # decoded line by line, so a bad byte names its line
+        for lineno, raw in enumerate(f, 1):
             try:
-                clip_id, split, class_id, spec, seed, snr_db = line.rstrip("\n").split("\t")
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                clip_id, split, class_id, spec, seed, snr_db = line.rstrip("\r\n").split("\t")
                 speech_spec, noise_spec = spec.split(",")
                 rows.append(ManifestRow(f"{path}:{lineno}", clip_id, split, int(class_id),
                                         (speech_spec, noise_spec), int(seed), float(snr_db)))

@@ -248,11 +248,11 @@ def train(
                 raise NonFiniteLoss(
                     f"training loss is {loss} at epoch {epoch}, after {opt.step_count} optimizer steps"
                 )
-            total.backward()
-            nn.clip_global_norm(params, config.grad_clip)
-            opt.step()
             sce_sum += float(l_sce.data) * len(batch.x_mag)
             mi_sum += float(l_mi.data) * len(batch.x_mag)
+            total.backward()  # drops l_sce's and l_mi's data with the rest of the tape's
+            nn.clip_global_norm(params, config.grad_clip)
+            opt.step()
         train_sce = sce_sum / len(train_records)
         train_mi = mi_sum / len(train_records)
         if val_records:

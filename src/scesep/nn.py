@@ -23,6 +23,16 @@ that passes a parent an array it allocated, or the gradient it was handed
 ``_accum(g, own=True)``; the parent then keeps the array instead of copying
 it. ``add``, which hands the same gradient to both operands, gives it to
 the second one as a copy.
+
+Each backward function holds exactly the arrays it reads: an operand's
+value (when another operand needs its gradient), its own output, or only
+shapes (``add``, ``sub``, ``reshape``, ``swap_last``, ``gather_rows``,
+``tsum``). ``Tensor.backward`` drops the data of every interior node it
+walks, once every consumer has accumulated into it; the node keeps its
+shape. So an array that no backward reads is freed during the walk, and the
+arrays that are read live until the tape is dropped. After a backward pass
+only the output and the leaves keep their values, and the tape cannot be
+walked again.
 """
 
 import functools
@@ -36,21 +46,18 @@ from .errors import NoForwardRecorded, ShapeMismatch
 class Tensor:
     """Node in the computation tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "shape", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         if isinstance(data, np.ndarray) and data.dtype == np.int8 and not (requires_grad or parents):
             self.data = data
         else:
             self.data = np.asarray(data, dtype=np.float64)
+        self.shape = self.data.shape
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward_fn = backward_fn
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def _accum(self, g, own=False):
         """Add g into this node's gradient. With ``own=True`` the caller gives
@@ -69,7 +76,7 @@ class Tensor:
 
     def backward(self):
         """Accumulate gradients of a scalar output into every requires_grad
-        ancestor."""
+        ancestor, dropping the data of every interior node it walks."""
         if self._backward_fn is None and not self._parents:
             raise NoForwardRecorded("tensor has no recorded computation")
         topo, visited = [], set()
@@ -81,6 +88,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node.data is None:
+                raise NoForwardRecorded("this tape was already walked by backward")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -88,9 +97,12 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                g, node.grad = node.grad, None
-                node._backward_fn(g)
+            if node._backward_fn is not None:
+                if node is not self:  # every consumer has accumulated into it
+                    node.data = None
+                if node.grad is not None:
+                    g, node.grad = node.grad, None
+                    node._backward_fn(g)
 
 
 class Parameter(Tensor):
@@ -168,12 +180,13 @@ def sub(a, b):
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data, parents=(a, b))
+    ad, bd = a.data if b.requires_grad else None, b.data if a.requires_grad else None
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.shape), own=True)
+            a._accum(_unbroadcast(g * bd, a.shape), own=True)
         if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.shape), own=True)
+            b._accum(_unbroadcast(g * ad, b.shape), own=True)
 
     out._backward_fn = bwd
     return out
@@ -196,12 +209,13 @@ def square(a):
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(np.matmul(a.data, b.data), parents=(a, b))
+    ad, bd = a.data if b.requires_grad else None, b.data if a.requires_grad else None
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), own=True)
+            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape), own=True)
         if b.requires_grad:
-            b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape), own=True)
+            b._accum(_unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape), own=True)
 
     out._backward_fn = bwd
     return out
@@ -215,12 +229,13 @@ def affine(x, w, b):
     y = np.matmul(x.data, w.data)
     y += b.data
     out = Tensor(y, parents=(x, w, b))
+    xd, wd = x.data if w.requires_grad else None, w.data if x.requires_grad else None
 
     def bwd(g):
         if x.requires_grad:
-            x._accum(_unbroadcast(np.matmul(g, np.swapaxes(w.data, -1, -2)), x.shape), own=True)
+            x._accum(_unbroadcast(np.matmul(g, np.swapaxes(wd, -1, -2)), x.shape), own=True)
         if w.requires_grad:
-            w._accum(_unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape), own=True)
+            w._accum(_unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), g), w.shape), own=True)
         if b.requires_grad:
             b._accum(_unbroadcast(g, b.shape), own=True)
 

@@ -538,6 +538,28 @@ class TestDenoise:
         assert "error: embedding norm is not finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command,mode", [("denoise", "cluster"), ("denoise", "mi"), ("eval", "mi")])
+    def test_overflowing_finite_weights_are_non_finite_embedding(
+        self, workspace, tmp_path, capsys, command, mode
+    ):
+        # Every weight is finite, but the embedding affine overflows to inf.
+        meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)
+        for key in ("best/embed.w", "best/embed.b"):
+            tensors[key] = np.full_like(tensors[key], 1.7e308)
+        path = tmp_path / "overflow.scem"
+        write_container(path, MAGIC_MODEL, meta, tensors)
+        if command == "denoise":
+            args = ["denoise", "--checkpoint", str(path), str(next(iter(workspace["data"].glob("*.mix.wav"))))]
+        else:
+            args = ["eval", "--manifest", str(workspace["manifest"]), "--checkpoint", str(path)]
+        out = tmp_path / "out"
+        code = main(["--config", str(workspace["cfg"]), "--out", str(out), *args, "--mode", mode])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "is not finite at" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEval:
     def run_eval(self, workspace, out, algos, extra=()):

@@ -327,6 +327,22 @@ class TestDenoise:
             np.testing.assert_array_equal(a.masks, b.masks)
             assert [s.samples.tobytes() for s in a.stems] == [s.samples.tobytes() for s in b.stems]
 
+    @pytest.mark.parametrize("frames", [1, 64, 65, 130])
+    def test_cluster_blocks_match_one_block(self, model, monkeypatch, frames):
+        # Cluster mode takes norms and assigns in blocks of FRAME_BLOCK
+        # frames, a last block of one frame included; one block over the
+        # whole field must give the same bits.
+        w = Waveform(np.random.default_rng(frames).standard_normal(CFG.hop * frames), 10000)
+        emb = embed_mixture(model, w, CFG)
+        assert emb.v.shape[0] == frames
+        blocked = separate_embedded(model, emb, mode="cluster", cfg=CFG, seed=3)
+        monkeypatch.setattr(inference, "FRAME_BLOCK", frames)
+        whole = separate_embedded(model, emb, mode="cluster", cfg=CFG, seed=3)
+        np.testing.assert_array_equal(blocked.assignment.labels, whole.assignment.labels)
+        np.testing.assert_array_equal(blocked.assignment.centroids, whole.assignment.centroids)
+        assert blocked.assignment.inertia_history == whole.assignment.inertia_history
+        assert [s.samples.tobytes() for s in blocked.stems] == [s.samples.tobytes() for s in whole.stems]
+
     def test_resamples_foreign_rate(self, model):
         w = Waveform(np.random.default_rng(8).standard_normal(32000), 16000)
         r = denoise(model, w, mode="mi", seed=1)

@@ -323,3 +323,13 @@ def test_bad_manifest_row_rejected(tmp_path, field, value, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"{path}:2: {message}"):
         read_manifest(path, corpus_seed=4)
+
+
+def test_non_utf8_manifest_byte_names_its_line(tmp_path):
+    path = tmp_path / "manifest.tsv"
+    write_manifest(path, corpus_rows(2, 0, 1, seed=4))
+    data = bytearray(path.read_bytes())
+    data[data.index(b"\n") + 4] = 0xFF  # the fifth byte of line 2
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"{path}:2: 'utf-8' codec can't decode byte 0xff"):
+        manifest_rows(path)

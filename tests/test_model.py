@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -296,6 +297,63 @@ class TestTraining:
                 seen.add(id(node))
                 stack.extend(node._parents)
         assert len(seen) == 44
+
+    @staticmethod
+    def first_parents(node):
+        """node, its first parent, that parent's first parent, ..."""
+        chain = [node]
+        while chain[-1]._parents:
+            chain.append(chain[-1]._parents[0])
+        return chain
+
+    def test_backward_frees_only_the_arrays_no_backward_reads(self):
+        cfg = ModelConfig(n_blstm_layers=2, hidden_total=4, embed_dim=3, n_freq=5, n_table_rows=4)
+        model = SeparationModel(cfg, rng_for(4, "init"))
+        l_sce, l_mi = _losses(model, batch_from_records(self.records()[:2]))
+        total = nn.add(nn.mul(l_sce, 0.1), nn.mul(l_mi, 0.8))
+        sce, mi = self.first_parents(l_sce), self.first_parents(l_mi)
+        # sce: scale, tsum, log_sigmoid, mul by labels, reshape, matmul, reshape x3, embedding affine
+        # mi: scale, tsum, square, sub, mul by x_mag, reshape, softmax, MI-head affine
+        unread = [sce[5], sce[2], mi[7], mi[4], mi[2]]
+        read = [sce[9], sce[3], mi[6], mi[3]]  # the embedding field, d * y, the mask, the residual
+        op = lambda node: node._backward_fn.__qualname__.split(".")[0]  # noqa: E731
+        assert [op(n) for n in unread] == ["matmul", "log_sigmoid", "affine", "mul", "square"]
+        assert [op(n) for n in read] == ["affine", "mul", "softmax", "sub"]
+        assert all(n.data.base is None for n in unread + read)  # each owns its memory
+        refs = [weakref.ref(n.data) for n in unread + read]
+        shapes = [n.shape for n in unread + read]
+        total.backward()
+        assert [r() is None for r in refs] == [True] * len(unread) + [False] * len(read)
+        assert [n.shape for n in unread + read] == shapes
+        assert np.isfinite(total.data)
+        del total, l_sce, l_mi, sce, mi, unread, read
+        assert all(r() is None for r in refs)
+
+    def test_gradients_match_oracle_ops(self, monkeypatch):
+        # One backward through the fast ops (dropping the tape as it walks)
+        # and through the reduction-based, always-copying ones gives every
+        # parameter the same gradient, bit for bit.
+        cfg = ModelConfig(n_blstm_layers=2, hidden_total=4, embed_dim=3, n_freq=5, n_table_rows=4)
+        records = self.records()[:2]
+
+        def grads(batch):
+            model = SeparationModel(cfg, rng_for(5, "init"))
+            for p in model.parameters():
+                p.zero_grad()
+            l_sce, l_mi = _losses(model, batch)
+            nn.add(nn.mul(l_sce, 0.1), nn.mul(l_mi, 0.8)).backward()
+            return [p.grad for p in model.parameters()]
+
+        fast = grads(batch_from_records(records))
+        for name, oracle in [("softmax", softmax_reduce_oracle), ("log_sigmoid", log_sigmoid_two_pass_oracle),
+                             ("_unbroadcast", unbroadcast_sum_oracle), ("affine", affine_add_matmul_oracle)]:
+            monkeypatch.setattr(nn, name, oracle)
+        monkeypatch.setattr(nn.Tensor, "_accum", accum_copy_oracle)
+        float_batch = batch_from_records([dataclasses.replace(r, labels=r.labels.astype(np.float64))
+                                          for r in records])
+        for p, g, ref in zip(SeparationModel(cfg).parameters(), fast, grads(float_batch), strict=True):
+            assert np.any(g), p.name
+            np.testing.assert_array_equal(g, ref, err_msg=p.name)
 
     def test_resume_matches_straight_run(self):
         recs = self.records()

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -51,8 +52,9 @@ class TestElementwiseOps:
         for op in (nn.square, lambda p: nn.mul(p, p)):
             p = nn.Tensor(x, requires_grad=True)
             out = op(p)
+            value = out.data  # backward drops an interior node's data
             nn.tsum(nn.mul(out, weight)).backward()
-            grads.append((out.data, p.grad))
+            grads.append((value, p.grad))
         np.testing.assert_array_equal(grads[0][0], grads[1][0])
         np.testing.assert_array_equal(grads[0][1], grads[1][1])
 
@@ -155,6 +157,37 @@ class TestShapeOps:
             nn.Tensor(np.ones(3)).backward()
 
 
+class TestTapeRelease:
+    """backward drops interior node data; a backward holds what it reads."""
+
+    def test_unread_operand_freed_read_operand_kept_until_tape_dropped(self):
+        x = nn.Parameter(np.arange(3.0), "x")
+        w = nn.Parameter(np.array([1.0, -2.0, 0.5]), "w")
+        unread = nn.add(x, x)  # mul by a constant reads only the constant
+        read = nn.add(x, x)  # mul by w reads it for w's gradient
+        refs = [weakref.ref(unread.data), weakref.ref(read.data)]
+        loss = nn.tsum(nn.add(nn.mul(unread, 2.0), nn.mul(read, w)))
+        loss.backward()
+        assert refs[0]() is None and refs[1]() is not None
+        assert unread.data is None and read.data is None
+        assert unread.shape == read.shape == (3,)
+        assert float(loss.data) == 12.0 - 2.0  # the output keeps its value
+        np.testing.assert_array_equal(x.data, [0.0, 1.0, 2.0])  # leaves keep their values
+        np.testing.assert_array_equal(w.grad, 2.0 * x.data)
+        np.testing.assert_array_equal(x.grad, 2.0 * (2.0 + w.data))
+        del loss
+        assert refs[1]() is None
+
+    def test_tape_is_walked_once(self):
+        x = nn.Tensor(np.ones(2), requires_grad=True)
+        scaled = nn.mul(nn.tanh(x), 2.0)
+        loss = nn.tsum(scaled)
+        loss.backward()
+        for node in (loss, scaled):
+            with pytest.raises(NoForwardRecorded, match="already walked"):
+                node.backward()
+
+
 class TestReductionOps:
     def test_tmean(self):
         _, out, g = grad_of(lambda p: nn.tmean(p), [2.0, 4.0, 6.0, 8.0])
@@ -175,8 +208,9 @@ class TestMatchesReductionOracles:
         p = nn.Parameter(x, "p")
         p.zero_grad()
         out = op(p)
+        value = out.data  # backward drops an interior node's data
         nn.tsum(nn.mul(out, weight)).backward()
-        return out.data, p.grad
+        return value, p.grad
 
     @pytest.mark.parametrize("shape", [(1000, 2), (3, 7, 2), (5, 1, 2)])
     def test_softmax_two_way(self, shape):
@@ -274,10 +308,11 @@ class TestGradientOwnership:
         p = nn.Parameter(np.array([[0.5, -2.0], [3.0, 1e300]]), "p")
         p.zero_grad()
         out = nn.mul(p, labels)
-        nn.tsum(out).backward()
         np.testing.assert_array_equal(out.data, p.data * labels.astype(np.float64))
+        assert out.data.dtype == np.float64
+        nn.tsum(out).backward()
         np.testing.assert_array_equal(p.grad, labels.astype(np.float64))
-        assert out.data.dtype == p.grad.dtype == np.float64
+        assert p.grad.dtype == np.float64
 
     def test_constants_get_no_gradient(self):
         p = nn.Parameter(np.array([1.0, -2.0]), "p")
@@ -401,8 +436,9 @@ class TestLstm:
             for p in params:
                 p.zero_grad()
             out = layer(layer(x, *lower), *upper)
+            value = out.data  # backward drops an interior node's data
             nn.tsum(nn.mul(out, weight)).backward()
-            return out.data, [p.grad.copy() for p in params]
+            return value, [p.grad.copy() for p in params]
 
         out, grads = run(nn.blstm_layer)
         ref_out, ref_grads = run(blstm_unrolled_oracle)
@@ -438,8 +474,9 @@ class TestAffine:
     def value_and_grads(op, data, weight, needs_grad=(True, True, True)):
         leaves = [nn.Tensor(d, requires_grad=r) for d, r in zip(data, needs_grad)]
         out = op(*leaves)
+        value = out.data  # backward drops an interior node's data
         nn.tsum(nn.mul(out, weight)).backward()
-        return out.data, [leaf.grad for leaf in leaves]
+        return value, [leaf.grad for leaf in leaves]
 
     # The embedding layer's (B*T, 2H) @ (2H, F*E) and the MI head's
     # (B*T*F, E) @ (E, M) at the default model and batch sizes.
