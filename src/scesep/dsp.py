@@ -8,12 +8,20 @@ that sum is nonzero.
 One framing serves every spectrogram: :func:`stft` reflect-pads hop/2
 samples per side before framing, and :func:`istft` drops the leading
 hop/2 samples and fits the result to the input's length.
+
+Neither copies more than it computes on: :func:`stft` frames the padded
+signal as a strided view (``sliding_window_view``) that only the windowing
+product reads, and :func:`istft` windows the inverse FFT's frames in place
+and normalizes the overlap-add sum with ``divide(..., where=)``, zeroing the
+samples whose window sum vanishes. The values are those of an index gather
+and of boolean-mask gathers and scatters, bit for bit.
 """
 
 from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstantSignal, ShapeMismatch, TooShort
 
@@ -116,10 +124,8 @@ def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> np.ndarray:
     if len(w) < cfg.min_samples:
         raise TooShort(f"need >= {cfg.min_samples} samples, got {len(w)}")
     x = np.pad(w.samples, cfg.hop // 2, mode="reflect")
-    T = (len(x) - cfg.window_len) // cfg.hop + 1
-    win = hann_window(cfg.window_len)
-    idx = np.arange(cfg.window_len)[None, :] + cfg.hop * np.arange(T)[:, None]
-    return np.fft.rfft(x[idx] * win, n=cfg.window_len, axis=1)
+    frames = sliding_window_view(x, cfg.window_len)[:: cfg.hop]  # a view, no copy
+    return np.fft.rfft(frames * hann_window(cfg.window_len), n=cfg.window_len, axis=1)
 
 
 def istft(s: np.ndarray, cfg: StftConfig, length: int) -> Waveform:
@@ -134,7 +140,9 @@ def istft(s: np.ndarray, cfg: StftConfig, length: int) -> Waveform:
     T = s.shape[0]
     r = cfg.window_len // cfg.hop  # hop-sized blocks per frame
     win = hann_window(cfg.window_len)
-    frames = (np.fft.irfft(s, n=cfg.window_len, axis=1) * win).reshape(T, r, cfg.hop)
+    frames = np.fft.irfft(s, n=cfg.window_len, axis=1)
+    frames *= win
+    frames = frames.reshape(T, r, cfg.hop)
     n = (T - 1 + r) * cfg.hop
     y = np.zeros(n)
     wsum = np.zeros(n)
@@ -147,8 +155,8 @@ def istft(s: np.ndarray, cfg: StftConfig, length: int) -> Waveform:
         y_blocks[j : j + T] += frames[:, j]
         w_blocks[j : j + T] += w2[j]
     nz = wsum > 1e-12
-    y[nz] /= wsum[nz]
-    y[~nz] = 0.0
+    np.divide(y, wsum, out=y, where=nz)
+    np.copyto(y, 0.0, where=~nz)
     y = y[cfg.hop // 2 :]
     if len(y) < length:
         y = np.pad(y, (0, length - len(y)))

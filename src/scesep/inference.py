@@ -61,8 +61,11 @@ def _kmeans_pp_init(points, points_t, k, rng):
         if total <= 0:
             centroids[j] = points[int(rng.integers(n))]
             continue
-        probs = d2 / total
-        centroids[j] = points[int(rng.choice(n, p=probs))]
+        # Inverse-CDF draw on one uniform: the index rng.choice(n, p=d2 / total)
+        # returns, without its per-call validation and compensated sum of p.
+        cdf = np.cumsum(d2 / total)
+        cdf /= cdf[-1]
+        centroids[j] = points[int(np.searchsorted(cdf, rng.random(), side="right"))]
         if j < k - 1:
             d2 = np.minimum(d2, ((points_t - centroids[j][:, None]) ** 2).sum(axis=0))
     return centroids
@@ -171,7 +174,8 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
     The points are transposed once to a contiguous (E, N) array, so each
     pass over them is one GEMM or one contiguous array op; a point goes to
     the lowest-index centroid among those at equal distance. Every restart
-    works in the same (K, N) buffers.
+    works in the same (K, N) buffers. A NaN or infinite point is a
+    ValueError.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -180,6 +184,8 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
         raise ValueError(f"k={k}, restarts={restarts} and max_iter={max_iter} must be at least 1")
     if len(points) < k:
         raise TooFewPoints(f"{len(points)} points for k={k}")
+    if not np.isfinite(points).all():  # k-means++ would draw from a NaN distribution
+        raise ValueError("points must be finite")
     points_t = np.ascontiguousarray(points.T)
     sq = (points_t**2).sum(axis=0)
     n = len(points)
@@ -219,11 +225,19 @@ def reconstruct_binary(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, l
 
 
 def reconstruct_ratio(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, length: int):
-    """Apply a ratio mask (entries in [0,1], summing to 1 per bin)."""
+    """Apply a ratio mask (entries in [0,1], summing to 1 per bin).
+
+    A bin whose masks sum farther than 1e-9 from 1, or to NaN, raises
+    NotNormalized. The check adds the M mask slices in index order, one
+    whole-array add per source, where a reduction over the length-M axis
+    would run numpy's inner loop once per bin."""
     if masks.shape[:2] != x_spec.shape:
         raise ShapeMismatch(f"masks {masks.shape} vs spec {x_spec.shape}")
-    sums = masks.sum(axis=2)
-    if not np.max(np.abs(sums - 1.0)) <= 1e-9:  # NaN fails too
+    sums = masks[:, :, 0].copy()
+    for m in range(1, masks.shape[2]):
+        sums += masks[:, :, m]
+    sums -= 1.0
+    if not np.max(np.abs(sums, out=sums)) <= 1e-9:  # NaN fails too
         raise NotNormalized("ratio mask bins must sum to 1")
     return [istft(x_spec * masks[:, :, m], cfg, length) for m in range(masks.shape[2])]
 

@@ -341,8 +341,12 @@ def load_checkpoint(path):
 
 
 def load_inference_model(path) -> SeparationModel:
-    """Model with the best-validation parameters from a checkpoint."""
+    """Model with the best-validation parameters from a checkpoint. Its
+    parameters need no gradient, so a forward pass records no tape: each op
+    keeps only its output, and the BLSTM keeps no backward cache."""
     state, _ = load_checkpoint(path)
     if state.best_values:
         state.model.load_values(state.best_values)
+    for p in state.model.parameters():
+        p.requires_grad = False
     return state.model

@@ -14,15 +14,18 @@ the same bits); ``affine`` adds the bias into its product, so the tape holds
 one array where a matmul node and an add node held two.
 
 Gradients are computed only for operands with ``requires_grad``: labels,
-input magnitudes and other constants get none. ``Tensor.backward`` hands
-each interior node's gradient to that node's backward function and drops
-it from the node, so after a backward pass only leaves (tensors without a
-backward function, such as parameters) hold gradients. A backward function
-that passes a parent an array it allocated, or the gradient it was handed
-(or a view of it), and gives that array to no other parent calls
-``_accum(g, own=True)``; the parent then keeps the array instead of copying
-it. ``add``, which hands the same gradient to both operands, gives it to
-the second one as a copy.
+input magnitudes and other constants get none. An op none of whose operands
+needs a gradient records nothing: its output has no parents and no backward
+function, so a forward pass on parameters that need no gradient (inference)
+builds no tape and keeps no array it no longer reads. ``Tensor.backward``
+hands each interior node's gradient to that node's backward function and
+drops it from the node, so after a backward pass only leaves (tensors
+without a backward function, such as parameters) hold gradients. A
+backward function that passes a parent an array it allocated, or the
+gradient it was handed (or a view of it), and gives that array to no other
+parent calls ``_accum(g, own=True)``; the parent then keeps the array
+instead of copying it. ``add``, which hands the same gradient to both
+operands, gives it to the second one as a copy.
 
 Each backward function holds exactly the arrays it reads: an operand's
 value (when another operand needs its gradient), its own output, or only
@@ -56,8 +59,10 @@ class Tensor:
         self.shape = self.data.shape
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents
-        self._backward_fn = backward_fn
+        # A node that no gradient flows through records neither its operands
+        # nor its backward function, so it keeps nothing alive.
+        self._parents = parents if self.requires_grad else ()
+        self._backward_fn = backward_fn if self.requires_grad else None
 
     def _accum(self, g, own=False):
         """Add g into this node's gradient. With ``own=True`` the caller gives
@@ -151,7 +156,6 @@ def _fold(ufunc, x, axis):
 
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data, parents=(a, b))
 
     def bwd(g):
         ga = _unbroadcast(g, a.shape)
@@ -159,13 +163,11 @@ def add(a, b):
         a._accum(ga, own=True)
         b._accum(gb, own=gb is not ga)
 
-    out._backward_fn = bwd
-    return out
+    return Tensor(a.data + b.data, parents=(a, b), backward_fn=bwd)
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data, parents=(a, b))
 
     def bwd(g):
         if a.requires_grad:
@@ -173,13 +175,11 @@ def sub(a, b):
         if b.requires_grad:
             b._accum(-_unbroadcast(g, b.shape), own=True)
 
-    out._backward_fn = bwd
-    return out
+    return Tensor(a.data - b.data, parents=(a, b), backward_fn=bwd)
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data, parents=(a, b))
     ad, bd = a.data if b.requires_grad else None, b.data if a.requires_grad else None
 
     def bwd(g):
@@ -188,27 +188,23 @@ def mul(a, b):
         if b.requires_grad:
             b._accum(_unbroadcast(g * ad, b.shape), own=True)
 
-    out._backward_fn = bwd
-    return out
+    return Tensor(a.data * b.data, parents=(a, b), backward_fn=bwd)
 
 
 def square(a):
     a = _as_tensor(a)
     x = a.data
-    out = Tensor(x * x, parents=(a,))
 
     def bwd(g):
         t = g * x
         t += t  # 2 * g * x, as mul(a, a) adds its two equal products
         a._accum(t, own=True)
 
-    out._backward_fn = bwd
-    return out
+    return Tensor(x * x, parents=(a,), backward_fn=bwd)
 
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(np.matmul(a.data, b.data), parents=(a, b))
     ad, bd = a.data if b.requires_grad else None, b.data if a.requires_grad else None
 
     def bwd(g):
@@ -217,8 +213,7 @@ def matmul(a, b):
         if b.requires_grad:
             b._accum(_unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape), own=True)
 
-    out._backward_fn = bwd
-    return out
+    return Tensor(np.matmul(a.data, b.data), parents=(a, b), backward_fn=bwd)
 
 
 def affine(x, w, b):
@@ -228,7 +223,6 @@ def affine(x, w, b):
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     y = np.matmul(x.data, w.data)
     y += b.data
-    out = Tensor(y, parents=(x, w, b))
     xd, wd = x.data if w.requires_grad else None, w.data if x.requires_grad else None
 
     def bwd(g):
@@ -239,47 +233,38 @@ def affine(x, w, b):
         if b.requires_grad:
             b._accum(_unbroadcast(g, b.shape), own=True)
 
-    out._backward_fn = bwd
-    return out
+    return Tensor(y, parents=(x, w, b), backward_fn=bwd)
 
 
 def swap_last(a):
     a = _as_tensor(a)
-    out = Tensor(np.swapaxes(a.data, -1, -2), parents=(a,))
-    out._backward_fn = lambda g: a._accum(np.swapaxes(g, -1, -2), own=True)
-    return out
+    return Tensor(np.swapaxes(a.data, -1, -2), parents=(a,),
+                  backward_fn=lambda g: a._accum(np.swapaxes(g, -1, -2), own=True))
 
 
 def reshape(a, shape):
     a = _as_tensor(a)
-    out = Tensor(a.data.reshape(shape), parents=(a,))
-    out._backward_fn = lambda g: a._accum(g.reshape(a.shape), own=True)
-    return out
+    return Tensor(a.data.reshape(shape), parents=(a,),
+                  backward_fn=lambda g: a._accum(g.reshape(a.shape), own=True))
 
 
 def gather_rows(table, ids):
     """table[ids] with gradient fan-in summed over repeated ids."""
     table = _as_tensor(table)
     ids = np.asarray(ids)
-    out = Tensor(table.data[ids], parents=(table,))
 
     def bwd(g):
-        if not table.requires_grad:
-            return
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, ids, g)
 
-    out._backward_fn = bwd
-    return out
+    return Tensor(table.data[ids], parents=(table,), backward_fn=bwd)
 
 
 def tanh(a):
     a = _as_tensor(a)
     h = np.tanh(a.data)
-    out = Tensor(h, parents=(a,))
-    out._backward_fn = lambda g: a._accum(g * (1.0 - h * h), own=True)
-    return out
+    return Tensor(h, parents=(a,), backward_fn=lambda g: a._accum(g * (1.0 - h * h), own=True))
 
 
 def log_sigmoid(a):
@@ -292,15 +277,13 @@ def log_sigmoid(a):
     np.log1p(t, out=t)
     y = x - t
     np.negative(t, out=y, where=x > 0)
-    out = Tensor(y, parents=(a,))
 
     def bwd(g):
         # d/dx = sigmoid(-x); exp overflows to inf for x > 709, giving the right 0.
         with np.errstate(over="ignore"):
             a._accum(g / (1.0 + np.exp(x)), own=True)
 
-    out._backward_fn = bwd
-    return out
+    return Tensor(y, parents=(a,), backward_fn=bwd)
 
 
 def softmax(a, axis=-1):
@@ -308,16 +291,13 @@ def softmax(a, axis=-1):
     s = a.data - _fold(np.maximum, a.data, axis)
     np.exp(s, out=s)
     s /= _fold(np.add, s, axis)
-    out = Tensor(s, parents=(a,))
-    out._backward_fn = lambda g: a._accum(s * (g - _fold(np.add, g * s, axis)), own=True)
-    return out
+    return Tensor(s, parents=(a,),
+                  backward_fn=lambda g: a._accum(s * (g - _fold(np.add, g * s, axis)), own=True))
 
 
 def tsum(a):
     a = _as_tensor(a)
-    out = Tensor(a.data.sum(), parents=(a,))
-    out._backward_fn = lambda g: a._accum(np.full(a.shape, g), own=True)
-    return out
+    return Tensor(a.data.sum(), parents=(a,), backward_fn=lambda g: a._accum(np.full(a.shape, g), own=True))
 
 
 def tmean(a):
@@ -351,6 +331,9 @@ def _to_time(a):
     return np.stack([a[:, 0].transpose(1, 0, 2), a[::-1, 1].transpose(1, 0, 2)], axis=2)
 
 
+STEP_BLOCK = 16  # steps whose buffers a BLSTM layer without a gradient cycles through
+
+
 def blstm_layer(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
     """Bidirectional LSTM over (B, T, D_in) -> (B, T, 2H), zero initial state.
 
@@ -369,6 +352,14 @@ def blstm_layer(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
     back). Training therefore follows the same trajectory bit for bit.
     Fusing the gates into one (H + D, 4H) GEMM or hoisting the input
     projection out of the loop would reorder these sums.
+
+    Each step computes in preallocated buffers (``out=``), with the products
+    and sums of ``1 / (1 + exp(-a))``, ``f * c + i * g`` and ``o * tanh(c)``
+    in that order. When no operand needs a gradient the layer keeps no
+    backward cache: the steps cycle through ``STEP_BLOCK`` slots of
+    ``[h | x_t]``, gate and cell buffers, and only the hidden outputs are
+    kept, so memory grows with T by 2H floats per step and clip instead of
+    about 2(H + D) + 14H. The output is the same, byte for byte.
     """
     x = _as_tensor(x)
     if x.data.ndim != 3:
@@ -377,32 +368,49 @@ def blstm_layer(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
     H = w.shape[-1]
     if w.shape != (4, 2, H + D, H) or b.shape != (4, 2, H):
         raise ShapeMismatch(f"gate weights {w.shape} and biases {b.shape} do not fit input width {D}")
-    wd, bd = w.data, b.data[:, :, None, :]
-
-    # z[s] = [h_prev | x_t] per direction; arrays are in step order (_to_steps).
-    z = np.empty((T, 2, B, H + D))
-    z[0, :, :, :H] = 0.0
-    z[:, 0, :, H:] = x.data.transpose(1, 0, 2)
-    z[:, 1, :, H:] = x.data[:, ::-1].transpose(1, 0, 2)
-    acts = np.empty((T, 4, 2, B, H))  # gates after their nonlinearities
-    cs = np.empty((T, 2, B, H))
-    tcs = np.empty((T, 2, B, H))  # tanh(c)
+    wd, bd, xd = w.data, b.data[:, :, None, :], x.data
+    # With a gradient to compute, step s works in slot s of the caches that
+    # backpropagation reads. Without one, the steps cycle through STEP_BLOCK
+    # slots, so only the hidden outputs hs grow with T. Both paths run the
+    # same ops in the same order; only the slot a step writes differs.
+    keep = x.requires_grad or w.requires_grad or b.requires_grad
+    n = T if keep else min(T, STEP_BLOCK)
+    z = np.empty((n, 2, B, H + D))  # [h_prev | x_t] per direction, step order (_to_steps)
+    acts = np.empty((n, 4, 2, B, H))  # gates after their nonlinearities
+    cs = np.empty((n, 2, B, H))
+    tcs = np.empty((n, 2, B, H))  # tanh(c)
     hs = np.empty((T, 2, B, H))
+    a = np.empty((4, 2, B, H))  # gate pre-activations of one step
+    sig_in, cand_in = a[:3], a[3]
+    ig = np.empty((2, B, H))  # input gate times candidate
     c = np.zeros((2, B, H))
+    slots = [(z[k], acts[k, :3], *acts[k], cs[k], tcs[k]) for k in range(n)]
+    x_rev = xd[:, ::-1]
     # A very negative gate input overflows exp to inf, and 1 / (1 + inf) is
     # the exact 0 the sigmoid tends to, so the overflow is not an error.
     with np.errstate(over="ignore"):
         for s in range(T):
-            if s:
-                z[s, :, :, :H] = hs[s - 1]
-            a = z[s] @ wd + bd
-            act = acts[s]
-            act[:3] = 1.0 / (1.0 + np.exp(-a[:3]))
-            act[3] = np.tanh(a[3])
-            c = cs[s] = act[1] * c + act[0] * act[3]
-            tcs[s] = np.tanh(c)
-            hs[s] = act[2] * tcs[s]
-    out = Tensor(_to_time(hs).reshape(B, T, 2 * H), parents=(x, w, b))
+            k = s % n
+            if k == 0:  # the x_t columns of the next n steps
+                m = min(n, T - s)
+                z[:m, 0, :, H:] = xd[:, s : s + m].transpose(1, 0, 2)
+                z[:m, 1, :, H:] = x_rev[:, s : s + m].transpose(1, 0, 2)
+            zs, sig, i, f, o, cand, c_new, tc = slots[k]
+            zs[:, :, :H] = hs[s - 1] if s else 0.0
+            np.matmul(zs, wd, a)
+            a += bd
+            np.negative(sig_in, sig_in)
+            np.exp(sig_in, sig_in)
+            sig_in += 1.0
+            np.divide(1.0, sig_in, sig)  # 1 / (1 + exp(-a))
+            np.tanh(cand_in, cand)
+            np.multiply(i, cand, ig)
+            np.multiply(f, c, c_new)
+            c = c_new
+            c += ig
+            np.tanh(c, tc)
+            np.multiply(o, tc, hs[s])
+    data = _to_time(hs).reshape(B, T, 2 * H)
 
     def bwd(g):
         i, f, o, cand = (acts[:, k] for k in range(4))
@@ -443,8 +451,7 @@ def blstm_layer(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
         w._accum(dw, own=True)
         b._accum(db, own=True)
 
-    out._backward_fn = bwd
-    return out
+    return Tensor(data, parents=(x, w, b), backward_fn=bwd)
 
 
 def time_affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -95,12 +95,22 @@ def adam_step_oracle(opt):
         p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
 
 
-# --- inverse STFT overlap-added one frame at a time ---------------------------
+# --- STFT frames gathered by index; inverse STFT one frame at a time ---------
+
+
+def stft_gather_oracle(w: Waveform, cfg: StftConfig) -> np.ndarray:
+    """Reference for dsp.stft: the reflect-padded frames gathered through a
+    (T, window_len) index array."""
+    x = np.pad(w.samples, cfg.hop // 2, mode="reflect")
+    T = (len(x) - cfg.window_len) // cfg.hop + 1
+    idx = np.arange(cfg.window_len)[None, :] + cfg.hop * np.arange(T)[:, None]
+    return np.fft.rfft(x[idx] * hann_window(cfg.window_len), n=cfg.window_len, axis=1)
 
 
 def istft_loop_oracle(s, cfg: StftConfig, length: int) -> Waveform:
-    """Reference for dsp.istft: frames overlap-added in a loop over time, the
-    leading hop/2 samples dropped and the rest fitted to ``length``."""
+    """Reference for dsp.istft: frames overlap-added in a loop over time,
+    normalized through boolean-mask gathers and scatters, the leading hop/2
+    samples dropped and the rest fitted to ``length``."""
     T = s.shape[0]
     win = hann_window(cfg.window_len)
     frames = np.fft.irfft(s, n=cfg.window_len, axis=1) * win
@@ -274,7 +284,9 @@ def kmeans_broadcast_oracle(points, k, seed=0, restarts=8, max_iter=300) -> Clus
 # --- K-means with fresh (K, N) scores, labels and one-hot per iteration -------
 
 
-def _kmeans_pp_init_score(points, points_t, k, rng):
+def kmeans_pp_init_choice_oracle(points, points_t, k, rng):
+    """Reference for inference._kmeans_pp_init: each centroid after the first
+    drawn by ``rng.choice(n, p=d2 / total)``."""
     n = points_t.shape[1]
     centroids = np.empty((k, points_t.shape[0]))
     centroids[0] = points[int(rng.integers(n))]
@@ -351,7 +363,7 @@ def kmeans_score_oracle(points, k, seed=0, restarts=8, max_iter=300) -> ClusterA
     best = None
     for r in range(restarts):
         rng = rng_for(seed, f"kmeans-restart-{r}")
-        centroids = _kmeans_pp_init_score(points, points_t, k, rng)
+        centroids = kmeans_pp_init_choice_oracle(points, points_t, k, rng)
         labels, centroids, history = _lloyd_score(points, points_t, sq, centroids, max_iter)
         if best is None or history[-1] < best.inertia:
             best = ClusterAssignment(labels, centroids, history[-1], tuple(history))

@@ -839,6 +839,14 @@ def test_kmeans_bound_is_usage_error_on_every_command(workspace, tmp_path, capsy
     assert f"{key} must be >= 1, got 0" in err
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_low_sample_rate_is_usage_error_on_every_command(workspace, tmp_path, capsys, command):
+    # At 100 Hz the synthetic jackhammer and crowd are silent, and train
+    # used to fail on "segment has zero power", naming no key.
+    err = rejected_on(workspace, tmp_path, capsys, command, "sample_rate_hz = 100\nwindow_len = 16\nhop = 8\n")
+    assert "sample_rate_hz must be >= 334" in err and "got 100" in err
+
+
 class TestStreamedRecords:
     """Commands hold only the records they still need, whatever n_test is."""
 

@@ -77,6 +77,7 @@ class TestCrossKeyChecks:
         ({"snr_min_db": 0.0, "snr_max_db": -0.5}, "snr_min_db must be <= snr_max_db"),
         ({"snr_min_db": -140.0}, r"snr_min_db must be in \[-100, 100\] dB, got -140.0"),
         ({"snr_max_db": 100.5}, r"snr_max_db must be in \[-100, 100\] dB, got 100.5"),
+        ({"sample_rate_hz": 333}, "sample_rate_hz must be >= 334, .* got 333"),
     ])
     def test_rejected_with_keys_named(self, overrides, named):
         with pytest.raises(ValueError, match=named):
@@ -84,6 +85,9 @@ class TestCrossKeyChecks:
 
     def test_equal_snr_bounds_accepted(self):
         assert resolve({"snr_min_db": 3.0, "snr_max_db": 3.0}).snr_min_db == 3.0
+
+    def test_lowest_sample_rate_accepted(self):
+        assert resolve({"sample_rate_hz": 334}).stft_config().sample_rate_hz == 334
 
     def test_snr_limits_accepted(self):
         cfg = resolve({"snr_min_db": -100.0, "snr_max_db": 100.0})

@@ -22,7 +22,7 @@ from scesep.dsp import (
 )
 from scesep.errors import ConstantSignal, ShapeMismatch, TooShort
 
-from oracles import istft_loop_oracle
+from oracles import istft_loop_oracle, stft_gather_oracle
 
 CFG = StftConfig()
 
@@ -183,6 +183,30 @@ class TestIstft:
         out = istft(spec, cfg, len(w))
         ref = istft_loop_oracle(spec, cfg, len(w))
         np.testing.assert_array_equal(out.samples, ref.samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    window_len=st.sampled_from([8, 16, 64, 4096]),
+    hop_div=st.sampled_from([4, 2, 1]),
+    extra=st.integers(0, 200),
+    trim=st.integers(-40, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(window_len=16, hop_div=1, extra=0, trim=0, seed=0)  # one frame; the window sum has zeros
+@example(window_len=4096, hop_div=1, extra=5000, trim=0, seed=1)
+def test_view_framing_and_where_division_match_oracles_byte_for_byte(window_len, hop_div, extra, trim, seed):
+    # hop = window_len leaves a zero of the squared periodic Hann at every
+    # frame start, and at 4096 samples a nonzero window sum below the 1e-12
+    # floor beside it, so the zeroing branch of the normalization runs too.
+    cfg = StftConfig(window_len=window_len, hop=window_len // hop_div)
+    rng = np.random.default_rng(seed)
+    w = Waveform(rng.standard_normal(cfg.min_samples + extra), cfg.sample_rate_hz)
+    spec = stft(w, cfg)
+    assert spec.tobytes() == stft_gather_oracle(w, cfg).tobytes()
+    spec *= rng.uniform(size=spec.shape)  # frames that disagree where they overlap
+    length = max(1, len(w) + trim)
+    assert istft(spec, cfg, length).samples.tobytes() == istft_loop_oracle(spec, cfg, length).samples.tobytes()
 
 
 def test_cola_window_sum_constant():

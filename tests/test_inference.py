@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from oracles import assign_score_oracle, kmeans_broadcast_oracle, kmeans_score_oracle
+from oracles import (
+    assign_score_oracle,
+    kmeans_broadcast_oracle,
+    kmeans_pp_init_choice_oracle,
+    kmeans_score_oracle,
+)
 
 from scesep import inference
 from scesep.dsp import StftConfig, Waveform, istft, resample, stft
@@ -133,6 +138,13 @@ class TestKmeans:
         with pytest.raises(ShapeMismatch):
             kmeans(np.zeros(10), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts, _ = blobs(seed=8)
+        pts[5, 1] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            kmeans(pts, 2)
+
     @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"max_iter": 0}, {"k": 0}])
     def test_no_iterations_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -207,6 +219,24 @@ class TestKmeansBitIdentity:
         if max_iter < 300:
             assert len(a.inertia_history) == max_iter
 
+    # Sizes from two points up to a clip's energetic bins; in each, a few
+    # repeated points, which get probability exactly 0 once one is chosen.
+    @pytest.mark.parametrize("n,seeds", [(2, 400), (3, 400), (50, 400), (1000, 300), (15500, 60)])
+    def test_pp_init_draws_as_rng_choice(self, n, seeds):
+        # The inverse-CDF draw returns rng.choice(n, p=probs)'s index from
+        # the same uniform, so the generator ends in the same state too.
+        rng = np.random.default_rng(n)
+        pts = rng.standard_normal((n, 8))
+        pts[: max(1, n // 10)] = pts[0]
+        points_t = np.ascontiguousarray(pts.T)
+        for seed in range(seeds):
+            k = 2 + seed % 3
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = inference._kmeans_pp_init(pts, points_t, k, a)
+            want = kmeans_pp_init_choice_oracle(pts, points_t, k, b)
+            assert got.tobytes() == want.tobytes(), (n, seed)
+            assert a.random() == b.random(), (n, seed)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_gain_is_negated_score(self, k):
         rng = np.random.default_rng(40 + k)
@@ -268,9 +298,17 @@ class TestReconstruct:
 
     def test_ratio_rejects_unnormalized(self):
         w, x = self.mixture_spec(6)
-        masks = np.full(x.shape + (2,), 0.6)
-        with pytest.raises(NotNormalized):
-            reconstruct_ratio(x, masks, CFG, len(w))
+        r = np.random.default_rng(6).random(x.shape)
+        good = np.stack([r, 1.0 - r], axis=-1)
+        good[3, 7, 1] += 5e-10  # within the 1e-9 bound
+        reconstruct_ratio(x, good, CFG, len(w))
+        # every bin off, one bin 2e-9 off, one NaN bin
+        bads = [np.full(x.shape + (2,), 0.6), good.copy(), good.copy()]
+        bads[1][3, 7, 1] = 1.0 - r[3, 7] + 2e-9
+        bads[2][3, 7, 1] = np.nan
+        for masks in bads:
+            with pytest.raises(NotNormalized):
+                reconstruct_ratio(x, masks, CFG, len(w))
 
 
 @pytest.fixture(scope="module")

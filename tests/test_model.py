@@ -21,7 +21,9 @@ from scesep.model import (
     batch_from_records,
     evaluate_losses,
     gather_source_vectors,
+    load_inference_model,
     mi_loss,
+    save_checkpoint,
     sce_loss,
     train,
     write_log,
@@ -122,6 +124,23 @@ class TestSeparationModel:
         del values["table"]
         with pytest.raises(ShapeMismatch):
             SeparationModel(TINY).load_values(values)
+
+    def test_inference_model_records_no_tape(self, tmp_path):
+        # Parameters that need no gradient: the forward keeps only outputs,
+        # and they are the gradient path's bytes.
+        cfg = dataclasses.replace(TINY, n_blstm_layers=2)
+        model = SeparationModel(cfg, rng_for(8, "init"))
+        path = tmp_path / "model.scem"
+        save_checkpoint(path, TrainState(model, nn.Adam(model.parameters())), seed=0)
+        loaded = load_inference_model(path)
+        assert not any(p.requires_grad for p in loaded.parameters())
+        x = np.random.default_rng(9).random((1, 6, 5))
+        v, ref = loaded.forward_embeddings(x), model.forward_embeddings(x)
+        masks, ref_masks = loaded.mi_masks(v), model.mi_masks(ref)
+        assert v._parents == () and masks._parents == ()
+        assert ref._parents and ref_masks._parents
+        assert v.data.tobytes() == ref.data.tobytes()
+        assert masks.data.tobytes() == ref_masks.data.tobytes()
 
     def test_gather_rejects_out_of_range(self):
         model = SeparationModel(TINY, rng_for(7, "init"))

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 import weakref
 
@@ -186,6 +187,16 @@ class TestTapeRelease:
         for node in (loss, scaled):
             with pytest.raises(NoForwardRecorded, match="already walked"):
                 node.backward()
+
+    def test_op_on_constants_records_nothing(self):
+        # No gradient flows through it, so it holds neither operands nor a
+        # backward function, and there is no tape to walk.
+        a, w, b = np.arange(6.0).reshape(2, 3), np.ones((3, 2)), np.ones(2)
+        for out in (nn.mul(a, 2.0), nn.affine(a, w, b), nn.softmax(nn.Tensor(a))):
+            assert not out.requires_grad
+            assert out._parents == () and out._backward_fn is None
+            with pytest.raises(NoForwardRecorded):
+                out.backward()
 
 
 class TestReductionOps:
@@ -451,6 +462,43 @@ class TestLstm:
                     assert np.abs(ref[k, d]).max() > 0 or (T == 1 and k == 1), (p.name, k, d)
         for p, g, ref in zip(params, grads, ref_grads):
             np.testing.assert_array_equal(g, ref, err_msg=p.name)
+
+    # (B, T, D, H): one clip, as denoise runs it; a batch; a single step
+    @pytest.mark.parametrize("shape", [(1, 7, 5, 3), (4, 7, 5, 3), (1, 1, 5, 3), (4, 1, 5, 3)])
+    def test_without_gradient_matches_gradient_path_byte_for_byte(self, shape):
+        B, T, D, H = shape
+        rng = rng_for(12, f"nograd-{shape}")
+        w, b = nn.init_blstm_params(D, H, rng, "blstm0")
+        x = rng.standard_normal((B, T, D))
+        taped = nn.blstm_layer(nn.Tensor(x), w, b)
+        bare = nn.blstm_layer(nn.Tensor(x), nn.Tensor(w.data), nn.Tensor(b.data))
+        assert taped._backward_fn is not None
+        assert not bare.requires_grad
+        assert bare._parents == () and bare._backward_fn is None
+        assert bare.data.tobytes() == taped.data.tobytes()
+
+    def test_without_gradient_keeps_no_cache(self):
+        # With a gradient, each step's [h | x_t], gates, c and tanh(c) are
+        # kept; without one, the layer's memory grows with T only by the
+        # hidden outputs and the returned array.
+        rng = rng_for(13, "nograd-memory")
+        w, b = nn.init_blstm_params(64, 8, rng, "blstm0")
+        consts = nn.Tensor(w.data), nn.Tensor(b.data)
+
+        def peak(T, params):
+            x = nn.Tensor(rng.standard_normal((1, T, 64)))
+            tracemalloc.start()
+            try:
+                out = nn.blstm_layer(x, *params)
+                return tracemalloc.get_traced_memory()[1], out.data.nbytes
+            finally:
+                tracemalloc.stop()
+
+        (taped_short, out_short), (taped_long, out_long) = peak(100, (w, b)), peak(800, (w, b))
+        (bare_short, _), (bare_long, _) = peak(100, consts), peak(800, consts)
+        grown = out_long - out_short
+        assert taped_long - taped_short > 10 * grown
+        assert bare_long - bare_short <= 2 * grown + 1024  # allocator rounding
 
     def test_tape_nodes_independent_of_length(self):
         rng = rng_for(8, "t")
