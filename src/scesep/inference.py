@@ -16,12 +16,31 @@ doubling scales every product and partial sum by a power of two, which
 rounds nothing (short of overflow or subnormals), and rounding commutes
 with negation, ``fl(2d − n) = −fl(n − 2d)`` (a zero may change sign, which
 no comparison sees). So every comparison, tie and reseed comes out as it
-would on the score. Membership is a reused (K, N)
-bool array; the centroid update is one GEMM of its float copy with the
-points, divided by exact integer counts; and the inertia comes in closed
-form from the cluster sums, ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩``. For K ≤ 2, short of
-the rare empty-cluster reseed, no Lloyd iteration allocates an array of N;
-for K > 2 each assignment also allocates its running maxima.
+would on the score. The centroid update is one GEMM of a float copy of the
+(K, N) bool membership with the points, divided by exact integer counts,
+and the inertia comes in closed form from the cluster sums,
+``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩``.
+
+The restarts run in lockstep, up to ``LOCKSTEP`` at a time, one Lloyd
+iteration at a time. What touches N-sized data runs per restart, with the
+operands and layouts of a restart run alone, so every restart keeps its
+bits: its two GEMMs, its claims, its member counts and any empty-cluster
+reseed (with its own gains), in a (K, N) gain buffer and a (K, N) float
+membership that every restart and iteration reuses. It runs in two passes
+over the restarts, the assignments on the (E, N) points and then the
+centroid sums on the (N, E) points, so each layout stays in cache from one
+restart to the next. What works on (K, E)-sized arrays runs once per
+iteration for all of them, on (R, K, E) and (R, K) arrays: the doubled
+centroids and ‖c‖² terms, the means, the sorted-term inertia and the
+convergence test. Lockstep holds, per restart, two sets of its last K − 1
+membership rows (N bools each), which fix the first; only the best
+finished restart's rows are kept past its group. For K ≤ 2, short of the
+rare empty-cluster reseed and of the iterations where a restart finishes
+(the rows of the rest move to smaller arrays), no Lloyd iteration allocates
+an array of N; for K > 2 each assignment also allocates its running
+maxima, and each centroid update the union of the last K − 1 rows.
+k-means++ takes its distances row by row into N-vectors, with no (E, N)
+temporary.
 
 Cluster mode holds no whole-field copy beyond the embeddings themselves: it
 takes the embedding norms in blocks of ``FRAME_BLOCK`` frames, normalizes
@@ -31,6 +50,7 @@ and each column of the assignment GEMM, comes out the same in a block as in
 the whole field.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +58,8 @@ import numpy as np
 from .dsp import StftConfig, Waveform, compress, istft, resample, stft
 from .errors import NonFiniteEmbedding, NotNormalized, ShapeMismatch, TooFewPoints
 from .seeding import rng_for
+
+LOCKSTEP = 8  # restarts advanced together, the default kmeans_restarts
 
 
 @dataclass(frozen=True)
@@ -48,6 +70,20 @@ class ClusterAssignment:
     inertia_history: tuple  # per-Lloyd-iteration inertia of the winning restart
 
 
+def _sq_dist(points_t, c, out, term):
+    """Squared distances of the columns of ``points_t`` (E, N) to ``c``,
+    into ``out``: ``(x_e − c_e)²`` added row by row, the additions of
+    ``((points_t − c[:, None]) ** 2).sum(axis=0)`` in its order, without its
+    (E, N) temporary. ``term`` is an N-vector of scratch."""
+    np.subtract(points_t[0], c[0], out=out)
+    out *= out
+    for row, c_e in zip(points_t[1:], c[1:]):
+        np.subtract(row, c_e, out=term)
+        term *= term
+        out += term
+    return out
+
+
 def _kmeans_pp_init(points, points_t, k, rng):
     """k-means++ seeding. Distances are exact, ``Σ (x - c)²`` over the
     (E, N) rows, so an already-chosen point has probability exactly 0. None
@@ -55,7 +91,10 @@ def _kmeans_pp_init(points, points_t, k, rng):
     n = points_t.shape[1]
     centroids = np.empty((k, points_t.shape[0]))
     centroids[0] = points[int(rng.integers(n))]
-    d2 = ((points_t - centroids[0][:, None]) ** 2).sum(axis=0) if k > 1 else None
+    if k == 1:
+        return centroids
+    term, dist = np.empty(n), np.empty(n)
+    d2 = _sq_dist(points_t, centroids[0], np.empty(n), term)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -67,7 +106,7 @@ def _kmeans_pp_init(points, points_t, k, rng):
         cdf /= cdf[-1]
         centroids[j] = points[int(np.searchsorted(cdf, rng.random(), side="right"))]
         if j < k - 1:
-            d2 = np.minimum(d2, ((points_t - centroids[j][:, None]) ** 2).sum(axis=0))
+            np.minimum(d2, _sq_dist(points_t, centroids[j], dist, term), out=d2)
     return centroids
 
 
@@ -83,31 +122,41 @@ def _assign(points_t, centroids, gain=None, member=None):
     k, n = len(centroids), points_t.shape[1]
     gain = np.empty((k, n)) if gain is None else gain
     member = np.empty((k, n), dtype=bool) if member is None else member
-    np.matmul(2.0 * centroids, points_t, out=gain)
-    gain -= (centroids**2).sum(axis=1)[:, None]
-    if k == 1:
-        member.fill(True)
-        return gain, member
-    # Row j claims the points where it beats every row before it, and a point
-    # belongs to the last row that claims it.
-    best = gain[0]
-    for j in range(1, k):
-        np.greater(gain[j], best, out=member[j])
-        if j < k - 1:
-            best = np.maximum(best, gain[j])
-    taken = member[k - 1]
-    for j in range(k - 2, 0, -1):
-        np.greater(member[j], taken, out=member[j])  # and not taken by a later row
-        taken = np.logical_or(taken, member[j], out=member[0])
+    taken = _claim(points_t, 2.0 * centroids, (centroids**2).sum(axis=1), gain, member[1:], member[0])
     np.logical_not(taken, out=member[0])
     return gain, member
 
 
-def _labels(member):
-    """(N,) cluster indices of a (K, N) bool membership."""
-    labels = np.zeros(member.shape[1], dtype=np.intp)
-    for j in range(1, len(member)):
-        np.copyto(labels, j, where=member[j])
+def _claim(points_t, doubled, sq_norms, gain, rows, scratch):
+    """``_assign`` from the doubled centroids and their squared norms, into
+    ``gain`` and the last K − 1 membership rows ``rows``. Returns the union
+    of ``rows``, the negated first row, which for K > 2 is taken in the
+    N-vector ``scratch``."""
+    np.matmul(doubled, points_t, out=gain)
+    gain -= sq_norms[:, None]
+    if len(rows) == 0:
+        scratch.fill(False)
+        return scratch
+    # Row j claims the points where it beats every row before it, and a point
+    # belongs to the last row that claims it.
+    best = gain[0]
+    for j in range(1, len(gain)):
+        np.greater(gain[j], best, out=rows[j - 1])
+        if j < len(rows):
+            best = np.maximum(best, gain[j])
+    taken = rows[-1]
+    for row in rows[-2::-1]:
+        np.greater(row, taken, out=row)  # and not taken by a later row
+        taken = np.logical_or(taken, row, out=scratch)
+    return taken
+
+
+def _labels(rows):
+    """(N,) cluster indices from the last K − 1 rows of a (K, N) bool
+    membership, which fix its first."""
+    labels = np.zeros(rows.shape[1], dtype=np.intp)
+    for j, row in enumerate(rows, 1):
+        np.copyto(labels, j, where=row)
     return labels
 
 
@@ -128,54 +177,94 @@ def _reseed_empty(points, sq, labels, gain, k):
     return centroids, float(((points - centroids[labels]) ** 2).sum())
 
 
-def _lloyd(points, points_t, sq, centroids, max_iter, gain, onehot):
-    """Lloyd iterations from ``centroids``, in the (K, N) buffers ``gain``
-    and ``onehot``; returns the (K, N) bool membership, the centroids and
-    the inertia history.
+def _lloyd_lockstep(points, points_t, sq, centroids, max_iter, gain, scratch, onehot):
+    """Lloyd iterations of R restarts from their (R, K, E) seeds
+    ``centroids``, advanced together in the (K, N) buffers ``gain`` and
+    ``onehot`` and the N-vector of bools ``scratch``. Yields ``(restart,
+    rows, centroids, history)`` for each restart as it converges or reaches
+    ``max_iter``, with ``rows`` the last K − 1 rows of its (K, N) bool
+    membership (views the caller copies to keep).
 
     With every cluster populated the inertia is closed-form,
     ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩`` with ``S_k`` the cluster sums, so it needs no
     per-point pass and repeats exactly for equal partitions. The member
     counts are exact integers, and the last K − 1 rows of a membership fix
-    its first, so only those rows are counted and compared."""
-    k, n = gain.shape
+    its first, so only those rows are counted, compared and kept."""
+    _, k, _ = centroids.shape
+    n = len(points)
     total = float(sq.sum())
-    member, last = np.empty((k, n), dtype=bool), np.empty((k, n), dtype=bool)
-    counts = np.empty(k)
-    history = []
+    restarts = list(range(len(centroids)))
+    histories = [[] for _ in restarts]
+    rows, last = (np.empty((len(restarts), k - 1, n), dtype=bool) for _ in range(2))
+    sums = np.empty_like(centroids)
     for i in range(max_iter):
-        member, last = last, member
-        _assign(points_t, centroids, gain, member)
-        for j in range(1, k):
-            counts[j] = np.count_nonzero(member[j])
-        counts[0] = n - counts[1:].sum()
-        if counts.all():
-            np.copyto(onehot, member)
-            sums = onehot @ points
-            centroids = sums / counts[:, None]
-            # Sorting the K terms makes relabelings of one partition score
-            # identically, so ties still go to the lowest restart.
-            history.append(total - float(np.sort((sums * centroids).sum(axis=1)).sum()))
-        else:
-            labels = _labels(member)
-            centroids, inertia = _reseed_empty(points, sq, labels, gain, k)
-            for j in range(k):
-                np.equal(labels, j, out=member[j])
-            history.append(inertia)
-        if i and not np.not_equal(member[1:], last[1:], out=last[1:]).any():
-            break
-    return member, centroids, history
+        rows, last = last, rows
+        doubled, sq_norms = 2.0 * centroids, (centroids**2).sum(axis=2)
+        # Two passes over the restarts, each reading one layout of the points.
+        counts, reseeded = [], {}
+        for a in range(len(restarts)):
+            _claim(points_t, doubled[a], sq_norms[a], gain, rows[a], scratch)
+            count = [np.count_nonzero(row) for row in rows[a]]
+            count.insert(0, n - sum(count))
+            if not all(count):
+                labels = _labels(rows[a])
+                sums[a], reseeded[a] = _reseed_empty(points, sq, labels, gain, k)
+                count = [1] * k  # so the means below are the reseeded centroids
+                for j in range(1, k):
+                    np.equal(labels, j, out=rows[a, j - 1])
+            counts.append(count)
+        for a in range(len(restarts)):
+            if a not in reseeded:
+                np.copyto(onehot[1:], rows[a])
+                # The first row is the rest's negated union; at K = 2 it needs no reduction.
+                np.logical_not(rows[a, 0] if k == 2 else rows[a].any(axis=0), out=onehot[0])
+                np.matmul(onehot, points, out=sums[a])
+        centroids = sums / np.array(counts, dtype=np.float64)[:, :, None]
+        # Sorting the K terms makes relabelings of one partition score
+        # identically, so ties still go to the lowest restart.
+        inertia = (total - np.sort((sums * centroids).sum(axis=2), axis=1).sum(axis=1)).tolist()
+        for a, history in enumerate(histories):
+            history.append(reseeded.get(a, inertia[a]))
+        done = np.full(len(restarts), i == max_iter - 1)
+        if i:
+            done |= ~np.not_equal(rows, last, out=last).any(axis=(1, 2))
+        if not done.any():
+            continue
+        for a in np.flatnonzero(done):
+            yield restarts[a], rows[a], centroids[a], histories[a]
+        keep = ~done
+        if not keep.any():
+            return
+        restarts = [r for r, d in zip(restarts, done) if not d]
+        histories = [h for h, d in zip(histories, done) if not d]
+        centroids, sums, rows, last = centroids[keep], sums[keep], rows[keep], last[keep]
+
+
+def _rank(restart, inertia):
+    """Sort key of a finished restart, so the least is the one a scan in
+    restart order keeps on strictly lower inertia: the lowest inertia, ties
+    to the lowest restart. A NaN inertia (from points whose squares
+    overflow) displaces nothing, so it wins only at restart 0."""
+    nan = math.isnan(inertia)
+    return (nan and restart > 0, -math.inf if nan else inertia, restart)
 
 
 def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
     """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` by
     inertia (ties to the lowest restart index).
 
-    The points are transposed once to a contiguous (E, N) array, so each
-    pass over them is one GEMM or one contiguous array op; a point goes to
-    the lowest-index centroid among those at equal distance. Every restart
-    works in the same (K, N) buffers. A NaN or infinite point is a
-    ValueError.
+    Restart r is seeded from its own ``kmeans-restart-{r}`` stream. The
+    restarts run in groups of at most ``LOCKSTEP``, whose members advance
+    one Lloyd iteration at a time together: each restart's assignment GEMM,
+    claims, member counts and centroid-sum GEMM run on its own, with the
+    operands of a restart run alone, so its bits are those of a restart run
+    alone; the doubled centroids, ‖c‖² terms, means, inertia and convergence
+    test run once per iteration on the group's (R, K, E) and (R, K) arrays.
+    A group holds two sets of K − 1 membership rows (N bools each) per
+    restart, and two (K, N) float buffers serve every restart, so memory
+    does not grow with ``restarts`` beyond ``LOCKSTEP``. A point goes to the
+    lowest-index centroid among those at equal distance. A NaN or infinite
+    point is a ValueError.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -189,16 +278,19 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
     points_t = np.ascontiguousarray(points.T)
     sq = (points_t**2).sum(axis=0)
     n = len(points)
-    gain, onehot = np.empty((k, n)), np.empty((k, n))
-    best = None
-    for r in range(restarts):
-        rng = rng_for(seed, f"kmeans-restart-{r}")
-        centroids = _kmeans_pp_init(points, points_t, k, rng)
-        member, centroids, history = _lloyd(points, points_t, sq, centroids, max_iter, gain, onehot)
-        if best is None or history[-1] < best[2][-1]:
-            best = (member, centroids, history)
-    member, centroids, history = best
-    return ClusterAssignment(_labels(member), centroids, history[-1], tuple(history))
+    gain, scratch, onehot = np.empty((k, n)), np.empty(n, dtype=bool), np.empty((k, n))
+    best = best_rank = None
+    for lo in range(0, restarts, LOCKSTEP):
+        group = range(lo, min(lo + LOCKSTEP, restarts))
+        seeds = np.stack([_kmeans_pp_init(points, points_t, k, rng_for(seed, f"kmeans-restart-{r}"))
+                          for r in group])
+        finished = _lloyd_lockstep(points, points_t, sq, seeds, max_iter, gain, scratch, onehot)
+        for a, rows, centroids, history in finished:
+            rank = _rank(lo + a, history[-1])
+            if best is None or rank < best_rank:
+                best, best_rank = (rows.copy(), centroids.copy(), history), rank
+    rows, centroids, history = best
+    return ClusterAssignment(_labels(rows), centroids, history[-1], tuple(history))
 
 
 FRAME_BLOCK = 64  # frames per block of cluster mode's passes over the embedding field
@@ -311,7 +403,7 @@ def separate_embedded(
         for lo in range(0, n, rows):
             block = points[lo : lo + rows]
             unit_t = np.divide(block.T, norms[lo : lo + rows], out=np.empty((E, len(block))))
-            labels[lo : lo + rows] = _labels(_assign(unit_t, fitted.centroids)[1])
+            labels[lo : lo + rows] = _labels(_assign(unit_t, fitted.centroids)[1][1:])
         assignment = replace(fitted, labels=labels)
         masks = masks_from_clusters(assignment, (T, F))
         stems = reconstruct_binary(emb.x_spec, masks, cfg, emb.length)

@@ -181,13 +181,24 @@ def _bins_per_clip(records):
 
 
 def evaluate_losses(model, records, batch_size):
-    """(mean sce, mean mi) over records, without touching gradients."""
-    sce_sum = mi_sum = 0.0
-    for lo in range(0, len(records), batch_size):
-        chunk = records[lo : lo + batch_size]
-        l_sce, l_mi = _losses(model, batch_from_records(chunk))
-        sce_sum += float(l_sce.data) * len(chunk)
-        mi_sum += float(l_mi.data) * len(chunk)
+    """(mean sce, mean mi) over records, without touching gradients. The
+    parameters need no gradient while it runs, so no op records a tape, and
+    their flags are restored afterwards, also when a batch raises; the losses
+    are the same bits either way."""
+    params = model.parameters()
+    flags = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        sce_sum = mi_sum = 0.0
+        for lo in range(0, len(records), batch_size):
+            chunk = records[lo : lo + batch_size]
+            l_sce, l_mi = _losses(model, batch_from_records(chunk))
+            sce_sum += float(l_sce.data) * len(chunk)
+            mi_sum += float(l_mi.data) * len(chunk)
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
     return sce_sum / len(records), mi_sum / len(records)
 
 

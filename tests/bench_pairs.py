@@ -1,6 +1,6 @@
 """Compare two checkouts on one benchmark workload in interleaved pairs.
 
-    python3 tests/bench_pairs.py BASE CHANGE --workload NAME --seed S --pairs N [--seconds T]
+    python3 tests/bench_pairs.py BASE CHANGE --workload NAME --seed S --pairs N [--seconds T] [--traced]
 
 BASE and CHANGE are source checkouts (say, a clone of the parent commit and
 the working tree). Each pair runs ``perfbench/run.py --workload NAME --seed S
@@ -15,6 +15,12 @@ whether the median change exceeds BASE's interquartile range. A last line
 gives each side's failed and attempted op counts. A run that exits non-zero
 or prints no JSON is reported and counted, not retried.
 
+With ``--traced``, each side then also runs ``perfbench/run.py --trace 1``
+once, with the same workload, seed and seconds, and one line per side gives
+its failed and attempted op counts. A traced op fails when its span counts
+differ from the ones the workload expects, so these lines show that the
+span-count check held on both sides.
+
 Nothing in either checkout is written except what ``perfbench/run.py``
 itself writes and removes. pytest does not collect this file.
 """
@@ -27,11 +33,11 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     """Metric values of one run in ``checkout``, with its op counts; None if
     the run failed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -62,6 +68,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--traced", action="store_true",
+                        help="also run one traced run per side and print its op counts")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -101,6 +109,11 @@ def main(argv=None):
         done = [r for r in runs[side] if r]
         print(f"{side}: failed {sum(r[1] for r in done)} of {sum(r[2] for r in done)} ops attempted; "
               f"{args.pairs - len(done)} runs did not complete")
+    if args.traced:
+        for side in ("base", "change"):
+            traced = run_once(sides[side], args.workload, args.seed, args.seconds, trace=1)
+            counts = f"failed {traced[1]} of {traced[2]} ops attempted" if traced else "did not complete"
+            print(f"{side} traced run: {counts}")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,16 @@
 """Measure the memory and fault cost of training or of one ``denoise``.
 
     python3 tests/memory_probe.py train [--epochs N] [--seed S]
-    python3 tests/memory_probe.py denoise --seconds S --mode {cluster,mi} [--seed S]
+    python3 tests/memory_probe.py denoise --seconds S --mode {cluster,mi} [--K K] [--seed S]
 
 ``train`` builds the default-config corpus (16 train and 4 validation clips)
 and trains the default model for N epochs. ``denoise`` writes an untrained
 default-model checkpoint and a synthetic 10 kHz WAV of S seconds (speech-like
 signal plus engine noise) to a temporary directory, then runs the CLI's
-``denoise`` on it; memory does not depend on the weights. Either job runs in a
-fresh child process with one BLAS thread, unless ``OPENBLAS_NUM_THREADS`` is
-set. One line is printed:
+``denoise`` on it, with ``--K K`` clusters in cluster mode (default 2);
+memory does not depend on the weights. Either job runs in a fresh child
+process with one BLAS thread, unless ``OPENBLAS_NUM_THREADS`` is set. One
+line is printed:
 
     peak_rss_mb=…  minor_faults=…  sys_s=…  wall_s=…
 
@@ -47,12 +48,14 @@ def _train(epochs, seed):
     return lambda: model.train(corpus.train, corpus.val, model_cfg, seed, epochs=epochs)
 
 
-def _denoise(workdir, mode, seed):
+def _denoise(workdir, mode, k, seed):
     from scesep.cli import main
 
     args = ["--seed", str(seed), "--out", str(Path(workdir) / "stems"), "denoise",
             "--checkpoint", str(Path(workdir) / "model.scem"), str(Path(workdir) / "mix.wav"),
             "--mode", mode]
+    if mode == "cluster":
+        args += ["--K", str(k)]
 
     def run():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -86,7 +89,7 @@ def _child(job):
     if job["kind"] == "train":
         run = _train(job["epochs"], job["seed"])
     else:
-        run = _denoise(job["workdir"], job["mode"], job["seed"])
+        run = _denoise(job["workdir"], job["mode"], job["k"], job["seed"])
     before, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
     run()
     wall = time.perf_counter() - t0
@@ -105,6 +108,7 @@ def main():
     denoise = sub.add_parser("denoise")
     denoise.add_argument("--seconds", type=float, required=True)
     denoise.add_argument("--mode", choices=("cluster", "mi"), required=True)
+    denoise.add_argument("--K", type=int, default=2, help="clusters in cluster mode")
     denoise.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     if args.child:
@@ -121,7 +125,7 @@ def main():
         else:
             sys.path.insert(0, str(SRC))
             _write_denoise_inputs(workdir, args.seconds, args.seed)
-            job.update(workdir=workdir, mode=args.mode)
+            job.update(workdir=workdir, mode=args.mode, k=args.K)
         subprocess.run([sys.executable, __file__, "--child", json.dumps(job)], env=env, check=True)
 
 

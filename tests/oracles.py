@@ -351,22 +351,33 @@ def _lloyd_score(points, points_t, sq, centroids, max_iter):
     return labels, centroids, history
 
 
-def kmeans_score_oracle(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
+def kmeans_score_restarts(points, k, seed=0, restarts=8, max_iter=300):
     """Bit-exact reference for inference.kmeans: the same GEMMs and sums in
-    the same order, written plainly. Each Lloyd iteration takes the (K, N)
-    scores ``‖c‖² − 2⟨x, c⟩``, integer labels by a running minimum and a
-    one-hot cast from them, each a fresh array; k-means++ takes distances to
-    every centroid it draws, the last one included."""
+    the same order, written plainly, each restart run to its end on its
+    own, one after another; a list of ClusterAssignment, one per restart,
+    of which ``kmeans_best_restart`` picks the result. Each Lloyd iteration
+    takes the (K, N) scores ``‖c‖² − 2⟨x, c⟩``, integer labels by a running
+    minimum and a one-hot cast from them, each a fresh array; k-means++
+    takes distances to every centroid it draws, the last one included."""
     points = np.asarray(points, dtype=np.float64)
     points_t = np.ascontiguousarray(points.T)
     sq = (points_t**2).sum(axis=0)
-    best = None
+    runs = []
     for r in range(restarts):
         rng = rng_for(seed, f"kmeans-restart-{r}")
         centroids = kmeans_pp_init_choice_oracle(points, points_t, k, rng)
         labels, centroids, history = _lloyd_score(points, points_t, sq, centroids, max_iter)
-        if best is None or history[-1] < best.inertia:
-            best = ClusterAssignment(labels, centroids, history[-1], tuple(history))
+        runs.append(ClusterAssignment(labels, centroids, history[-1], tuple(history)))
+    return runs
+
+
+def kmeans_best_restart(runs):
+    """Index of the restart a scan in restart order keeps, replacing its
+    pick only on strictly lower inertia."""
+    best = 0
+    for r, run in enumerate(runs):
+        if run.inertia < runs[best].inertia:
+            best = r
     return best
 
 

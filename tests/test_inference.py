@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import (
     assign_score_oracle,
+    kmeans_best_restart,
     kmeans_broadcast_oracle,
     kmeans_pp_init_choice_oracle,
-    kmeans_score_oracle,
+    kmeans_score_restarts,
 )
 
 from scesep import inference
@@ -94,7 +97,7 @@ class TestKmeans:
         pts = np.array([[0.0, 0.0], [0.0, -2.0], [0.0, 3.0], [2.0, 0.0], [-2.0, 0.0]])
         gain, member = _assign(np.ascontiguousarray(pts.T), centroids)
         np.testing.assert_array_equal(member.sum(axis=0), 1)
-        labels = _labels(member)
+        labels = _labels(member[1:])
         np.testing.assert_array_equal(labels, [1, 1, 0, 1, 2])
         d2 = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2)
         np.testing.assert_array_equal(labels, np.argmin(d2, axis=1))
@@ -176,19 +179,36 @@ def repeated_points(seed, n, e, k, distinct=3):
     return rng.standard_normal((distinct, e))[rng.integers(0, distinct, n)], k
 
 
-# name: (points and K, seed, max_iter, reseeds)
+# Fourteen points on a 6 × 6 grid. At K = 5 and seed 611, restart 2 alone
+# reseeds an empty cluster (on its second of three iterations); restarts 0,
+# 1 and 3 stop after two iterations and restart 4 after three.
+MIDDLE_RESEED = np.array(
+    [[4, 2], [1, 5], [0, 4], [2, 1], [4, 0], [0, 0], [2, 1],
+     [2, 4], [1, 5], [5, 2], [5, 4], [1, 1], [1, 4], [2, 5]],
+    dtype=np.float64,
+)
+
+# name: (points and K, seed, max_iter, reseeds, restarts)
 EXACT_CASES = {
-    "k1": (lambda: (np.random.default_rng(20).standard_normal((500, 4)), 1), 21, 300, False),
-    "k2-n-equals-k": (lambda: (np.array([[0.0, 1.0], [2.0, -1.0]]), 2), 22, 300, False),
-    "k2-unit-15k": (lambda: (unit_points(23, n=15000), 2), 24, 300, False),
-    "k3-unit": (lambda: (unit_points(25, n=4000, spread=2.0), 3), 26, 300, False),
-    "k5-n-equals-k": (lambda: (np.random.default_rng(27).standard_normal((5, 3)), 5), 28, 300, False),
-    "k2-integer-ties": (lambda: integer_points(29, 3000, 2, 2), 30, 300, False),
-    "k3-integer-ties": (lambda: integer_points(31, 2000, 3, 3), 32, 300, False),
-    "k5-integer-ties": (lambda: integer_points(33, 5000, 2, 5, 0, 2), 34, 300, True),
-    "k3-reseed": (lambda: (np.array([[0.0, 0.0]] * 6 + [[1.0, 0.0]] * 2), 3), 0, 300, True),
-    "k5-reseed": (lambda: repeated_points(35, 600, 4, 5), 36, 300, True),
-    "k3-max-iter-cap": (lambda: (unit_points(37, n=3000, spread=2.0), 3), 38, 2, False),
+    "k1": (lambda: (np.random.default_rng(20).standard_normal((500, 4)), 1), 21, 300, False, 8),
+    "k2-n-equals-k": (lambda: (np.array([[0.0, 1.0], [2.0, -1.0]]), 2), 22, 300, False, 8),
+    "k2-unit-15k": (lambda: (unit_points(23, n=15000), 2), 24, 300, False, 8),
+    "k3-unit": (lambda: (unit_points(25, n=4000, spread=2.0), 3), 26, 300, False, 8),
+    "k5-n-equals-k": (lambda: (np.random.default_rng(27).standard_normal((5, 3)), 5), 28, 300, False, 8),
+    "k2-integer-ties": (lambda: integer_points(29, 3000, 2, 2), 30, 300, False, 8),
+    "k3-integer-ties": (lambda: integer_points(31, 2000, 3, 3), 32, 300, False, 8),
+    "k5-integer-ties": (lambda: integer_points(33, 5000, 2, 5, 0, 2), 34, 300, True, 8),
+    "k3-reseed": (lambda: (np.array([[0.0, 0.0]] * 6 + [[1.0, 0.0]] * 2), 3), 0, 300, True, 8),
+    "k5-reseed": (lambda: repeated_points(35, 600, 4, 5), 36, 300, True, 8),
+    "k3-max-iter-cap": (lambda: (unit_points(37, n=3000, spread=2.0), 3), 38, 2, False, 8),
+    # Restart counts around the lockstep group of 8.
+    "k2-unit-restarts-1": (lambda: (unit_points(41, n=3000), 2), 42, 300, False, 1),
+    "k3-unit-restarts-3": (lambda: (unit_points(43, n=3000, spread=2.0), 3), 44, 300, False, 3),
+    "k2-unit-restarts-11": (lambda: (unit_points(45, n=3000, spread=2.5), 2), 46, 300, False, 11),
+    "k3-integer-ties-restarts-11": (lambda: integer_points(47, 1500, 3, 3), 48, 300, False, 11),
+    "k2-max-iter-1": (lambda: (unit_points(49, n=2000, spread=2.0), 2), 50, 1, False, 8),
+    "k3-max-iter-1-restarts-11": (lambda: (unit_points(51, n=2000, spread=2.0), 3), 52, 1, False, 11),
+    "k5-middle-reseed-restarts-5": (lambda: (MIDDLE_RESEED, 5), 611, 300, True, 5),
 }
 
 
@@ -198,7 +218,7 @@ class TestKmeansBitIdentity:
 
     @pytest.mark.parametrize("case", sorted(EXACT_CASES))
     def test_matches_score_oracle(self, case, monkeypatch):
-        make, seed, max_iter, reseeds = EXACT_CASES[case]
+        make, seed, max_iter, reseeds, restarts = EXACT_CASES[case]
         pts, k = make()
         calls = []
         real = inference._reseed_empty
@@ -208,16 +228,88 @@ class TestKmeansBitIdentity:
             return real(*args)
 
         monkeypatch.setattr(inference, "_reseed_empty", counted)
-        a = kmeans(pts, k, seed=seed, max_iter=max_iter)
-        b = kmeans_score_oracle(pts, k, seed=seed, max_iter=max_iter)
+        a = kmeans(pts, k, seed=seed, restarts=restarts, max_iter=max_iter)
+        # Each restart run to its end alone, then the scan's pick; kmeans
+        # advances them in lockstep and must give that restart's bits.
+        runs = kmeans_score_restarts(pts, k, seed=seed, restarts=restarts, max_iter=max_iter)
+        best = kmeans_best_restart(runs)
+        b = runs[best]
         assert a.labels.dtype == b.labels.dtype
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.centroids.tobytes() == b.centroids.tobytes()
         assert a.inertia_history == b.inertia_history
         assert a.inertia == b.inertia
+        same = [r for r, run in enumerate(runs) if run.centroids.tobytes() == a.centroids.tobytes()
+                and run.inertia_history == a.inertia_history and np.array_equal(run.labels, a.labels)]
+        assert same[0] == best
         assert bool(calls) == reseeds
         if max_iter < 300:
+            assert all(len(run.inertia_history) == max_iter for run in runs)
             assert len(a.inertia_history) == max_iter
+
+    def test_lockstep_cases_cover_groups_and_retirements(self, monkeypatch):
+        # The restart cases exercise what they are named for: more restarts
+        # than one lockstep group, and restarts that stop at different
+        # iterations around a reseed in the middle one.
+        assert EXACT_CASES["k2-unit-restarts-11"][4] > inference.LOCKSTEP
+        calls = []
+        real = inference._reseed_empty
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(inference, "_reseed_empty", counted)
+        reseeds = []
+        for restarts in (2, 3, 5):
+            calls.clear()
+            kmeans(MIDDLE_RESEED, 5, seed=611, restarts=restarts)
+            reseeds.append(len(calls))
+        assert reseeds == [0, 1, 1]  # restart 2 reseeds once; 0, 1, 3 and 4 never
+        runs = kmeans_score_restarts(MIDDLE_RESEED, 5, seed=611, restarts=5)
+        assert [len(run.inertia_history) for run in runs] == [2, 2, 3, 2, 3]
+
+    def test_lockstep_memory_does_not_grow_with_restarts(self):
+        pts = unit_points(53, n=20000, spread=2.0)
+        peaks = {}
+        for restarts in (8, 64):
+            tracemalloc.start()
+            kmeans(pts, 2, seed=54, restarts=restarts)
+            peaks[restarts] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[64] <= 1.1 * peaks[8], peaks
+
+    def test_rank_picks_what_a_scan_in_restart_order_keeps(self):
+        # Restarts finish out of order in lockstep; keeping the least rank in
+        # any finishing order picks the restart that a scan in restart order,
+        # keeping strictly lower inertia, would pick: signed zeros, ties and
+        # NaN included.
+        rng = np.random.default_rng(70)
+        for _ in range(2000):
+            inertias = rng.choice([-0.0, 0.0, 1.0, 2.0, np.nan], size=int(rng.integers(1, 7))).tolist()
+            scan = 0
+            for r, inertia in enumerate(inertias):
+                if inertia < inertias[scan]:
+                    scan = r
+            kept = None
+            for r in rng.permutation(len(inertias)).tolist():
+                if kept is None or inference._rank(r, inertias[r]) < inference._rank(kept, inertias[kept]):
+                    kept = r
+            assert kept == scan, inertias
+
+    @pytest.mark.parametrize("e", range(1, 17))
+    def test_sq_dist_matches_axis0_sum(self, e):
+        # k-means++ adds the squared differences into one N-vector row by
+        # row; the bytes are those of the (E, N) expression it replaced. From
+        # N = 2 on: k-means++ takes distances only for K >= 2, so N >= 2, and
+        # at N = 1 numpy sums the E terms of the (E, 1) array pairwise.
+        rng = np.random.default_rng(60 + e)
+        for n in (2, 3, 7, 8, 9, 15, 16, 17, 100, 1000, 4096, 8191, 8192, 8193, 15000, 20000):
+            points_t = rng.standard_normal((e, n))
+            c = rng.standard_normal(e)
+            want = ((points_t - c[:, None]) ** 2).sum(axis=0)
+            got = inference._sq_dist(points_t, c, np.empty(n), np.empty(n))
+            assert got.tobytes() == want.tobytes(), (e, n)
 
     # Sizes from two points up to a clip's energetic bins; in each, a few
     # repeated points, which get probability exactly 0 once one is chosen.
@@ -247,7 +339,7 @@ class TestKmeansBitIdentity:
         gain, member = _assign(points_t, centroids)
         labels, score = assign_score_oracle(points_t, centroids)
         np.testing.assert_array_equal(-gain, score)  # equal as numbers: a zero gain negates to -0.0
-        np.testing.assert_array_equal(_labels(member), labels)
+        np.testing.assert_array_equal(_labels(member[1:]), labels)
         np.testing.assert_array_equal(member, labels == np.arange(k)[:, None])
 
 

@@ -436,6 +436,41 @@ class TestTraining:
         assert sce_a == pytest.approx(sce_b, rel=1e-12)
         assert mi_a == pytest.approx(mi_b, rel=1e-12)
 
+    def test_evaluate_losses_records_no_tape(self, monkeypatch):
+        # Validation runs on parameters that need no gradient: the losses are
+        # the bits of the taped forward, and no loss has parents, so no node
+        # below it kept any.
+        recs = self.records()
+        model = SeparationModel(TINY, rng_for(12, "init"))
+        taped = [_losses(model, batch_from_records(recs[lo : lo + 2])) for lo in (0, 2)]
+        assert all(t.requires_grad and t._parents for pair in taped for t in pair)
+        want_sce = sum(float(s.data) * 2 for s, _ in taped) / 4
+        want_mi = sum(float(m.data) * 2 for _, m in taped) / 4
+        seen = []
+
+        def recording(*args):
+            seen.extend(out := _losses(*args))
+            return out
+
+        monkeypatch.setattr("scesep.model._losses", recording)
+        sce, mi = evaluate_losses(model, recs, batch_size=2)
+        assert (sce, mi) == (want_sce, want_mi)
+        assert len(seen) == 4
+        assert not any(t.requires_grad or t._parents for t in seen)
+        assert all(p.requires_grad for p in model.parameters())
+
+    def test_evaluate_losses_restores_gradients_after_a_raise(self, monkeypatch):
+        model = SeparationModel(TINY, rng_for(13, "init"))
+
+        def failing(model, batch):
+            assert not any(p.requires_grad for p in model.parameters())
+            raise ShapeMismatch("bad batch")
+
+        monkeypatch.setattr("scesep.model._losses", failing)
+        with pytest.raises(ShapeMismatch, match="bad batch"):
+            evaluate_losses(model, self.records(), batch_size=2)
+        assert all(p.requires_grad for p in model.parameters())
+
 
 def test_write_log_format(tmp_path):
     path = tmp_path / "log.csv"
