@@ -88,8 +88,8 @@ _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_config_file(path) -> dict:
-    """Parse `key = value` lines; `#` starts a comment; unknown keys and
-    non-finite numbers fail."""
+    """Parse `key = value` lines; `#` starts a comment; unknown keys, values
+    of the wrong type and non-finite numbers fail, naming `file:line`."""
     overrides = {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
@@ -101,7 +101,11 @@ def parse_config_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            overrides[key] = _FIELDS[key](value)
+            kind = _FIELDS[key]
+            try:
+                overrides[key] = kind(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be {kind.__name__}, got {value!r}") from None
             if not math.isfinite(overrides[key]):
                 raise ValueError(f"{path}:{lineno}: {key} must be finite, got {value!r}")
     return overrides

@@ -34,7 +34,8 @@ class ModelConfig:
     grad_clip: float = 5.0
 
     def __post_init__(self):
-        lows = {"n_blstm_layers": 1, "embed_dim": 1, "n_mix_sources": 2, "batch_size": 1, "epochs": 0}
+        lows = {"n_blstm_layers": 1, "hidden_total": 2, "embed_dim": 1, "n_mix_sources": 2,
+                "batch_size": 1, "epochs": 0}
         for name, low in lows.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -97,8 +98,8 @@ class SeparationModel:
         out = nn.Tensor(x)
         for w, b in self.layers:
             out = nn.blstm_layer(out, w, b)
-        out = nn.time_affine(out, self.embed_w, self.embed_b)
         B, T = x.shape[0], x.shape[1]
+        out = nn.affine(nn.reshape(out, (B * T, self.config.hidden_total)), self.embed_w, self.embed_b)
         return nn.reshape(out, (B, T, self.config.n_freq, self.config.embed_dim))
 
     def mi_masks(self, v_i: nn.Tensor) -> nn.Tensor:
@@ -127,9 +128,10 @@ def sce_loss(v_i: nn.Tensor, v_o: nn.Tensor, y: np.ndarray) -> nn.Tensor:
     M = v_o.shape[1]
     if y.shape != (B, T, F, M):
         raise ShapeMismatch(f"labels {y.shape} != {(B, T, F, M)}")
-    vi_flat = nn.reshape(v_i, (B, T * F, E))
-    d = nn.reshape(nn.matmul(vi_flat, nn.swap_last(v_o)), (B, T, F, M))
-    return nn.mul(nn.tsum(nn.log_sigmoid(nn.mul(d, y))), -1.0 / (B * M))
+    # Scores and labels stay (B, T*F, M): tsum adds a contiguous array as
+    # flat data, so the shape it sees does not change the sum.
+    d = nn.matmul(nn.reshape(v_i, (B, T * F, E)), nn.swap_last(v_o))
+    return nn.mul(nn.tsum(nn.log_sigmoid(nn.mul(d, y.reshape(B, T * F, M)))), -1.0 / (B * M))
 
 
 def mi_loss(mask: nn.Tensor, x_mag: np.ndarray, true_source_mags: np.ndarray) -> nn.Tensor:

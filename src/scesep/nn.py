@@ -2,12 +2,13 @@
 
 Only the operations required by the separation network are implemented:
 broadcast arithmetic, square, matmul, affine (x @ w + b as one node),
-reshape, row gathers, tanh, log-sigmoid, softmax, and sums, plus one fused
-bidirectional LSTM sequence op with hand-written backpropagation through
-time. Everything is float64 so gradient checks can be tight; the one
-exception is a constant int8 array (the +-1 dominance labels), which is
-kept as it is, since numpy promotes it to float64 exactly wherever it meets
-a float. Forward passes are pure functions of (inputs, parameters).
+reshape, a last-two-axes swap, row gathers, log-sigmoid, softmax, and sums,
+plus one fused bidirectional LSTM sequence op with hand-written
+backpropagation through time. Everything is float64 so gradient checks can
+be tight; the one exception is a constant int8 array (the +-1 dominance
+labels), which is kept as it is, since numpy promotes it to float64 exactly
+wherever it meets a float. Forward passes are pure functions of (inputs,
+parameters).
 ``affine``, ``softmax`` and ``log_sigmoid`` compute in their output buffer,
 with the same operations in the same order as the plain expressions (so
 the same bits); ``affine`` adds the bias into its product, so the tape holds
@@ -261,12 +262,6 @@ def gather_rows(table, ids):
     return Tensor(table.data[ids], parents=(table,), backward_fn=bwd)
 
 
-def tanh(a):
-    a = _as_tensor(a)
-    h = np.tanh(a.data)
-    return Tensor(h, parents=(a,), backward_fn=lambda g: a._accum(g * (1.0 - h * h), own=True))
-
-
 def log_sigmoid(a):
     """Numerically stable log(sigmoid(x))."""
     a = _as_tensor(a)
@@ -452,16 +447,6 @@ def blstm_layer(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
         b._accum(db, own=True)
 
     return Tensor(data, parents=(x, w, b), backward_fn=bwd)
-
-
-def time_affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Per-timestep affine map (width-1 convolution): (B,T,D) -> (B,T,K)."""
-    x = _as_tensor(x)
-    B, T, D = x.shape
-    if w.shape[0] != D:
-        raise ShapeMismatch(f"weight rows {w.shape[0]} != input width {D}")
-    flat = reshape(x, (B * T, D))
-    return reshape(affine(flat, w, b), (B, T, w.shape[1]))
 
 
 # --- optimization ---------------------------------------------------------

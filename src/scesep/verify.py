@@ -17,13 +17,13 @@ TOL_NONRECURRENT = 1e-6
 TOL_RECURRENT = 1e-4
 
 
-def _check_time_affine(seed):
+def _check_affine(seed):
     rng = rng_for(seed, "gc-affine")
-    x = nn.Tensor(rng.standard_normal((2, 3, 4)))
+    x = nn.Parameter(rng.standard_normal((6, 4)), "x")
     w = nn.Parameter(rng.standard_normal((4, 5)), "w")
     b = nn.Parameter(rng.standard_normal(5), "b")
     return nn.finite_difference_check(
-        lambda: nn.tsum(nn.tanh(nn.time_affine(x, w, b))), [w, b]
+        lambda: nn.tsum(nn.log_sigmoid(nn.affine(x, w, b))), [x, w, b]
     )
 
 
@@ -113,7 +113,7 @@ def _check_full_model(seed):
 
 
 CHECKS = [
-    ("time_affine", _check_time_affine, TOL_NONRECURRENT),
+    ("affine", _check_affine, TOL_NONRECURRENT),
     ("softmax_head", _check_softmax_head, TOL_NONRECURRENT),
     ("square", _check_square, TOL_NONRECURRENT),
     ("blstm_layer", _check_blstm, TOL_RECURRENT),

@@ -10,8 +10,9 @@ last line of each run's standard output is its JSON result.
 
 For every metric the runs report, one line gives each side's median and
 quartiles, the change in the median, and, for the end-to-end metrics that
-BASE's ``BENCHMARK.json`` declares, how many pairs the change won and
-whether the median change exceeds BASE's interquartile range. A last line
+BASE's ``BENCHMARK.json`` declares, how many pairs the change won, whether
+the median change exceeds BASE's interquartile range, and a no-regression
+verdict against the metric's bound there (see ``verdict``). A last line
 gives each side's failed and attempted op counts. A run that exits non-zero
 or prints no JSON is reported and counted, not retried.
 
@@ -60,6 +61,27 @@ def quartiles(xs):
     return q1, q2, q3
 
 
+def verdict(both, bound, sign):
+    """No-regression verdict of one end-to-end metric over complete
+    (base, change) pairs; ``sign`` is 1 where higher is better, -1 where
+    lower is. The allowance is ``bound`` times BASE's median:
+
+    - "worse beyond bound": the change's median is worse than BASE's by
+      more than the allowance;
+    - "unresolved": otherwise, BASE's interquartile range is wider than the
+      allowance, so the runs cannot tell, unless every change run beats
+      every BASE run;
+    - "within bound": otherwise.
+    """
+    bq, cq = quartiles([b for b, _ in both]), quartiles([c for _, c in both])
+    allowed = bound * abs(bq[1])
+    if sign * (bq[1] - cq[1]) > allowed:
+        return "worse beyond bound"
+    if bq[2] - bq[0] > allowed and not all(sign * (c - b) > 0 for _, c in both for b, _ in both):
+        return "unresolved"
+    return "within bound"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
@@ -79,6 +101,7 @@ def main(argv=None):
             parser.error(f"{name} {path} has no perfbench/run.py")
     spec = json.loads((sides["base"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     runs = {"base": [], "change": []}  # per side, one result per pair (None if failed)
     for i in range(args.pairs):
@@ -103,7 +126,8 @@ def main(argv=None):
             won = sum(sign * (c - b) > 0 for b, c in both)
             iqr = bq[2] - bq[0]
             beyond = "exceeds" if sign * delta > iqr else "within"
-            line += f"  won {won}/{len(both)} ({better[name]} is better); gain {beyond} base IQR {iqr:.4g}"
+            line += (f"  won {won}/{len(both)} ({better[name]} is better); gain {beyond} base IQR {iqr:.4g}; "
+                     f"{verdict(both, bounds[name], sign)} (bound {bounds[name]:.0%})")
         print(line)
     for side in ("base", "change"):
         done = [r for r in runs[side] if r]

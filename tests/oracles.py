@@ -141,6 +141,13 @@ def sigmoid(a):
     return out
 
 
+def tanh(a):
+    """Tape op for tanh(a); the fused LSTM computes its candidate and tanh(c) inline."""
+    a = nn._as_tensor(a)
+    h = np.tanh(a.data)
+    return nn.Tensor(h, parents=(a,), backward_fn=lambda g: a._accum(g * (1.0 - h * h), own=True))
+
+
 def _concat(tensors, axis):
     out = nn.Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors))
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
@@ -214,9 +221,9 @@ def lstm_unrolled_oracle(x: nn.Tensor, w: nn.Parameter, b: nn.Parameter, directi
         i = sigmoid(nn.add(nn.matmul(z, w_i), b_i))
         f = sigmoid(nn.add(nn.matmul(z, w_f), b_f))
         o = sigmoid(nn.add(nn.matmul(z, w_o), b_o))
-        g = nn.tanh(nn.add(nn.matmul(z, w_c), b_c))
+        g = tanh(nn.add(nn.matmul(z, w_c), b_c))
         c = nn.add(nn.mul(f, c), nn.mul(i, g))
-        h = nn.mul(o, nn.tanh(c))
+        h = nn.mul(o, tanh(c))
         outs[t] = h
     return _stack_time(outs)
 

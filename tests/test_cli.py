@@ -276,6 +276,8 @@ class TestTrain:
             ("n_mix_sources = 2", "bad.cfg:12: unknown key 'n_mix_sources'"),
             ("batch_size = 0", "batch_size must be >= 1, got 0"),
             ("n_blstm_layers = 0", "n_blstm_layers must be >= 1, got 0"),
+            ("hidden_total = 0", "hidden_total must be >= 2, got 0"),
+            ("hidden_total = -2", "hidden_total must be >= 2, got -2"),
             ("epochs = -1", "epochs must be >= 0, got -1"),
             ("lr = 0", "lr must be > 0, got 0.0"),
             ("grad_clip = -1", "grad_clip must be > 0, got -1.0"),

@@ -48,8 +48,8 @@ class TestParseConfigFile:
             parse_config_file(path)
 
     def test_bad_value_type(self, tmp_path):
-        path = self.write(tmp_path, "epochs = soon\n")
-        with pytest.raises(ValueError):
+        path = self.write(tmp_path, "epochs = 3.5\n")
+        with pytest.raises(ValueError, match="run.cfg:1: epochs must be int, got '3.5'"):
             parse_config_file(path)
 
 

