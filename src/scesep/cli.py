@@ -109,8 +109,12 @@ def cmd_mix(cfg, out_dir: Path, materialize: bool) -> int:
 
 
 def cmd_train(cfg, out_dir: Path, manifest: Path, algo: str, resume: Path) -> int:
+    if algo == "snmf" and resume is not None:
+        raise ValueError("--resume applies only to --algo sce-mi")
     stream = read_manifest(manifest, cfg.seed, cfg.stft_config(), cfg.clip_duration_s)
     if algo == "snmf":
+        if "train" not in stream.splits:
+            raise EmptyCorpus(f"manifest {manifest} has no train rows")
         return _train_snmf(cfg, out_dir, stream.records)
     # Test records are built and dropped at once; no loop variable outlives them.
     kept = [(split, rec) for split, rec in stream.records if split != "test"]

@@ -29,16 +29,18 @@ reseed (with its own gains), in a (K, N) gain buffer and a (K, N) float
 membership that every restart and iteration reuses. It runs in two passes
 over the restarts, the assignments on the (E, N) points and then the
 centroid sums on the (N, E) points, so each layout stays in cache from one
-restart to the next. What works on (K, E)-sized arrays runs once per
-iteration for all of them, on (R, K, E) and (R, K) arrays: the doubled
-centroids and ‖c‖² terms, the means, the sorted-term inertia and the
-convergence test. Lockstep holds, per restart, two sets of its last K − 1
-membership rows (N bools each), which fix the first; only the best
-finished restart's rows are kept past its group. For K ≤ 2, short of the
-rare empty-cluster reseed and of the iterations where a restart finishes
-(the rows of the rest move to smaller arrays), no Lloyd iteration allocates
-an array of N; for K > 2 each assignment also allocates its running
-maxima, and each centroid update the union of the last K − 1 rows.
+restart to the next; then each restart's new rows are compared with its
+last ones, into an N-vector every restart reuses. What works on (K, E)-sized
+arrays runs once per iteration for all of them, on (R, K, E) and (R, K)
+arrays: the doubled centroids and ‖c‖² terms, the means and the
+sorted-term inertia. Lockstep holds, per restart, two sets of its last
+K − 1 membership rows (N bools each), which fix the first. A converged
+restart sits out the later iterations in place, its rows, sums and counts
+untouched, and once the group ends, a scan in restart order keeps the
+best. For K ≤ 2, short of the rare empty-cluster reseed, no Lloyd
+iteration allocates an array of N; for K > 2 each assignment also
+allocates its running maxima, and each centroid update the union of the
+last K − 1 rows.
 k-means++ takes its distances row by row into N-vectors, with no (E, N)
 temporary.
 
@@ -50,7 +52,6 @@ and each column of the assignment GEMM, comes out the same in a block as in
 the whole field.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -180,11 +181,13 @@ def _reseed_empty(points, sq, labels, gain, k):
 def _lloyd_lockstep(points, points_t, sq, centroids, max_iter, gain, scratch, onehot):
     """Lloyd iterations of R restarts from their (R, K, E) seeds
     ``centroids``, advanced together in the (K, N) buffers ``gain`` and
-    ``onehot`` and the N-vector of bools ``scratch``. Yields ``(restart,
-    rows, centroids, history)`` for each restart as it converges or reaches
-    ``max_iter``, with ``rows`` the last K − 1 rows of its (K, N) bool
-    membership (views the caller copies to keep).
+    ``onehot`` and the N-vector of bools ``scratch``. Returns ``(rows,
+    centroids, histories)`` in restart order, with ``rows`` the (R, K − 1, N)
+    last rows of each restart's bool membership.
 
+    A restart that has converged sits out the later iterations in place: its
+    two sets of rows are equal and never written again, and its sums and
+    counts do not change, so the means taken for all give back its centroids.
     With every cluster populated the inertia is closed-form,
     ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩`` with ``S_k`` the cluster sums, so it needs no
     per-point pass and repeats exactly for equal partitions. The member
@@ -193,78 +196,64 @@ def _lloyd_lockstep(points, points_t, sq, centroids, max_iter, gain, scratch, on
     _, k, _ = centroids.shape
     n = len(points)
     total = float(sq.sum())
-    restarts = list(range(len(centroids)))
-    histories = [[] for _ in restarts]
-    rows, last = (np.empty((len(restarts), k - 1, n), dtype=bool) for _ in range(2))
-    sums = np.empty_like(centroids)
+    running = list(range(len(centroids)))
+    histories = [[] for _ in running]
+    rows, last = (np.empty((len(running), k - 1, n), dtype=bool) for _ in range(2))
+    sums, counts = np.empty_like(centroids), np.empty(centroids.shape[:2])
     for i in range(max_iter):
         rows, last = last, rows
         doubled, sq_norms = 2.0 * centroids, (centroids**2).sum(axis=2)
-        # Two passes over the restarts, each reading one layout of the points.
-        counts, reseeded = [], {}
-        for a in range(len(restarts)):
+        # Two passes over the running restarts, each reading one layout of the points.
+        reseeded = {}
+        for a in running:
             _claim(points_t, doubled[a], sq_norms[a], gain, rows[a], scratch)
             count = [np.count_nonzero(row) for row in rows[a]]
             count.insert(0, n - sum(count))
             if not all(count):
                 labels = _labels(rows[a])
                 sums[a], reseeded[a] = _reseed_empty(points, sq, labels, gain, k)
-                count = [1] * k  # so the means below are the reseeded centroids
+                count = 1  # so the means below are the reseeded centroids
                 for j in range(1, k):
                     np.equal(labels, j, out=rows[a, j - 1])
-            counts.append(count)
-        for a in range(len(restarts)):
+            counts[a] = count
+        for a in running:
             if a not in reseeded:
                 np.copyto(onehot[1:], rows[a])
                 # The first row is the rest's negated union; at K = 2 it needs no reduction.
                 np.logical_not(rows[a, 0] if k == 2 else rows[a].any(axis=0), out=onehot[0])
                 np.matmul(onehot, points, out=sums[a])
-        centroids = sums / np.array(counts, dtype=np.float64)[:, :, None]
+        centroids = sums / counts[:, :, None]
         # Sorting the K terms makes relabelings of one partition score
         # identically, so ties still go to the lowest restart.
         inertia = (total - np.sort((sums * centroids).sum(axis=2), axis=1).sum(axis=1)).tolist()
-        for a, history in enumerate(histories):
-            history.append(reseeded.get(a, inertia[a]))
-        done = np.full(len(restarts), i == max_iter - 1)
-        if i:
-            done |= ~np.not_equal(rows, last, out=last).any(axis=(1, 2))
-        if not done.any():
-            continue
-        for a in np.flatnonzero(done):
-            yield restarts[a], rows[a], centroids[a], histories[a]
-        keep = ~done
-        if not keep.any():
-            return
-        restarts = [r for r, d in zip(restarts, done) if not d]
-        histories = [h for h, d in zip(histories, done) if not d]
-        centroids, sums, rows, last = centroids[keep], sums[keep], rows[keep], last[keep]
-
-
-def _rank(restart, inertia):
-    """Sort key of a finished restart, so the least is the one a scan in
-    restart order keeps on strictly lower inertia: the lowest inertia, ties
-    to the lowest restart. A NaN inertia (from points whose squares
-    overflow) displaces nothing, so it wins only at restart 0."""
-    nan = math.isnan(inertia)
-    return (nan and restart > 0, -math.inf if nan else inertia, restart)
+        for a in running:
+            histories[a].append(reseeded.get(a, inertia[a]))
+        if i:  # into ``scratch``: both buffers must keep a sat-out restart's rows
+            running = [a for a in running if any(np.not_equal(row, prev, out=scratch).any()
+                                                 for row, prev in zip(rows[a], last[a]))]
+            if not running:
+                break
+    return rows, centroids, histories
 
 
 def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
     """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` by
-    inertia (ties to the lowest restart index).
+    inertia: a scan in restart order keeps a restart only on strictly lower
+    inertia, so ties go to the lowest restart index.
 
     Restart r is seeded from its own ``kmeans-restart-{r}`` stream. The
     restarts run in groups of at most ``LOCKSTEP``, whose members advance
     one Lloyd iteration at a time together: each restart's assignment GEMM,
     claims, member counts and centroid-sum GEMM run on its own, with the
     operands of a restart run alone, so its bits are those of a restart run
-    alone; the doubled centroids, ‖c‖² terms, means, inertia and convergence
-    test run once per iteration on the group's (R, K, E) and (R, K) arrays.
-    A group holds two sets of K − 1 membership rows (N bools each) per
-    restart, and two (K, N) float buffers serve every restart, so memory
-    does not grow with ``restarts`` beyond ``LOCKSTEP``. A point goes to the
-    lowest-index centroid among those at equal distance. A NaN or infinite
-    point is a ValueError.
+    alone; the doubled centroids, ‖c‖² terms, means and inertia run once per
+    iteration on the group's (R, K, E) and (R, K) arrays, and a converged
+    restart sits out the later iterations in place. A group holds two sets
+    of K − 1 membership rows (N bools each) per restart, and two (K, N)
+    float buffers serve every restart, so memory does not grow with
+    ``restarts`` beyond ``LOCKSTEP``. A point goes to the lowest-index
+    centroid among those at equal distance. Points that are not finite, or
+    whose squared norms sum past the float range, are a ValueError.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -273,22 +262,24 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
         raise ValueError(f"k={k}, restarts={restarts} and max_iter={max_iter} must be at least 1")
     if len(points) < k:
         raise TooFewPoints(f"{len(points)} points for k={k}")
-    if not np.isfinite(points).all():  # k-means++ would draw from a NaN distribution
-        raise ValueError("points must be finite")
     points_t = np.ascontiguousarray(points.T)
-    sq = (points_t**2).sum(axis=0)
+    with np.errstate(over="ignore"):  # an overflowing square or sum is rejected below
+        sq = (points_t**2).sum(axis=0)
+        finite = np.isfinite(sq.sum())
+    # k-means++ would draw from a NaN distribution, and Lloyd from overflowing gains.
+    if not finite:
+        raise ValueError("points must be finite, and so must the sum of their squared norms")
     n = len(points)
     gain, scratch, onehot = np.empty((k, n)), np.empty(n, dtype=bool), np.empty((k, n))
-    best = best_rank = None
+    best = None
     for lo in range(0, restarts, LOCKSTEP):
-        group = range(lo, min(lo + LOCKSTEP, restarts))
         seeds = np.stack([_kmeans_pp_init(points, points_t, k, rng_for(seed, f"kmeans-restart-{r}"))
-                          for r in group])
-        finished = _lloyd_lockstep(points, points_t, sq, seeds, max_iter, gain, scratch, onehot)
-        for a, rows, centroids, history in finished:
-            rank = _rank(lo + a, history[-1])
-            if best is None or rank < best_rank:
-                best, best_rank = (rows.copy(), centroids.copy(), history), rank
+                          for r in range(lo, min(lo + LOCKSTEP, restarts))])
+        rows, centroids, histories = _lloyd_lockstep(points, points_t, sq, seeds, max_iter,
+                                                     gain, scratch, onehot)
+        for a, history in enumerate(histories):
+            if best is None or history[-1] < best[2][-1]:
+                best = rows[a].copy(), centroids[a], history
     rows, centroids, history = best
     return ClusterAssignment(_labels(rows), centroids, history[-1], tuple(history))
 

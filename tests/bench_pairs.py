@@ -22,6 +22,10 @@ its failed and attempted op counts. A traced op fails when its span counts
 differ from the ones the workload expects, so these lines show that the
 span-count check held on both sides.
 
+The exit status is 1 when a check fails: an end-to-end metric reads "worse
+beyond bound", an op failed on either side, or a run (traced ones included)
+did not complete. Otherwise it is 0; "unresolved" does not fail.
+
 Nothing in either checkout is written except what ``perfbench/run.py``
 itself writes and removes. pytest does not collect this file.
 """
@@ -103,6 +107,7 @@ def main(argv=None):
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
+    failing = False  # a verdict worse beyond bound, a failed op or an incomplete run
     runs = {"base": [], "change": []}  # per side, one result per pair (None if failed)
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -126,19 +131,25 @@ def main(argv=None):
             won = sum(sign * (c - b) > 0 for b, c in both)
             iqr = bq[2] - bq[0]
             beyond = "exceeds" if sign * delta > iqr else "within"
+            judged = verdict(both, bounds[name], sign)
+            failing |= judged == "worse beyond bound"
             line += (f"  won {won}/{len(both)} ({better[name]} is better); gain {beyond} base IQR {iqr:.4g}; "
-                     f"{verdict(both, bounds[name], sign)} (bound {bounds[name]:.0%})")
+                     f"{judged} (bound {bounds[name]:.0%})")
         print(line)
     for side in ("base", "change"):
         done = [r for r in runs[side] if r]
-        print(f"{side}: failed {sum(r[1] for r in done)} of {sum(r[2] for r in done)} ops attempted; "
+        failed = sum(r[1] for r in done)
+        failing |= failed > 0 or len(done) < args.pairs
+        print(f"{side}: failed {failed} of {sum(r[2] for r in done)} ops attempted; "
               f"{args.pairs - len(done)} runs did not complete")
     if args.traced:
         for side in ("base", "change"):
             traced = run_once(sides[side], args.workload, args.seed, args.seconds, trace=1)
+            failing |= traced is None or traced[1] > 0
             counts = f"failed {traced[1]} of {traced[2]} ops attempted" if traced else "did not complete"
             print(f"{side} traced run: {counts}")
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -211,6 +211,38 @@ class TestTrain:
         assert not (out / "model.scem").exists()
         assert not (out / "train_log.csv").exists()
 
+    def test_snmf_without_train_rows_fails(self, workspace, tmp_path, capsys, monkeypatch):
+        def no_audio(*args, **kwargs):
+            raise AssertionError("train synthesized audio")
+
+        for name in ("synth_speechlike", "synth_noise"):
+            monkeypatch.setattr(mixtures, name, no_audio)
+        rows = workspace["manifest"].read_text().splitlines()
+        manifest = tmp_path / "no_train.tsv"
+        manifest.write_text("".join(r + "\n" for r in rows if r.split("\t")[1] != "train"))
+        out = tmp_path / "run"
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(out),
+            "train", "--manifest", str(manifest), "--algo", "snmf",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: manifest {manifest} has no train rows" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    def test_snmf_resume_is_usage_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(out),
+            "train", "--manifest", str(workspace["manifest"]), "--algo", "snmf",
+            "--resume", str(tmp_path / "nope.scem"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: --resume applies only to --algo sce-mi" in captured.err
+        assert not out.exists()
+
     def test_missing_manifest_is_usage_error(self, workspace, tmp_path):
         code = main([
             "--config", str(workspace["cfg"]), "--out", str(tmp_path),
