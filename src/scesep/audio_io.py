@@ -7,10 +7,10 @@ import numpy as np
 from .dsp import Waveform
 from .errors import ShapeMismatch
 
-# Header sample rates read_wav accepts, in Hz: telephone speech to
-# high-resolution audio. A clip is resampled to the model rate by a filter
-# whose length grows with the rate, so a damaged header claiming billions of
-# Hz would ask for billions of filter taps.
+# Sample rates in Hz that read_wav takes from a header and RunConfig as the
+# model rate: telephone speech to high-resolution audio. A clip is resampled
+# to the model rate by a filter whose length grows with the rate, so a
+# damaged header claiming billions of Hz would ask for billions of taps.
 SAMPLE_RATE_RANGE_HZ = (1000, 384000)
 
 

@@ -6,8 +6,9 @@ Precedence: CLI flag > config file > default. Unknown keys are rejected.
 import math
 from dataclasses import dataclass, fields
 
+from .audio_io import SAMPLE_RATE_RANGE_HZ
 from .dsp import StftConfig
-from .mixtures import MIN_SAMPLE_RATE_HZ, SEGMENT_SECONDS, SNR_LIMIT_DB
+from .mixtures import SEGMENT_SECONDS, SNR_LIMIT_DB
 from .model import ModelConfig
 from .snmf import SnmfConfig
 
@@ -61,9 +62,9 @@ class RunConfig:
             raise ValueError(
                 f"snr_min_db must be <= snr_max_db, got {self.snr_min_db} > {self.snr_max_db}"
             )
-        if self.sample_rate_hz < MIN_SAMPLE_RATE_HZ:
-            raise ValueError(f"sample_rate_hz must be >= {MIN_SAMPLE_RATE_HZ}, where every synthetic "
-                             f"generator makes non-silent audio, got {self.sample_rate_hz}")
+        lo, hi = SAMPLE_RATE_RANGE_HZ  # what read_wav accepts, so the corpus's own WAVs load
+        if not lo <= self.sample_rate_hz <= hi:
+            raise ValueError(f"sample_rate_hz must be in [{lo}, {hi}] Hz, got {self.sample_rate_hz}")
         if self.clip_duration_s < SEGMENT_SECONDS:
             raise ValueError(f"clip_duration_s must be >= {SEGMENT_SECONDS}, got {self.clip_duration_s}")
         # model_config builds the StftConfig too: a bad value fails every command.

@@ -6,7 +6,7 @@ Both apply masks to the complex mixture spectrogram, reusing its phase, and
 both start from one ``embed_mixture`` (STFT, compress, BLSTM), so a caller
 that wants both modes embeds a clip once.
 
-K-means works on the points transposed once to a contiguous (E, N) array.
+K-means reads the points in one layout, a contiguous (E, N) array.
 A point's squared distance to centroid c is ``‖x‖² − g`` with the gain
 ``g = 2⟨x, c⟩ − ‖c‖²``, so assignment is one (K, E) @ (E, N) GEMM of the
 doubled centroids and one subtraction into a reused (K, N) buffer, and the
@@ -17,30 +17,26 @@ rounds nothing (short of overflow or subnormals), and rounding commutes
 with negation, ``fl(2d − n) = −fl(n − 2d)`` (a zero may change sign, which
 no comparison sees). So every comparison, tie and reseed comes out as it
 would on the score. The centroid update is one GEMM of a float copy of the
-(K, N) bool membership with the points, divided by exact integer counts,
-and the inertia comes in closed form from the cluster sums,
+(K, N) bool membership with the transposed points, divided by exact integer
+counts, and the inertia comes in closed form from the cluster sums,
 ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩``.
 
 The restarts run in lockstep, up to ``LOCKSTEP`` at a time, one Lloyd
-iteration at a time. What touches N-sized data runs per restart, with the
-operands and layouts of a restart run alone, so every restart keeps its
-bits: its two GEMMs, its claims, its member counts and any empty-cluster
-reseed (with its own gains), in a (K, N) gain buffer and a (K, N) float
-membership that every restart and iteration reuses. It runs in two passes
-over the restarts, the assignments on the (E, N) points and then the
-centroid sums on the (N, E) points, so each layout stays in cache from one
-restart to the next; then each restart's new rows are compared with its
-last ones, into an N-vector every restart reuses. What works on (K, E)-sized
-arrays runs once per iteration for all of them, on (R, K, E) and (R, K)
-arrays: the doubled centroids and ‖c‖² terms, the means and the
-sorted-term inertia. Lockstep holds, per restart, two sets of its last
-K − 1 membership rows (N bools each), which fix the first. A converged
-restart sits out the later iterations in place, its rows, sums and counts
-untouched, and once the group ends, a scan in restart order keeps the
-best. For K ≤ 2, short of the rare empty-cluster reseed, no Lloyd
-iteration allocates an array of N; for K > 2 each assignment also
-allocates its running maxima, and each centroid update the union of the
-last K − 1 rows.
+iteration at a time. What touches N-sized data runs per restart, in one
+pass over the restarts, with the operands of a restart run alone, so every
+restart keeps its bits: its two GEMMs, its claims, its member counts and
+any empty-cluster reseed (with its own gains), in a (K, N) gain buffer and
+a (K, N) float membership that every restart and iteration reuses; then
+each restart's new rows are compared with its last ones, into an N-vector
+every restart reuses. What works on (K, E)-sized arrays runs once per
+iteration for all of them, on (R, K, E) and (R, K) arrays: the doubled
+centroids and ‖c‖² terms, the means and the sorted-term inertia. Lockstep
+holds, per restart, two sets of its last K − 1 membership rows (N bools
+each), which fix the first. A converged restart sits out the later
+iterations in place, its rows, sums and counts untouched, and once the
+group ends, a scan in restart order keeps the best. For K ≤ 2, short of
+the rare empty-cluster reseed, no Lloyd iteration allocates an array of N;
+for K > 2 each assignment also allocates its running maxima.
 k-means++ takes its distances row by row into N-vectors, with no (E, N)
 temporary.
 
@@ -85,13 +81,13 @@ def _sq_dist(points_t, c, out, term):
     return out
 
 
-def _kmeans_pp_init(points, points_t, k, rng):
-    """k-means++ seeding. Distances are exact, ``Σ (x - c)²`` over the
-    (E, N) rows, so an already-chosen point has probability exactly 0. None
-    are taken to the last centroid, since nothing would read them."""
+def _kmeans_pp_init(points_t, k, rng):
+    """k-means++ seeding of (K, E) centroids from the (E, N) columns. Distances
+    are exact, ``Σ (x - c)²`` over the rows, so an already-chosen point has
+    probability exactly 0. None are taken to the last centroid."""
     n = points_t.shape[1]
     centroids = np.empty((k, points_t.shape[0]))
-    centroids[0] = points[int(rng.integers(n))]
+    centroids[0] = points_t[:, int(rng.integers(n))]
     if k == 1:
         return centroids
     term, dist = np.empty(n), np.empty(n)
@@ -99,13 +95,13 @@ def _kmeans_pp_init(points, points_t, k, rng):
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
-            centroids[j] = points[int(rng.integers(n))]
+            centroids[j] = points_t[:, int(rng.integers(n))]
             continue
         # Inverse-CDF draw on one uniform: the index rng.choice(n, p=d2 / total)
         # returns, without its per-call validation and compensated sum of p.
         cdf = np.cumsum(d2 / total)
         cdf /= cdf[-1]
-        centroids[j] = points[int(np.searchsorted(cdf, rng.random(), side="right"))]
+        centroids[j] = points_t[:, int(np.searchsorted(cdf, rng.random(), side="right"))]
         if j < k - 1:
             np.minimum(d2, _sq_dist(points_t, centroids[j], dist, term), out=d2)
     return centroids
@@ -161,24 +157,24 @@ def _labels(rows):
     return labels
 
 
-def _reseed_empty(points, sq, labels, gain, k):
+def _reseed_empty(points_t, sq, labels, gain, k):
     """Centroid update when a cluster came out empty: in cluster order, a
     populated cluster takes its members' mean and an empty one takes the
     worst-fit point (by true squared distance to its current centroid),
     which moves to it. Returns the centroids and the exact inertia."""
-    centroids = np.empty((k, points.shape[1]))
+    centroids = np.empty((k, len(points_t)))
     for j in range(k):
         members = labels == j
         if members.any():
-            centroids[j] = points[members].mean(axis=0)
+            centroids[j] = points_t[:, members].mean(axis=1)
         else:
-            worst = int(np.argmax(sq - gain[labels, np.arange(len(points))]))
-            centroids[j] = points[worst]
+            worst = int(np.argmax(sq - gain[labels, np.arange(len(labels))]))
+            centroids[j] = points_t[:, worst]
             labels[worst] = j
-    return centroids, float(((points - centroids[labels]) ** 2).sum())
+    return centroids, float(((points_t - centroids.T[:, labels]) ** 2).sum())
 
 
-def _lloyd_lockstep(points, points_t, sq, centroids, max_iter, gain, scratch, onehot):
+def _lloyd_lockstep(points_t, sq, centroids, max_iter, gain, scratch, onehot):
     """Lloyd iterations of R restarts from their (R, K, E) seeds
     ``centroids``, advanced together in the (K, N) buffers ``gain`` and
     ``onehot`` and the N-vector of bools ``scratch``. Returns ``(rows,
@@ -194,7 +190,7 @@ def _lloyd_lockstep(points, points_t, sq, centroids, max_iter, gain, scratch, on
     counts are exact integers, and the last K − 1 rows of a membership fix
     its first, so only those rows are counted, compared and kept."""
     _, k, _ = centroids.shape
-    n = len(points)
+    n = points_t.shape[1]
     total = float(sq.sum())
     running = list(range(len(centroids)))
     histories = [[] for _ in running]
@@ -203,25 +199,22 @@ def _lloyd_lockstep(points, points_t, sq, centroids, max_iter, gain, scratch, on
     for i in range(max_iter):
         rows, last = last, rows
         doubled, sq_norms = 2.0 * centroids, (centroids**2).sum(axis=2)
-        # Two passes over the running restarts, each reading one layout of the points.
         reseeded = {}
         for a in running:
-            _claim(points_t, doubled[a], sq_norms[a], gain, rows[a], scratch)
+            taken = _claim(points_t, doubled[a], sq_norms[a], gain, rows[a], scratch)
             count = [np.count_nonzero(row) for row in rows[a]]
             count.insert(0, n - sum(count))
-            if not all(count):
+            if all(count):
+                np.copyto(onehot[1:], rows[a])
+                np.logical_not(taken, out=onehot[0])  # the first row: the rest's negated union
+                np.matmul(onehot, points_t.T, out=sums[a])
+            else:
                 labels = _labels(rows[a])
-                sums[a], reseeded[a] = _reseed_empty(points, sq, labels, gain, k)
+                sums[a], reseeded[a] = _reseed_empty(points_t, sq, labels, gain, k)
                 count = 1  # so the means below are the reseeded centroids
                 for j in range(1, k):
                     np.equal(labels, j, out=rows[a, j - 1])
             counts[a] = count
-        for a in running:
-            if a not in reseeded:
-                np.copyto(onehot[1:], rows[a])
-                # The first row is the rest's negated union; at K = 2 it needs no reduction.
-                np.logical_not(rows[a, 0] if k == 2 else rows[a].any(axis=0), out=onehot[0])
-                np.matmul(onehot, points, out=sums[a])
         centroids = sums / counts[:, :, None]
         # Sorting the K terms makes relabelings of one partition score
         # identically, so ties still go to the lowest restart.
@@ -241,19 +234,22 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
     inertia: a scan in restart order keeps a restart only on strictly lower
     inertia, so ties go to the lowest restart index.
 
-    Restart r is seeded from its own ``kmeans-restart-{r}`` stream. The
-    restarts run in groups of at most ``LOCKSTEP``, whose members advance
-    one Lloyd iteration at a time together: each restart's assignment GEMM,
-    claims, member counts and centroid-sum GEMM run on its own, with the
-    operands of a restart run alone, so its bits are those of a restart run
-    alone; the doubled centroids, ‖c‖² terms, means and inertia run once per
-    iteration on the group's (R, K, E) and (R, K) arrays, and a converged
-    restart sits out the later iterations in place. A group holds two sets
-    of K − 1 membership rows (N bools each) per restart, and two (K, N)
-    float buffers serve every restart, so memory does not grow with
-    ``restarts`` beyond ``LOCKSTEP``. A point goes to the lowest-index
-    centroid among those at equal distance. Points that are not finite, or
-    whose squared norms sum past the float range, are a ValueError.
+    ``points`` is (N, E), and K-means reads it only as a contiguous (E, N)
+    array: ``points.T`` as it is when that is contiguous, as for the
+    transpose of an (E, N) array, else a copy. Restart r is seeded from its
+    own ``kmeans-restart-{r}`` stream. The restarts run in groups of at
+    most ``LOCKSTEP``, whose members advance one Lloyd iteration at a time
+    together: each restart's assignment GEMM, claims, member counts and
+    centroid-sum GEMM run on its own, with the operands of a restart run
+    alone, so its bits are those of a restart run alone; the doubled
+    centroids, ‖c‖² terms, means and inertia run once per iteration on the
+    group's (R, K, E) and (R, K) arrays, and a converged restart sits out
+    the later iterations in place. A group holds two sets of K − 1
+    membership rows (N bools each) per restart, and two (K, N) float
+    buffers serve every restart, so memory does not grow with ``restarts``
+    beyond ``LOCKSTEP``. A point goes to the lowest-index centroid among
+    those at equal distance. Points that are not finite, or whose squared
+    norms sum past the float range, are a ValueError.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -273,10 +269,9 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
     gain, scratch, onehot = np.empty((k, n)), np.empty(n, dtype=bool), np.empty((k, n))
     best = None
     for lo in range(0, restarts, LOCKSTEP):
-        seeds = np.stack([_kmeans_pp_init(points, points_t, k, rng_for(seed, f"kmeans-restart-{r}"))
+        seeds = np.stack([_kmeans_pp_init(points_t, k, rng_for(seed, f"kmeans-restart-{r}"))
                           for r in range(lo, min(lo + LOCKSTEP, restarts))])
-        rows, centroids, histories = _lloyd_lockstep(points, points_t, sq, seeds, max_iter,
-                                                     gain, scratch, onehot)
+        rows, centroids, histories = _lloyd_lockstep(points_t, sq, seeds, max_iter, gain, scratch, onehot)
         for a, history in enumerate(histories):
             if best is None or history[-1] < best[2][-1]:
                 best = rows[a].copy(), centroids[a], history
@@ -386,10 +381,9 @@ def separate_embedded(
         if bad:
             raise NonFiniteEmbedding(f"embedding norm is not finite at {bad} of {n} bins")
         norms += 1e-12
-        fit = points[keep]
-        fit /= norms[keep, None]
-        fitted = kmeans(fit, k, seed=seed, restarts=restarts, max_iter=max_iter)
-        del fit
+        fit_t = np.divide(points[keep].T, norms[keep], out=np.empty((E, np.count_nonzero(keep))))
+        fitted = kmeans(fit_t.T, k, seed=seed, restarts=restarts, max_iter=max_iter)
+        del fit_t
         labels = np.empty(n, dtype=np.intp)
         for lo in range(0, n, rows):
             block = points[lo : lo + rows]

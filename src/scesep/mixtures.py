@@ -16,11 +16,6 @@ from .seeding import rng_for, stream_seed
 NOISE_KINDS = ("siren", "jackhammer", "engine", "crowd")
 SPEECH_CLASS_ID = 0
 SEGMENT_SECONDS = 2.0
-# Lowest rate at which every generator makes audio with power in each 2 s
-# segment: below it the jackhammer's 3 ms click, int(0.003 * fs) samples, is
-# empty (the crowd's 100-4500 Hz band is empty below 200 Hz). Swept over
-# 100-420 Hz, 25 seeds and 2 and 3 s clips, then 400 seeds at 334 Hz.
-MIN_SAMPLE_RATE_HZ = 334
 # Speech is mixed at unit gain, so at -140 dB the noise samples reach ~1e7,
 # where float64 rounding exceeds the absolute 1e-9 tolerance of eval's
 # partition check and a correct pipeline fails it; -100 dB passes. The bound

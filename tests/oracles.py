@@ -323,17 +323,17 @@ def assign_score_oracle(points_t, centroids):
     return labels, score
 
 
-def _reseed_empty_score(points, sq, labels, score, k):
-    centroids = np.empty((k, points.shape[1]))
+def _reseed_empty_score(points_t, sq, labels, score, k):
+    centroids = np.empty((k, len(points_t)))
     for j in range(k):
         members = labels == j
         if members.any():
-            centroids[j] = points[members].mean(axis=0)
+            centroids[j] = points_t[:, members].mean(axis=1)
         else:
-            worst = int(np.argmax(score[labels, np.arange(len(points))] + sq))
-            centroids[j] = points[worst]
+            worst = int(np.argmax(score[labels, np.arange(len(labels))] + sq))
+            centroids[j] = points_t[:, worst]
             labels[worst] = j
-    return centroids, float(((points - centroids[labels]) ** 2).sum())
+    return centroids, float(((points_t - centroids.T[:, labels]) ** 2).sum())
 
 
 def _lloyd_score(points, points_t, sq, centroids, max_iter):
@@ -346,11 +346,11 @@ def _lloyd_score(points, points_t, sq, centroids, max_iter):
         onehot = (new_labels == np.arange(k)[:, None]).astype(np.float64)
         counts = onehot.sum(axis=1)
         if counts.all():
-            sums = onehot @ points
+            sums = onehot @ points_t.T
             centroids = sums / counts[:, None]
             history.append(total - float(np.sort((sums * centroids).sum(axis=1)).sum()))
         else:
-            centroids, inertia = _reseed_empty_score(points, sq, new_labels, score, k)
+            centroids, inertia = _reseed_empty_score(points_t, sq, new_labels, score, k)
             history.append(inertia)
         if labels is not None and np.array_equal(labels, new_labels):
             break

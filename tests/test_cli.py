@@ -211,7 +211,10 @@ class TestTrain:
         assert not (out / "model.scem").exists()
         assert not (out / "train_log.csv").exists()
 
-    def test_snmf_without_train_rows_fails(self, workspace, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def train_without_train_rows(workspace, tmp_path, capsys, monkeypatch, algo):
+        """`train --algo algo` on the manifest less its train rows fails
+        before it builds a record or makes `--out`, naming the manifest."""
         def no_audio(*args, **kwargs):
             raise AssertionError("train synthesized audio")
 
@@ -223,13 +226,19 @@ class TestTrain:
         out = tmp_path / "run"
         code = main([
             "--config", str(workspace["cfg"]), "--out", str(out),
-            "train", "--manifest", str(manifest), "--algo", "snmf",
+            "train", "--manifest", str(manifest), "--algo", algo,
         ])
         captured = capsys.readouterr()
         assert code == 1
         assert f"error: manifest {manifest} has no train rows" in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
+
+    def test_snmf_without_train_rows_fails(self, workspace, tmp_path, capsys, monkeypatch):
+        self.train_without_train_rows(workspace, tmp_path, capsys, monkeypatch, "snmf")
+
+    def test_sce_mi_without_train_rows_fails(self, workspace, tmp_path, capsys, monkeypatch):
+        self.train_without_train_rows(workspace, tmp_path, capsys, monkeypatch, "sce-mi")
 
     def test_snmf_resume_is_usage_error(self, workspace, tmp_path, capsys):
         out = tmp_path / "run"
@@ -876,9 +885,10 @@ def test_kmeans_bound_is_usage_error_on_every_command(workspace, tmp_path, capsy
 @pytest.mark.parametrize("command", COMMANDS)
 def test_low_sample_rate_is_usage_error_on_every_command(workspace, tmp_path, capsys, command):
     # At 100 Hz the synthetic jackhammer and crowd are silent, and train
-    # used to fail on "segment has zero power", naming no key.
+    # used to fail on "segment has zero power", naming no key. Below 1000 Hz
+    # denoise would reject the corpus's own WAVs.
     err = rejected_on(workspace, tmp_path, capsys, command, "sample_rate_hz = 100\nwindow_len = 16\nhop = 8\n")
-    assert "sample_rate_hz must be >= 334" in err and "got 100" in err
+    assert "sample_rate_hz must be in [1000, 384000] Hz, got 100" in err
 
 
 class TestStreamedRecords:

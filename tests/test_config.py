@@ -77,7 +77,8 @@ class TestCrossKeyChecks:
         ({"snr_min_db": 0.0, "snr_max_db": -0.5}, "snr_min_db must be <= snr_max_db"),
         ({"snr_min_db": -140.0}, r"snr_min_db must be in \[-100, 100\] dB, got -140.0"),
         ({"snr_max_db": 100.5}, r"snr_max_db must be in \[-100, 100\] dB, got 100.5"),
-        ({"sample_rate_hz": 333}, "sample_rate_hz must be >= 334, .* got 333"),
+        ({"sample_rate_hz": 999}, r"sample_rate_hz must be in \[1000, 384000\] Hz, got 999"),
+        ({"sample_rate_hz": 384001}, r"sample_rate_hz must be in \[1000, 384000\] Hz, got 384001"),
     ])
     def test_rejected_with_keys_named(self, overrides, named):
         with pytest.raises(ValueError, match=named):
@@ -87,7 +88,7 @@ class TestCrossKeyChecks:
         assert resolve({"snr_min_db": 3.0, "snr_max_db": 3.0}).snr_min_db == 3.0
 
     def test_lowest_sample_rate_accepted(self):
-        assert resolve({"sample_rate_hz": 334}).stft_config().sample_rate_hz == 334
+        assert resolve({"sample_rate_hz": 1000}).stft_config().sample_rate_hz == 1000
 
     def test_snr_limits_accepted(self):
         cfg = resolve({"snr_min_db": -100.0, "snr_max_db": 100.0})

@@ -257,6 +257,18 @@ class TestKmeansBitIdentity:
             assert all(len(run.inertia_history) == max_iter for run in runs)
             assert len(a.inertia_history) == max_iter
 
+    @pytest.mark.parametrize("case", ["k2-unit-15k", "k3-unit", "k3-integer-ties", "k3-reseed", "k5-reseed"])
+    def test_same_bits_for_either_memory_layout(self, case):
+        # A C-ordered (N, E) array and the transpose of a C-ordered (E, N)
+        # one hold the same points; kmeans reads both as the (E, N) array.
+        make, seed, max_iter, _, restarts = EXACT_CASES[case]
+        pts, k = make()
+        a = kmeans(np.ascontiguousarray(pts), k, seed=seed, restarts=restarts, max_iter=max_iter)
+        b = kmeans(np.ascontiguousarray(pts.T).T, k, seed=seed, restarts=restarts, max_iter=max_iter)
+        np.testing.assert_array_equal(a.labels, b.labels)
+        assert a.centroids.tobytes() == b.centroids.tobytes()
+        assert a.inertia_history == b.inertia_history
+
     def test_lockstep_cases_cover_groups_and_retirements(self, monkeypatch):
         # The restart cases exercise what they are named for: more restarts
         # than one lockstep group, and restarts that stop at different
@@ -316,7 +328,7 @@ class TestKmeansBitIdentity:
         for seed in range(seeds):
             k = 2 + seed % 3
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = inference._kmeans_pp_init(pts, points_t, k, a)
+            got = inference._kmeans_pp_init(points_t, k, a)
             want = kmeans_pp_init_choice_oracle(pts, points_t, k, b)
             assert got.tobytes() == want.tobytes(), (n, seed)
             assert a.random() == b.random(), (n, seed)
