@@ -225,7 +225,7 @@ def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg):
         for m in modes:
             result = separate_embedded(
                 model, emb, mode=m, k=len(rec.sources),
-                cfg=stft_cfg, seed=stream_seed(cfg.seed, f"eval-{rec.clip_id}"),
+                seed=stream_seed(cfg.seed, f"eval-{rec.clip_id}"),
                 restarts=cfg.kmeans_restarts,
                 low_energy_threshold=cfg.low_energy_threshold,
                 max_iter=cfg.kmeans_max_iter,
@@ -330,6 +330,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ScesepError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAIL
+    except MemoryError as e:
+        print(f"error: out of memory in {args.command}: {e}", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -4,7 +4,10 @@ Two paths: K-means clustering of per-bin embeddings into binary masks
 (works for any K), and the mask-inference head's ratio mask (fixed M).
 Both apply masks to the complex mixture spectrogram, reusing its phase, and
 both start from one ``embed_mixture`` (STFT, compress, BLSTM), so a caller
-that wants both modes embeds a clip once.
+that wants both modes embeds a clip once. The embedding carries the
+``StftConfig`` it was framed with, and ``separate_embedded`` reconstructs
+with it; ``denoise`` is ``embed_mixture`` then ``separate_embedded``, to
+which it forwards its options.
 
 K-means reads the points in one layout, a contiguous (E, N) array.
 A point's squared distance to centroid c is ``‖x‖² − g`` with the gain
@@ -43,9 +46,9 @@ temporary.
 Cluster mode holds no whole-field copy beyond the embeddings themselves: it
 takes the embedding norms in blocks of ``FRAME_BLOCK`` frames, normalizes
 only the energetic rows that K-means fits, and then normalizes and assigns
-every bin, block by block, against the fitted centroids. Each row's norm,
-and each column of the assignment GEMM, comes out the same in a block as in
-the whole field.
+every bin, block by block, with ``_claim`` against the fitted centroids,
+doubled and squared once per clip. Each row's norm, and each column of the
+assignment GEMM, comes out the same in a block as in the whole field.
 """
 
 from dataclasses import dataclass, replace
@@ -107,28 +110,17 @@ def _kmeans_pp_init(points_t, k, rng):
     return centroids
 
 
-def _assign(points_t, centroids, gain=None, member=None):
-    """Nearest centroid for each column of ``points_t`` (E, N).
-
-    Fills and returns the (K, N) gains ``2⟨x, c⟩ − ‖c‖²``, which are ``‖x‖²``
-    less the squared distances (one (K, E) @ (E, N) GEMM), and the (K, N)
-    bool membership, one True per column. A strict ``>`` over the K rows
-    gives ties to the lowest index, as ``argmin`` of the distances does.
-    Buffers that are not passed are allocated.
-    """
-    k, n = len(centroids), points_t.shape[1]
-    gain = np.empty((k, n)) if gain is None else gain
-    member = np.empty((k, n), dtype=bool) if member is None else member
-    taken = _claim(points_t, 2.0 * centroids, (centroids**2).sum(axis=1), gain, member[1:], member[0])
-    np.logical_not(taken, out=member[0])
-    return gain, member
-
-
 def _claim(points_t, doubled, sq_norms, gain, rows, scratch):
-    """``_assign`` from the doubled centroids and their squared norms, into
-    ``gain`` and the last K − 1 membership rows ``rows``. Returns the union
-    of ``rows``, the negated first row, which for K > 2 is taken in the
-    N-vector ``scratch``."""
+    """Nearest centroid for each column of ``points_t`` (E, N), from the
+    doubled (K, E) centroids and their squared norms ‖c‖².
+
+    Fills the (K, N) ``gain`` with ``2⟨x, c⟩ − ‖c‖²``, which is ``‖x‖²``
+    less the squared distances (one (K, E) @ (E, N) GEMM), and ``rows`` with
+    the last K − 1 rows of the (K, N) bool membership, one True per column.
+    A strict ``>`` over the K rows gives ties to the lowest index, as
+    ``argmin`` of the distances does. Returns the union of ``rows``, the
+    negated first row, which for K > 2 is taken in the N-vector ``scratch``.
+    """
     np.matmul(doubled, points_t, out=gain)
     gain -= sq_norms[:, None]
     if len(rows) == 0:
@@ -237,16 +229,9 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
     ``points`` is (N, E), and K-means reads it only as a contiguous (E, N)
     array: ``points.T`` as it is when that is contiguous, as for the
     transpose of an (E, N) array, else a copy. Restart r is seeded from its
-    own ``kmeans-restart-{r}`` stream. The restarts run in groups of at
-    most ``LOCKSTEP``, whose members advance one Lloyd iteration at a time
-    together: each restart's assignment GEMM, claims, member counts and
-    centroid-sum GEMM run on its own, with the operands of a restart run
-    alone, so its bits are those of a restart run alone; the doubled
-    centroids, ‖c‖² terms, means and inertia run once per iteration on the
-    group's (R, K, E) and (R, K) arrays, and a converged restart sits out
-    the later iterations in place. A group holds two sets of K − 1
-    membership rows (N bools each) per restart, and two (K, N) float
-    buffers serve every restart, so memory does not grow with ``restarts``
+    own ``kmeans-restart-{r}`` stream. The restarts run in lockstep groups
+    of at most ``LOCKSTEP`` (see the module docstring), each with the bits
+    of a restart run alone, so memory does not grow with ``restarts``
     beyond ``LOCKSTEP``. A point goes to the lowest-index centroid among
     those at equal distance. Points that are not finite, or whose squared
     norms sum past the float range, are a ValueError.
@@ -335,6 +320,7 @@ class EmbeddedMixture:
     mag: np.ndarray  # (T, F) compressed magnitude, the network's input
     v: np.ndarray  # (T, F, E) per-bin embeddings
     length: int  # samples of the mixture at the model's rate
+    cfg: StftConfig  # the framing x_spec was taken with, which reconstruction inverts
 
 
 def embed_mixture(model, mixture: Waveform, cfg: StftConfig = StftConfig()) -> EmbeddedMixture:
@@ -347,7 +333,7 @@ def embed_mixture(model, mixture: Waveform, cfg: StftConfig = StftConfig()) -> E
     # reports as NonFiniteEmbedding.
     with np.errstate(over="ignore", invalid="ignore"):
         v = model.forward_embeddings(feat.mag[None]).data[0]
-    return EmbeddedMixture(x_spec, feat.mag, v, len(mixture))
+    return EmbeddedMixture(x_spec, feat.mag, v, len(mixture), cfg)
 
 
 def separate_embedded(
@@ -355,14 +341,14 @@ def separate_embedded(
     emb: EmbeddedMixture,
     mode: str = "cluster",
     k: int = 2,
-    cfg: StftConfig = StftConfig(),
     seed: int = 0,
     restarts: int = 8,
     low_energy_threshold: float = 0.1,
     max_iter: int = 300,
 ) -> DenoiseResult:
-    """Masks from an embedded mixture, then reconstruction; one embedding
-    serves any number of calls, one per mode."""
+    """Masks from an embedded mixture, then reconstruction with the
+    embedding's own framing ``emb.cfg``; one embedding serves any number of
+    calls, one per mode."""
     T, F, E = emb.v.shape
     low_energy = float(np.mean(emb.mag < low_energy_threshold))
     assignment = None
@@ -384,46 +370,35 @@ def separate_embedded(
         fit_t = np.divide(points[keep].T, norms[keep], out=np.empty((E, np.count_nonzero(keep))))
         fitted = kmeans(fit_t.T, k, seed=seed, restarts=restarts, max_iter=max_iter)
         del fit_t
+        doubled, sq_norms = 2.0 * fitted.centroids, (fitted.centroids**2).sum(axis=1)
         labels = np.empty(n, dtype=np.intp)
         for lo in range(0, n, rows):
             block = points[lo : lo + rows]
             unit_t = np.divide(block.T, norms[lo : lo + rows], out=np.empty((E, len(block))))
-            labels[lo : lo + rows] = _labels(_assign(unit_t, fitted.centroids)[1][1:])
+            member = np.empty((k - 1, len(block)), dtype=bool)
+            _claim(unit_t, doubled, sq_norms, np.empty((k, len(block))), member, np.empty(len(block), dtype=bool))
+            labels[lo : lo + rows] = _labels(member)
         assignment = replace(fitted, labels=labels)
         masks = masks_from_clusters(assignment, (T, F))
-        stems = reconstruct_binary(emb.x_spec, masks, cfg, emb.length)
+        stems = reconstruct_binary(emb.x_spec, masks, emb.cfg, emb.length)
     elif mode == "mi":
-        from . import nn
-
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mask is caught below
-            masks = model.mi_masks(nn.Tensor(emb.v[None])).data[0]  # (T, F, M)
+            masks = model.mi_masks(emb.v[None]).data[0]  # (T, F, M)
         finite = np.isfinite(masks)
         if not finite.all():  # a whole-array reduction; one over the M axis is per-bin slow
             bad = int(np.count_nonzero(~finite.all(axis=2)))
             raise NonFiniteEmbedding(f"mask of the embedding is not finite at {bad} of {T * F} bins")
-        stems = reconstruct_ratio(emb.x_spec, masks, cfg, emb.length)
+        stems = reconstruct_ratio(emb.x_spec, masks, emb.cfg, emb.length)
     else:
         raise ValueError(f"unknown mode {mode!r}; use 'cluster' or 'mi'")
     return DenoiseResult(stems, masks, mode, low_energy, assignment)
 
 
-def denoise(
-    model,
-    mixture: Waveform,
-    mode: str = "cluster",
-    k: int = 2,
-    cfg: StftConfig = StftConfig(),
-    seed: int = 0,
-    restarts: int = 8,
-    low_energy_threshold: float = 0.1,
-    max_iter: int = 300,
-) -> DenoiseResult:
-    """Full pipeline: STFT, compress, embed, mask, reconstruct.
+def denoise(model, mixture: Waveform, cfg: StftConfig = StftConfig(), **options) -> DenoiseResult:
+    """Full pipeline: ``embed_mixture`` (STFT, compress, embed) at ``cfg``,
+    then ``separate_embedded`` with the keyword ``options``.
 
     The source table is never consulted; only the embedding field (and,
     for "mi", the mask head) are used, so any K works in cluster mode.
     """
-    return separate_embedded(
-        model, embed_mixture(model, mixture, cfg), mode=mode, k=k, cfg=cfg, seed=seed,
-        restarts=restarts, low_energy_threshold=low_energy_threshold, max_iter=max_iter,
-    )
+    return separate_embedded(model, embed_mixture(model, mixture, cfg), **options)

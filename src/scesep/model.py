@@ -102,8 +102,9 @@ class SeparationModel:
         out = nn.affine(nn.reshape(out, (B * T, self.config.hidden_total)), self.embed_w, self.embed_b)
         return nn.reshape(out, (B, T, self.config.n_freq, self.config.embed_dim))
 
-    def mi_masks(self, v_i: nn.Tensor) -> nn.Tensor:
-        """Ratio mask (B, T, F, M): per-bin affine over E, softmax over M."""
+    def mi_masks(self, v_i) -> nn.Tensor:
+        """Ratio mask (B, T, F, M) of a Tensor or array field: per-bin affine
+        over E, softmax over M."""
         B, T, F, E = v_i.shape
         flat = nn.reshape(v_i, (B * T * F, E))
         logits = nn.affine(flat, self.mi_w, self.mi_b)

@@ -1,6 +1,6 @@
 """Print a sha256 digest of every artifact of a small end-to-end run.
 
-    python3 tests/artifact_digests.py [--seed N]
+    python3 tests/artifact_digests.py [--seed N] [--against FILE]
 
 Runs, in one process and into a fresh temporary directory, at a fixed small
 config: ``mix --materialize``, ``train`` for 3 epochs, ``train --algo snmf``,
@@ -10,13 +10,17 @@ for every file written (manifest, WAVs, checkpoint, train log, SNMF
 dictionaries, ``metrics.csv``, stems) and for each command's standard
 output, in which the temporary directory reads ``<out>``.
 
-Two checkouts that print the same lines produce the same bytes. scesep is
-imported from the ``src/`` next to this file, so a copy of the script run
-inside another checkout digests that checkout. pytest does not collect it.
+Two checkouts that print the same lines produce the same bytes. With
+``--against FILE``, a listing saved from an earlier run, it prints only the
+lines that differ (``-`` saved, ``+`` this run) and exits 1 if any do, else
+0. scesep is imported from the ``src/`` next to this file, so a copy of the
+script run inside another checkout digests that checkout. pytest does not
+collect it.
 """
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import sys
@@ -75,13 +79,18 @@ def run_all(root: Path, seed: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--against", type=Path, help="a saved listing to compare with")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         run_all(root, args.seed)
-        for path in sorted(p for p in root.rglob("*") if p.is_file()):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}")
-    return 0
+        lines = [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}"
+                 for path in sorted(p for p in root.rglob("*") if p.is_file())]
+    if args.against is not None:
+        lines = [d for d in difflib.ndiff(args.against.read_text().splitlines(), lines) if d[:1] in "+-"]
+    for line in lines:
+        print(line)
+    return 1 if args.against is not None and lines else 0
 
 
 if __name__ == "__main__":

@@ -336,7 +336,7 @@ def _reseed_empty_score(points_t, sq, labels, score, k):
     return centroids, float(((points_t - centroids.T[:, labels]) ** 2).sum())
 
 
-def _lloyd_score(points, points_t, sq, centroids, max_iter):
+def _lloyd_score(points_t, sq, centroids, max_iter):
     k = len(centroids)
     total = float(sq.sum())
     labels = None
@@ -373,7 +373,7 @@ def kmeans_score_restarts(points, k, seed=0, restarts=8, max_iter=300):
     for r in range(restarts):
         rng = rng_for(seed, f"kmeans-restart-{r}")
         centroids = kmeans_pp_init_choice_oracle(points, points_t, k, rng)
-        labels, centroids, history = _lloyd_score(points, points_t, sq, centroids, max_iter)
+        labels, centroids, history = _lloyd_score(points_t, sq, centroids, max_iter)
         runs.append(ClusterAssignment(labels, centroids, history[-1], tuple(history)))
     return runs
 

@@ -1,17 +1,23 @@
 import csv
 import hashlib
 import io
+import os
 import re
+import resource
 import struct
+import subprocess
+import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scesep
 from scesep import mixtures
 from scesep.audio_io import read_wav, write_wav
 from scesep.cli import main
@@ -602,6 +608,25 @@ class TestDenoise:
         assert code == 1
         assert err.startswith("error: ") and "is not finite at" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_out_of_memory_exits_cleanly(self, workspace, tmp_path):
+        # A 300 s clip's embedding field does not fit in 300 MB of address
+        # space; the limit is set only in the child that runs denoise.
+        wav = tmp_path / "long.wav"
+        write_wav(wav, Waveform(0.1 * np.random.default_rng(0).standard_normal(300 * 10000), 10000))
+        limit = 300 * 2**20
+        env = {**os.environ, "PYTHONPATH": str(Path(scesep.__file__).resolve().parents[1])}
+        for mode in ("cluster", "mi"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "scesep.cli", "--config", str(workspace["cfg"]),
+                 "--out", str(tmp_path / mode), "denoise",
+                 "--checkpoint", str(workspace["run"] / "model.scem"), str(wav), "--mode", mode],
+                capture_output=True, text=True, env=env, timeout=300,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            )
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr.startswith("error: out of memory in denoise: Unable to allocate"), proc.stderr
+            assert "Traceback" not in proc.stderr
 
 
 class TestEval:

@@ -15,7 +15,7 @@ from scesep.dsp import StftConfig, Waveform, istft, resample, stft
 from scesep.errors import NotNormalized, ShapeMismatch, TooFewPoints
 from scesep.inference import (
     ClusterAssignment,
-    _assign,
+    _claim,
     _labels,
     denoise,
     embed_mixture,
@@ -29,6 +29,16 @@ from scesep.model import ModelConfig, SeparationModel
 from scesep.seeding import rng_for
 
 CFG = StftConfig()
+
+
+def claim_all(points_t, centroids):
+    """The (K, N) gains and the whole (K, N) bool membership, first row
+    included, that ``_claim`` gives for the columns of ``points_t``."""
+    k, n = len(centroids), points_t.shape[1]
+    gain, member = np.empty((k, n)), np.empty((k, n), dtype=bool)
+    taken = _claim(points_t, 2.0 * centroids, (centroids**2).sum(axis=1), gain, member[1:], member[0])
+    np.logical_not(taken, out=member[0])
+    return gain, member
 
 
 def blobs(seed=0, centers=((0, 0), (10, 10), (-10, 10)), per=40, spread=0.5):
@@ -95,7 +105,7 @@ class TestKmeans:
     def test_ties_go_to_lowest_index(self):
         centroids = np.array([[0.0, 5.0], [1.0, 0.0], [-1.0, 0.0]])
         pts = np.array([[0.0, 0.0], [0.0, -2.0], [0.0, 3.0], [2.0, 0.0], [-2.0, 0.0]])
-        gain, member = _assign(np.ascontiguousarray(pts.T), centroids)
+        gain, member = claim_all(np.ascontiguousarray(pts.T), centroids)
         np.testing.assert_array_equal(member.sum(axis=0), 1)
         labels = _labels(member[1:])
         np.testing.assert_array_equal(labels, [1, 1, 0, 1, 2])
@@ -340,7 +350,7 @@ class TestKmeansBitIdentity:
         pts[:500] = rng.standard_normal((500, 3))
         centroids = np.concatenate([pts[:1], rng.integers(-2, 3, (k - 1, 3)).astype(np.float64)])
         points_t = np.ascontiguousarray(pts.T)
-        gain, member = _assign(points_t, centroids)
+        gain, member = claim_all(points_t, centroids)
         labels, score = assign_score_oracle(points_t, centroids)
         np.testing.assert_array_equal(-gain, score)  # equal as numbers: a zero gain negates to -0.0
         np.testing.assert_array_equal(_labels(member[1:]), labels)
@@ -456,10 +466,20 @@ class TestDenoise:
     def test_one_embedding_serves_both_modes(self, model, mixture):
         emb = embed_mixture(model, mixture, CFG)
         for mode in ("cluster", "mi"):
-            a = separate_embedded(model, emb, mode=mode, cfg=CFG, seed=3)
+            a = separate_embedded(model, emb, mode=mode, seed=3)
             b = denoise(model, mixture, mode=mode, cfg=CFG, seed=3)
             np.testing.assert_array_equal(a.masks, b.masks)
             assert [s.samples.tobytes() for s in a.stems] == [s.samples.tobytes() for s in b.stems]
+
+    def test_separation_uses_the_embedding_framing(self, model):
+        # The embedding remembers the framing it was taken with, and the
+        # stems are reconstructed with it, not with a default.
+        w = Waveform(np.random.default_rng(12).standard_normal(6000), 10000)
+        hop128 = StftConfig(hop=128)
+        emb = embed_mixture(model, w, hop128)
+        a = separate_embedded(model, emb, mode="mi", seed=1)
+        b = denoise(model, w, mode="mi", cfg=hop128, seed=1)
+        assert [s.samples.tobytes() for s in a.stems] == [s.samples.tobytes() for s in b.stems]
 
     @pytest.mark.parametrize("frames", [1, 64, 65, 130])
     def test_cluster_blocks_match_one_block(self, model, monkeypatch, frames):
@@ -469,9 +489,9 @@ class TestDenoise:
         w = Waveform(np.random.default_rng(frames).standard_normal(CFG.hop * frames), 10000)
         emb = embed_mixture(model, w, CFG)
         assert emb.v.shape[0] == frames
-        blocked = separate_embedded(model, emb, mode="cluster", cfg=CFG, seed=3)
+        blocked = separate_embedded(model, emb, mode="cluster", seed=3)
         monkeypatch.setattr(inference, "FRAME_BLOCK", frames)
-        whole = separate_embedded(model, emb, mode="cluster", cfg=CFG, seed=3)
+        whole = separate_embedded(model, emb, mode="cluster", seed=3)
         np.testing.assert_array_equal(blocked.assignment.labels, whole.assignment.labels)
         np.testing.assert_array_equal(blocked.assignment.centroids, whole.assignment.centroids)
         assert blocked.assignment.inertia_history == whole.assignment.inertia_history
