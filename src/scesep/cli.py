@@ -12,7 +12,7 @@ import numpy as np
 from . import snmf as snmf_mod
 from .audio_io import read_wav, write_wav
 from .config import parse_config_file, resolve
-from .dsp import compress, istft, stft
+from .dsp import compress, istft
 from .errors import EmptyCorpus, ScesepError
 from .inference import (
     denoise,
@@ -30,7 +30,6 @@ from .mixtures import (
     write_manifest,
 )
 from .model import (
-    TrainState,
     load_checkpoint,
     load_inference_model,
     save_checkpoint,
@@ -178,11 +177,15 @@ def cmd_denoise(cfg, out_dir: Path, checkpoint: Path, input_wav: Path, mode: str
             f"to {stft_cfg.sample_rate_hz} Hz",
             file=sys.stderr,
         )
-    result = denoise(
-        model, w, mode=mode, k=k, cfg=stft_cfg, seed=cfg.seed,
-        restarts=cfg.kmeans_restarts, low_energy_threshold=cfg.low_energy_threshold,
-        max_iter=cfg.kmeans_max_iter,
-    )
+    try:
+        result = denoise(
+            model, w, mode=mode, k=k, cfg=stft_cfg, seed=cfg.seed,
+            restarts=cfg.kmeans_restarts, low_energy_threshold=cfg.low_energy_threshold,
+            max_iter=cfg.kmeans_max_iter,
+        )
+    except MemoryError as e:
+        raise MemoryError(f"{e} ({input_wav.name}: {len(w) / w.sample_rate_hz:.1f} s "
+                          f"at {w.sample_rate_hz} Hz)") from None
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, stem in enumerate(result.stems):
         path = out_dir / f"{input_wav.stem}.src{i}.wav"

@@ -65,6 +65,8 @@ class RunConfig:
         lo, hi = SAMPLE_RATE_RANGE_HZ  # what read_wav accepts, so the corpus's own WAVs load
         if not lo <= self.sample_rate_hz <= hi:
             raise ValueError(f"sample_rate_hz must be in [{lo}, {hi}] Hz, got {self.sample_rate_hz}")
+        if not 0 <= self.low_energy_threshold < 1:  # compress scales the loudest bin to 1
+            raise ValueError(f"low_energy_threshold must be in [0, 1), got {self.low_energy_threshold}")
         if self.clip_duration_s < SEGMENT_SECONDS:
             raise ValueError(f"clip_duration_s must be >= {SEGMENT_SECONDS}, got {self.clip_duration_s}")
         # model_config builds the StftConfig too: a bad value fails every command.

@@ -263,7 +263,8 @@ def build_corpus(
 
 
 def _clip_from_spec(spec: str, corpus_seed: int, cfg: StftConfig, duration_s: float) -> SourceClip:
-    """Load or regenerate one source; the spec string becomes its clip id.
+    """Load or regenerate one source, from a spec `_speaker_rows` has checked;
+    the spec string becomes its clip id.
 
     `synth:<generator>:<tag>-<name>` draws from the stream `<tag>-speech`
     (speechlike) or `<tag>-noise` (a noise kind) of the corpus seed.
@@ -275,8 +276,6 @@ def _clip_from_spec(spec: str, corpus_seed: int, cfg: StftConfig, duration_s: fl
 
         w = standardize(resample(read_wav(":".join(parts[1:])), cfg.sample_rate_hz))
         return SourceClip(Waveform(_unit_power(w.samples), cfg.sample_rate_hz), -1, spec)
-    if parts[0] != "synth" or len(parts) != 3:
-        raise ValueError(f"bad source spec {spec!r}")
     generator, tag, fs = parts[1], parts[2].rsplit("-", 1)[0], cfg.sample_rate_hz
     if generator == "speechlike":
         clip = synth_speechlike(duration_s, stream_seed(corpus_seed, f"{tag}-speech"), fs)
@@ -286,15 +285,22 @@ def _clip_from_spec(spec: str, corpus_seed: int, cfg: StftConfig, duration_s: fl
 
 
 def _speaker_rows(rows) -> dict:
-    """Check every row's split, noise class, seed and SNR, and give each distinct
-    train/val speech spec (one "speaker") its own source-table row after the
-    noise-kind rows 1..4. Test-split sources are out-of-set and get none."""
+    """Check every row's split, noise class, seed, SNR and source specs, and
+    give each distinct train/val speech spec (one "speaker") its own
+    source-table row after the noise-kind rows 1..4. Test-split sources are
+    out-of-set and get none. A spec is `wav:<path>` or
+    `synth:<generator>:<tag>`, whose generator is `speechlike` for the speech
+    and the row's noise kind for the noise."""
     speakers = {}
     for row in rows:
         if row.split not in SPLITS:
             raise ValueError(f"{row.where}: unknown split {row.split!r}")
         if not 1 <= row.class_id <= len(NOISE_KINDS):
             raise ValueError(f"{row.where}: noise class {row.class_id} outside 1..{len(NOISE_KINDS)}")
+        for slot, spec, kind in zip(("speech", "noise"), row.specs, ("speechlike", NOISE_KINDS[row.class_id - 1])):
+            parts = spec.split(":")
+            if parts[0] != "wav" and (parts[:2] != ["synth", kind] or len(parts) != 3):
+                raise ValueError(f"{row.where}: {slot} spec {spec!r} must be wav:<path> or synth:{kind}:<tag>")
         if not 0 <= row.seed < 2**64:
             raise ValueError(f"{row.where}: seed must be in [0, 2**64), got {row.seed}")
         if not -SNR_LIMIT_DB <= row.snr_db <= SNR_LIMIT_DB:

@@ -142,7 +142,7 @@ def mi_loss(mask: nn.Tensor, x_mag: np.ndarray, true_source_mags: np.ndarray) ->
         raise ShapeMismatch("mi_loss shapes inconsistent with mask")
     est = nn.mul(mask, x_mag[..., None])
     diff = nn.sub(est, true_source_mags)
-    return nn.tmean(nn.square(diff))
+    return nn.tmean(nn.mul(diff, diff))
 
 
 # --- training --------------------------------------------------------------

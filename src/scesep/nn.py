@@ -1,18 +1,17 @@
 """Minimal reverse-mode tensor engine and the layers the model needs.
 
 Only the operations required by the separation network are implemented:
-broadcast arithmetic, square, matmul, affine (x @ w + b as one node),
-reshape, a last-two-axes swap, row gathers, log-sigmoid, softmax, and sums,
-plus one fused bidirectional LSTM sequence op with hand-written
-backpropagation through time. Everything is float64 so gradient checks can
-be tight; the one exception is a constant int8 array (the +-1 dominance
-labels), which is kept as it is, since numpy promotes it to float64 exactly
-wherever it meets a float. Forward passes are pure functions of (inputs,
-parameters).
-``affine``, ``softmax`` and ``log_sigmoid`` compute in their output buffer,
-with the same operations in the same order as the plain expressions (so
-the same bits); ``affine`` adds the bias into its product, so the tape holds
-one array where a matmul node and an add node held two.
+broadcast arithmetic, matmul, affine (x @ w + b as one node), reshape, a
+last-two-axes swap, row gathers, log-sigmoid, softmax, and sums, plus one
+fused bidirectional LSTM sequence op with hand-written backpropagation
+through time. Everything is float64 so gradient checks can be tight; the
+one exception is a constant int8 array (the +-1 dominance labels), which is
+kept as it is, since numpy promotes it to float64 exactly wherever it meets
+a float. Forward passes are pure functions of (inputs, parameters).
+Only ``affine`` and ``softmax`` compute in their output buffer, with the
+same operations in the same order as the plain expressions (so the same
+bits); ``affine`` adds the bias into its product, so the tape holds one
+array where a matmul node and an add node held two.
 
 Gradients are computed only for operands with ``requires_grad``: labels,
 input magnitudes and other constants get none. An op none of whose operands
@@ -185,23 +184,12 @@ def mul(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(_unbroadcast(g * bd, a.shape), own=True)
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * ad, b.shape), own=True)
+            ga = _unbroadcast(g * bd, a.shape)
+            a._accum(ga, own=True)
+        if b.requires_grad:  # mul(a, a) adds the product it already has
+            b._accum(ga if b is a else _unbroadcast(g * ad, b.shape), own=True)
 
     return Tensor(a.data * b.data, parents=(a, b), backward_fn=bwd)
-
-
-def square(a):
-    a = _as_tensor(a)
-    x = a.data
-
-    def bwd(g):
-        t = g * x
-        t += t  # 2 * g * x, as mul(a, a) adds its two equal products
-        a._accum(t, own=True)
-
-    return Tensor(x * x, parents=(a,), backward_fn=bwd)
 
 
 def matmul(a, b):
@@ -266,12 +254,8 @@ def log_sigmoid(a):
     """Numerically stable log(sigmoid(x))."""
     a = _as_tensor(a)
     x = a.data
-    t = np.abs(x)
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    np.log1p(t, out=t)
-    y = x - t
-    np.negative(t, out=y, where=x > 0)
+    t = np.log1p(np.exp(-np.abs(x)))
+    y = np.where(x > 0, -t, x - t)
 
     def bwd(g):
         # d/dx = sigmoid(-x); exp overflows to inf for x > 709, giving the right 0.
@@ -467,32 +451,19 @@ class Adam:
             p.zero_grad()
 
     def step(self):
-        """Update m, v and each parameter in place. Two scratch buffers, as
-        long as the largest parameter, hold every parameter's intermediates
-        in turn; they live for one step, so they add nothing to the memory
-        held between steps. Each product and quotient is that of
-        m += (1 - b1) * g, v += (1 - b2) * g * g and
-        p -= lr * m_hat / (sqrt(v_hat) + eps), in that order."""
+        """Update m, v and each parameter in place; each intermediate is a
+        fresh array that lives for one parameter's update."""
         self.step_count += 1
         t = self.step_count
-        scratch = np.empty((2, max((p.data.size for p in self.params), default=0)))
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            a, c = (buf[: p.data.size].reshape(p.data.shape) for buf in scratch)
             m *= self.beta1
-            np.multiply(1 - self.beta1, g, out=a)
-            m += a
+            m += (1 - self.beta1) * g
             v *= self.beta2
-            np.multiply(1 - self.beta2, g, out=a)
-            a *= g
-            v += a
-            np.divide(m, 1 - self.beta1**t, out=a)  # m_hat
-            a *= self.lr
-            np.divide(v, 1 - self.beta2**t, out=c)  # v_hat
-            np.sqrt(c, out=c)
-            c += self.eps
-            a /= c
-            p.data -= a
+            v += (1 - self.beta2) * g * g
+            m_hat = m / (1 - self.beta1**t)
+            v_hat = v / (1 - self.beta2**t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def clip_global_norm(params, max_norm=5.0):

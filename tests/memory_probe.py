@@ -1,19 +1,24 @@
 """Measure the memory and fault cost of training or of one ``denoise``.
 
-    python3 tests/memory_probe.py train [--epochs N] [--seed S]
+    python3 tests/memory_probe.py train [--epochs N] [--seed S] [--swap NAME[,NAME...]]
     python3 tests/memory_probe.py denoise --seconds S --mode {cluster,mi} [--K K] [--seed S]
 
 ``train`` builds the default-config corpus (16 train and 4 validation clips)
-and trains the default model for N epochs. ``denoise`` writes an untrained
-default-model checkpoint and a synthetic 10 kHz WAV of S seconds (speech-like
-signal plus engine noise) to a temporary directory, then runs the CLI's
-``denoise`` on it, with ``--K K`` clusters in cluster mode (default 2);
-memory does not depend on the weights. Either job runs in a fresh child
-process with one BLAS thread, unless ``OPENBLAS_NUM_THREADS`` is set. One
-line is printed:
+and trains the default model for N epochs. With ``--swap``, the child first
+replaces each named ``nn`` attribute (a key of ``SWAPS``) with its plain
+reference from ``tests/oracles.py``, which gives the same bits; a trick of
+the fast form pays only if runs without the swap read lower. ``oracles`` is
+imported in every ``train`` child, swaps or none. ``denoise`` writes an
+untrained default-model checkpoint and a synthetic 10 kHz WAV of S seconds
+(speech-like signal plus engine noise) to a temporary directory, then runs
+the CLI's ``denoise`` on it, with ``--K K`` clusters in cluster mode
+(default 2); memory does not depend on the weights. Either job runs in a
+fresh child process with one BLAS thread, unless ``OPENBLAS_NUM_THREADS`` is
+set. One line is printed:
 
     peak_rss_mb=…  minor_faults=…  sys_s=…  wall_s=…
 
+and, for ``train``, ``  swap=`` with the swapped names (or ``none``).
 ``peak_rss_mb`` is the child's ``ru_maxrss``, imports and set-up included.
 The other three cover the measured job only (the epochs, or the one
 ``denoise`` command). scesep is imported from the ``src/`` next to this file.
@@ -33,6 +38,34 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# --swap name -> (nn attribute that holds it, or None for the module; its reference in oracles.py)
+SWAPS = {
+    "_accum": ("Tensor", "accum_copy_oracle"),
+    "_unbroadcast": (None, "unbroadcast_sum_oracle"),
+    "softmax": (None, "softmax_reduce_oracle"),
+    "log_sigmoid": (None, "log_sigmoid_two_pass_oracle"),
+    "affine": (None, "affine_add_matmul_oracle"),
+    "Adam.step": ("Adam", "adam_step_oracle"),
+}
+
+
+def _swap_names(text):
+    names = text.split(",")
+    unknown = [n for n in names if n not in SWAPS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown {', '.join(unknown)}; choose from {', '.join(SWAPS)}")
+    return names
+
+
+def _apply_swaps(names):
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    import oracles
+    from scesep import nn
+
+    for name in names:
+        owner, ref = SWAPS[name]
+        setattr(getattr(nn, owner) if owner else nn, name.rpartition(".")[2], getattr(oracles, ref))
 
 
 def _train(epochs, seed):
@@ -87,6 +120,7 @@ def _write_denoise_inputs(workdir, seconds, seed):
 def _child(job):
     sys.path.insert(0, str(SRC))
     if job["kind"] == "train":
+        _apply_swaps(job["swap"])
         run = _train(job["epochs"], job["seed"])
     else:
         run = _denoise(job["workdir"], job["mode"], job["k"], job["seed"])
@@ -95,7 +129,8 @@ def _child(job):
     wall = time.perf_counter() - t0
     after = resource.getrusage(resource.RUSAGE_SELF)
     print(f"peak_rss_mb={after.ru_maxrss / 1024.0:.1f}  minor_faults={after.ru_minflt - before.ru_minflt}  "
-          f"sys_s={after.ru_stime - before.ru_stime:.2f}  wall_s={wall:.2f}")
+          f"sys_s={after.ru_stime - before.ru_stime:.2f}  wall_s={wall:.2f}"
+          + (f"  swap={','.join(job['swap']) or 'none'}" if job["kind"] == "train" else ""))
 
 
 def main():
@@ -105,6 +140,8 @@ def main():
     train = sub.add_parser("train")
     train.add_argument("--epochs", type=int, default=6)
     train.add_argument("--seed", type=int, default=1)
+    train.add_argument("--swap", type=_swap_names, default=[],
+                       help="comma-separated nn attributes to replace with their oracles")
     denoise = sub.add_parser("denoise")
     denoise.add_argument("--seconds", type=float, required=True)
     denoise.add_argument("--mode", choices=("cluster", "mi"), required=True)
@@ -121,7 +158,7 @@ def main():
     with tempfile.TemporaryDirectory() as workdir:
         job = {"kind": args.kind, "seed": args.seed}
         if args.kind == "train":
-            job["epochs"] = args.epochs
+            job.update(epochs=args.epochs, swap=args.swap)
         else:
             sys.path.insert(0, str(SRC))
             _write_denoise_inputs(workdir, args.seconds, args.seed)

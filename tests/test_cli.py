@@ -316,6 +316,43 @@ class TestTrain:
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 
+    # The last row of `split` gets these specs ({speech}, {noise}: its own),
+    # and noise class `class_id` unless that is None; spec `bad` is named.
+    @pytest.mark.parametrize("split,class_id,specs,bad,command", [
+        pytest.param("test", "1", "{speech},synth:crowd:{tag}-crowd", 1, ["eval", "--algo", "identity"],
+                     id="crowd-noise-as-siren"),
+        pytest.param("train", None, "{noise},{speech}", 0, ["train", "--algo", "snmf"], id="swapped-specs"),
+        pytest.param("train", None, "{speech},synth:bogus:{tag}-bogus", 1, ["train", "--algo", "snmf"],
+                     id="unknown-generator"),
+        pytest.param("train", None, "{speech},synth:crowd", 1, ["train", "--algo", "snmf"], id="two-fields"),
+    ])
+    def test_bad_source_spec_is_usage_error(
+        self, workspace, tmp_path, capsys, monkeypatch, split, class_id, specs, bad, command
+    ):
+        lines = workspace["manifest"].read_text().splitlines()
+        lineno = max(i for i, line in enumerate(lines, 1) if line.split("\t")[1] == split)
+        row = lines[lineno - 1].split("\t")
+        speech, noise = row[3].split(",")
+        row[3] = specs.format(speech=speech, noise=noise, tag=row[0])
+        row[2] = class_id or row[2]
+        lines[lineno - 1] = "\t".join(row)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("\n".join(lines) + "\n")
+
+        def no_audio(*args, **kwargs):
+            raise AssertionError("a record was built before every row was checked")
+
+        monkeypatch.setattr(mixtures, "mix_at_snr", no_audio)
+        out = tmp_path / "run"
+        code = main(["--config", str(workspace["cfg"]), "--out", str(out),
+                     command[0], "--manifest", str(manifest), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: {manifest}:{lineno}: " in captured.err
+        assert repr(row[3].split(",")[bad]) in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize("line,named", [
         pytest.param(line, named, id=line) for line, named in [
             ("snmf_sparsity = nan", "bad.cfg:12: snmf_sparsity must be finite"),
@@ -626,6 +663,7 @@ class TestDenoise:
             )
             assert proc.returncode == 1, proc.stderr
             assert proc.stderr.startswith("error: out of memory in denoise: Unable to allocate"), proc.stderr
+            assert proc.stderr.rstrip().endswith("(long.wav: 300.0 s at 10000 Hz)"), proc.stderr
             assert "Traceback" not in proc.stderr
 
 

@@ -79,6 +79,8 @@ class TestCrossKeyChecks:
         ({"snr_max_db": 100.5}, r"snr_max_db must be in \[-100, 100\] dB, got 100.5"),
         ({"sample_rate_hz": 999}, r"sample_rate_hz must be in \[1000, 384000\] Hz, got 999"),
         ({"sample_rate_hz": 384001}, r"sample_rate_hz must be in \[1000, 384000\] Hz, got 384001"),
+        ({"low_energy_threshold": -1.0}, r"low_energy_threshold must be in \[0, 1\), got -1.0"),
+        ({"low_energy_threshold": 5.0}, r"low_energy_threshold must be in \[0, 1\), got 5.0"),
     ])
     def test_rejected_with_keys_named(self, overrides, named):
         with pytest.raises(ValueError, match=named):

@@ -332,11 +332,11 @@ class TestTraining:
         total = nn.add(nn.mul(l_sce, 0.1), nn.mul(l_mi, 0.8))
         sce, mi = self.first_parents(l_sce), self.first_parents(l_mi)
         # sce: scale, tsum, log_sigmoid, mul by labels, matmul, reshape x2, embedding affine
-        # mi: scale, tsum, square, sub, mul by x_mag, reshape, softmax, MI-head affine
+        # mi: scale, tsum, mul, sub, mul by x_mag, reshape, softmax, MI-head affine
         unread = [sce[4], sce[2], mi[7], mi[4], mi[2]]
         read = [sce[7], sce[3], mi[6], mi[3]]  # the embedding field, d * y, the mask, the residual
         op = lambda node: node._backward_fn.__qualname__.split(".")[0]  # noqa: E731
-        assert [op(n) for n in unread] == ["matmul", "log_sigmoid", "affine", "mul", "square"]
+        assert [op(n) for n in unread] == ["matmul", "log_sigmoid", "affine", "mul", "mul"]
         assert [op(n) for n in read] == ["affine", "mul", "softmax", "sub"]
         assert all(n.data.base is None for n in unread + read)  # each owns its memory
         refs = [weakref.ref(n.data) for n in unread + read]

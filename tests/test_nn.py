@@ -47,25 +47,6 @@ class TestElementwiseOps:
         _, _, g = grad_of(lambda p: nn.tsum(nn.mul(p, p)), [1.0, -2.0, 3.0])
         np.testing.assert_allclose(g, [2.0, -4.0, 6.0])
 
-    def test_square_matches_mul_bit_for_bit(self):
-        rng = rng_for(18, "square")
-        x, weight = rng.standard_normal((40, 3)) * 1e3, rng.standard_normal((40, 3))
-        grads = []
-        for op in (nn.square, lambda p: nn.mul(p, p)):
-            p = nn.Tensor(x, requires_grad=True)
-            out = op(p)
-            value = out.data  # backward drops an interior node's data
-            nn.tsum(nn.mul(out, weight)).backward()
-            grads.append((value, p.grad))
-        np.testing.assert_array_equal(grads[0][0], grads[1][0])
-        np.testing.assert_array_equal(grads[0][1], grads[1][1])
-
-    def test_square_matches_finite_difference(self):
-        rng = rng_for(19, "square-fd")
-        p = nn.Parameter(rng.standard_normal((3, 4)), "p")
-        weight = rng.standard_normal((3, 4))
-        assert nn.finite_difference_check(lambda: nn.tsum(nn.mul(nn.square(p), weight)), [p]) < 1e-6
-
     def test_sub_grad(self):
         a = nn.Parameter(np.array([5.0]), "a")
         b = nn.Parameter(np.array([3.0]), "b")
