@@ -12,7 +12,7 @@ import numpy as np
 from . import snmf as snmf_mod
 from .audio_io import read_wav, write_wav
 from .config import parse_config_file, resolve
-from .dsp import compress, istft
+from .dsp import Waveform, compress, istft
 from .errors import EmptyCorpus, ScesepError
 from .inference import (
     denoise,
@@ -100,8 +100,12 @@ def cmd_mix(cfg, out_dir: Path, materialize: bool) -> int:
         stream = stream_records(rows, cfg.seed, cfg.stft_config(), cfg.clip_duration_s)
         for _, rec in stream.records:
             wavs = {"mix": rec.mixture, **{f"src{i}": s for i, s in enumerate(rec.sources)}}
+            # Unit-power sources peak far above PCM16 full scale. One gain per
+            # record clips no sample and keeps mix = src0 + src1.
+            gain = (32767 / 32768) / max(np.abs(w.samples).max() for w in wavs.values())
             for name, wav in wavs.items():
-                write_wav(out_dir / f"{rec.clip_id}.{name}.wav", wav)
+                scaled = Waveform(gain * wav.samples, wav.sample_rate_hz)
+                write_wav(out_dir / f"{rec.clip_id}.{name}.wav", scaled)
                 n_wavs += 1
         print(f"materialized {n_wavs} WAV files")
     return EXIT_OK

@@ -23,29 +23,29 @@ class RunConfig:
     snr_min_db: float = -5.0
     snr_max_db: float = 5.0
     clip_duration_s: float = 3.0
-    # stft
-    window_len: int = 512
-    hop: int = 256
-    sample_rate_hz: int = 10000
+    # stft, model and snmf keys take their defaults from the sub-config they feed
+    window_len: int = StftConfig.window_len
+    hop: int = StftConfig.hop
+    sample_rate_hz: int = StftConfig.sample_rate_hz
     # model
-    n_blstm_layers: int = 2
-    hidden_total: int = 32
-    embed_dim: int = 8
-    batch_size: int = 4
-    sce_weight: float = 0.2
-    epochs: int = 100
-    lr: float = 1e-2
-    grad_clip: float = 5.0
+    n_blstm_layers: int = ModelConfig.n_blstm_layers
+    hidden_total: int = ModelConfig.hidden_total
+    embed_dim: int = ModelConfig.embed_dim
+    batch_size: int = ModelConfig.batch_size
+    sce_weight: float = ModelConfig.sce_weight
+    epochs: int = ModelConfig.epochs
+    lr: float = ModelConfig.lr
+    grad_clip: float = ModelConfig.grad_clip
     # inference
     kmeans_restarts: int = 8
     kmeans_max_iter: int = 300
     low_energy_threshold: float = 0.1
     # snmf
-    snmf_rank: int = 32
-    snmf_sparsity: float = 0.1
-    snmf_max_iters: int = 200
-    snmf_tol: float = 1e-5
-    trim_threshold: float = -2.0
+    snmf_rank: int = SnmfConfig.rank
+    snmf_sparsity: float = SnmfConfig.sparsity
+    snmf_max_iters: int = SnmfConfig.max_iters
+    snmf_tol: float = SnmfConfig.tol
+    trim_threshold: float = SnmfConfig.trim_threshold
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
@@ -71,6 +71,9 @@ class RunConfig:
             raise ValueError(f"clip_duration_s must be >= {SEGMENT_SECONDS}, got {self.clip_duration_s}")
         # model_config builds the StftConfig too: a bad value fails every command.
         self.model_config(ModelConfig.n_table_rows), self.snmf_config()
+        if 2 * self.hop > self.window_len:  # istft's squared-window sum has zeros
+            raise ValueError(f"hop must be at most window_len / 2, got hop {self.hop} "
+                             f"and window_len {self.window_len}")
 
     def _pick(self, cls, **derived):
         """Build `cls` from the fields named as its own, less any `snmf_` prefix, plus `derived`."""

@@ -25,7 +25,7 @@ class ModelConfig:
     hidden_total: int = 32  # concatenated width of both directions
     embed_dim: int = 8
     n_freq: int = 257
-    n_mix_sources: int = 2  # M
+    n_mix_sources = 2  # M: a class constant, not a field; every corpus row mixes two
     n_table_rows: int = 16  # C
     batch_size: int = 4
     sce_weight: float = 0.2  # weight on the contrastive term; 1-w on the mask term
@@ -34,8 +34,7 @@ class ModelConfig:
     grad_clip: float = 5.0
 
     def __post_init__(self):
-        lows = {"n_blstm_layers": 1, "hidden_total": 2, "embed_dim": 1, "n_mix_sources": 2,
-                "batch_size": 1, "epochs": 0}
+        lows = {"n_blstm_layers": 1, "hidden_total": 2, "embed_dim": 1, "batch_size": 1, "epochs": 0}
         for name, low in lows.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -308,7 +307,6 @@ def save_checkpoint(path, state: TrainState, seed: int) -> None:
         best_val=repr(state.best_val),
         best_epoch=state.best_epoch,
         seed=seed,
-        lr_opt=repr(state.optimizer.lr),
     )
     tensors = {}
     for name, value in state.model.named_values().items():
@@ -338,7 +336,7 @@ def load_checkpoint(path):
     model = SeparationModel(config)
     values = {p.name: need(tensors, f"param/{p.name}") for p in model.parameters()}
     model.load_values(values)
-    opt = nn.Adam(model.parameters(), lr=need(meta, "lr_opt", float))
+    opt = nn.Adam(model.parameters(), config.lr)
     opt.step_count = need(meta, "step", int)
     opt.m = [need(tensors, f"adam/m/{p.name}").copy() for p in opt.params]
     opt.v = [need(tensors, f"adam/v/{p.name}").copy() for p in opt.params]

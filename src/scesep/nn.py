@@ -439,9 +439,9 @@ def blstm_layer(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
 class Adam:
     """Adam with bias correction; deterministic given the gradient stream."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.params = list(params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr, self.beta1, self.beta2, self.eps = lr, 0.9, 0.999, 1e-8
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -466,7 +466,7 @@ class Adam:
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def clip_global_norm(params, max_norm=5.0):
+def clip_global_norm(params, max_norm):
     """Scale all gradients so their joint L2 norm is at most max_norm."""
     total = np.sqrt(
         sum(float(np.sum(p.grad * p.grad)) for p in params if p.grad is not None)
@@ -482,18 +482,19 @@ def clip_global_norm(params, max_norm=5.0):
 # --- verification ---------------------------------------------------------
 
 
-def finite_difference_check(loss_fn, params, eps=1e-3, floor=1e-6):
+def finite_difference_check(loss_fn, params):
     """Max relative error between analytic and central-difference gradients.
 
     loss_fn() must rebuild the forward pass from the current parameter
-    values and return a scalar Tensor. ``floor`` bounds the denominator so
-    finite-difference noise on near-zero gradients does not dominate.
+    values and return a scalar Tensor. A floor of 1e-6 on the denominator
+    keeps finite-difference noise on near-zero gradients from dominating.
 
     The estimate is the fourth-order five-point stencil
     ``(8(f(x+h) − f(x−h)) − (f(x+2h) − f(x−2h))) / 12h``. Its truncation
-    error is O(h⁴), so a step as large as 1e-3 keeps it small, and the
+    error is O(h⁴), so a step h as large as 1e-3 keeps it small, and the
     rounding error of f, which enters as ≈ 1e-16·|f| / h, stays small too.
     """
+    h = 1e-3
     for p in params:
         p.zero_grad()
     loss = loss_fn()
@@ -506,11 +507,11 @@ def finite_difference_check(loss_fn, params, eps=1e-3, floor=1e-6):
         for i in range(flat.size):
             orig = flat[i]
             f = []
-            for step in (eps, -eps, 2 * eps, -2 * eps):
+            for step in (h, -h, 2 * h, -2 * h):
                 flat[i] = orig + step
                 f.append(float(loss_fn().data))
             flat[i] = orig
-            numeric = (8 * (f[0] - f[1]) - (f[2] - f[3])) / (12 * eps)
-            denom = max(abs(numeric), abs(gflat[i]), floor)
+            numeric = (8 * (f[0] - f[1]) - (f[2] - f[3])) / (12 * h)
+            denom = max(abs(numeric), abs(gflat[i]), 1e-6)
             worst = max(worst, abs(numeric - gflat[i]) / denom)
     return worst

@@ -52,7 +52,7 @@ def _check_softmax_head(seed):
     )
 
 
-M = 2  # sources per clip in the model checks
+M = ModelConfig.n_mix_sources  # sources per clip in the model checks
 IDS = np.array([[0, 1], [2, 3]])  # source-table rows of their two clips
 
 
@@ -61,8 +61,7 @@ def _tiny_model(seed, stream, n_blstm_layers=1, T=3, F=4):
     the input, drawn from one named stream; targets follow from rng."""
     rng = rng_for(seed, stream)
     cfg = ModelConfig(
-        n_blstm_layers=n_blstm_layers, hidden_total=4, embed_dim=3, n_freq=F,
-        n_table_rows=4, n_mix_sources=M,
+        n_blstm_layers=n_blstm_layers, hidden_total=4, embed_dim=3, n_freq=F, n_table_rows=4,
     )
     model = SeparationModel(cfg, rng)
     return model, rng.uniform(0, 1, (2, T, F)), rng

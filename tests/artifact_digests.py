@@ -8,7 +8,11 @@ a four-algorithm ``eval`` in both modes, and ``denoise`` in cluster mode
 (K = 2 and K = 3) and mi mode on one materialized mixture. It then prints ``sha256  relative/path``
 for every file written (manifest, WAVs, checkpoint, train log, SNMF
 dictionaries, ``metrics.csv``, stems) and for each command's standard
-output, in which the temporary directory reads ``<out>``.
+output, in which the temporary directory reads ``<out>``. Each container
+(``.scem`` checkpoint, ``.dict`` dictionary) gets one more line,
+``sha256  path#tensors``, over its tensors alone: each one's name, shape and
+float64 bytes in file order, without the meta block. A change to the meta
+alone then shows as a changed file line next to an unchanged tensors line.
 
 Two checkouts that print the same lines produce the same bytes. With
 ``--against FILE``, a listing saved from an earlier run, it prints only the
@@ -30,6 +34,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from scesep.cli import main as scesep_main  # noqa: E402
+from scesep.container import MAGIC_MODEL, MAGIC_NMF, read_container  # noqa: E402
 
 CONFIG = """\
 n_train = 8
@@ -76,6 +81,26 @@ def run_all(root: Path, seed: int) -> None:
         (root / "stdout" / f"{name}.txt").write_text(buf.getvalue().replace(str(root), "<out>"))
 
 
+def tensors_digest(path: Path) -> str:
+    """sha256 over a container's tensors (name, shape, float64 bytes) in file order."""
+    _, tensors = read_container(path, MAGIC_MODEL if path.suffix == ".scem" else MAGIC_NMF)
+    h = hashlib.sha256()
+    for name, value in tensors.items():
+        h.update(f"{name}\0{value.shape}\0".encode())
+        h.update(value.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def digest_lines(root: Path) -> list:
+    lines = []
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        rel = path.relative_to(root)
+        lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {rel}")
+        if path.suffix in (".scem", ".dict"):
+            lines.append(f"{tensors_digest(path)}  {rel}#tensors")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=5)
@@ -84,8 +109,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         run_all(root, args.seed)
-        lines = [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}"
-                 for path in sorted(p for p in root.rglob("*") if p.is_file())]
+        lines = digest_lines(root)
     if args.against is not None:
         lines = [d for d in difflib.ndiff(args.against.read_text().splitlines(), lines) if d[:1] in "+-"]
     for line in lines:

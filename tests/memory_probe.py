@@ -110,7 +110,7 @@ def _write_denoise_inputs(workdir, seconds, seed):
 
     cfg = RunConfig()
     m = SeparationModel(cfg.model_config(cfg.n_train), rng_for(seed, "model-init"))
-    save_checkpoint(Path(workdir) / "model.scem", TrainState(m, nn.Adam(m.parameters())), seed)
+    save_checkpoint(Path(workdir) / "model.scem", TrainState(m, nn.Adam(m.parameters(), cfg.lr)), seed)
     speech = mixtures.synth_speechlike(seconds, seed).waveform.samples
     noise = mixtures.synth_noise("engine", seconds, seed + 1).waveform.samples
     mix = 0.2 * (speech + 0.5 * noise)

@@ -24,7 +24,7 @@ from scesep.cli import main
 from scesep.config import RunConfig
 from scesep.container import MAGIC_MODEL, MAGIC_NMF, read_container, write_container
 from scesep.dsp import Waveform
-from scesep.metrics import CSV_HEADER
+from scesep.metrics import CSV_HEADER, sdr
 
 SMALL_CFG = """
 n_train = 4
@@ -138,6 +138,24 @@ class TestMix:
         assert "Traceback" not in captured.err + captured.out
         assert len(list(out.glob("*.wav"))) == 9
         assert wavs_before_mix == [0, 3, 6]  # each record's WAVs land before the next is built
+
+    def test_materialized_wavs_read_back_unclipped(self, tmp_path):
+        # Unit-power sources peak above PCM16 full scale; each record's WAVs
+        # share one gain, so they read back as their record and still add up.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_train = 3\nn_val = 1\nn_test = 2\n")
+        out = tmp_path / "data"
+        assert main(["--config", str(cfg), "--out", str(out), "mix", "--materialize"]) == 0
+        run = RunConfig(n_train=3, n_val=1, n_test=2)
+        stream = mixtures.read_manifest(out / "manifest.tsv", run.seed, run.stft_config(),
+                                        run.clip_duration_s)
+        for _, rec in stream.records:
+            refs = {"mix": rec.mixture, "src0": rec.sources[0], "src1": rec.sources[1]}
+            wavs = {name: read_wav(out / f"{rec.clip_id}.{name}.wav") for name in refs}
+            for name, ref in refs.items():
+                assert sdr(ref, wavs[name]) >= 60.0, (rec.clip_id, name)
+            residual = wavs["mix"].samples - (wavs["src0"].samples + wavs["src1"].samples)
+            assert np.abs(residual).max() <= 1.5 / 32768, rec.clip_id
 
     @pytest.mark.parametrize("line,named", [
         pytest.param(line, named, id=line) for line, named in REJECTED_CORPUS_KEYS
@@ -424,6 +442,27 @@ class TestTrain:
         assert (resumed / "model.scem").read_bytes() == (straight / "model.scem").read_bytes()
         log = (resumed / "train_log.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in log[1:]] == ["2"]  # only the resumed epoch
+
+    def test_checkpoint_with_dropped_meta_keys_loads_as_before(self, workspace, tmp_path):
+        # Older checkpoints also carry n_mix_sources and lr_opt, which the
+        # loader no longer reads.
+        fresh = workspace["run"] / "model.scem"
+        meta, tensors = read_container(fresh, MAGIC_MODEL)
+        assert "n_mix_sources" not in meta and "lr_opt" not in meta
+        old = tmp_path / "old.scem"
+        write_container(old, MAGIC_MODEL, dict(meta, n_mix_sources=2, lr_opt=meta["lr"]), tensors)
+        wav = str(next(iter(workspace["data"].glob("*.mix.wav"))))
+        stems = {}
+        for name, checkpoint in (("fresh", fresh), ("old", old)):
+            out = tmp_path / f"stems-{name}"
+            assert main(["--config", str(workspace["cfg"]), "--out", str(out),
+                         "denoise", "--checkpoint", str(checkpoint), wav, "--mode", "mi"]) == 0
+            stems[name] = [p.read_bytes() for p in sorted(out.glob("*.wav"))]
+            assert self.resume(workspace, tmp_path / f"resumed-{name}", "epochs = 3\n",
+                               checkpoint=checkpoint) == 0
+        assert stems["old"] == stems["fresh"] and len(stems["fresh"]) == 2
+        resumed = [(tmp_path / f"resumed-{name}" / "model.scem").read_bytes() for name in stems]
+        assert resumed[0] == resumed[1]
 
     def test_resume_without_seed_is_corrupt(self, workspace, tmp_path, capsys):
         meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)

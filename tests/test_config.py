@@ -1,4 +1,6 @@
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +83,10 @@ class TestCrossKeyChecks:
         ({"sample_rate_hz": 384001}, r"sample_rate_hz must be in \[1000, 384000\] Hz, got 384001"),
         ({"low_energy_threshold": -1.0}, r"low_energy_threshold must be in \[0, 1\), got -1.0"),
         ({"low_energy_threshold": 5.0}, r"low_energy_threshold must be in \[0, 1\), got 5.0"),
+        ({"hop": 512}, "hop must be at most window_len / 2, got hop 512 and window_len 512"),
+        ({"window_len": 8, "hop": 8}, "hop must be at most window_len / 2, got hop 8 and window_len 8"),
+        ({"window_len": 4096, "hop": 4096},
+         "hop must be at most window_len / 2, got hop 4096 and window_len 4096"),
     ])
     def test_rejected_with_keys_named(self, overrides, named):
         with pytest.raises(ValueError, match=named):
@@ -120,8 +126,9 @@ class TestDerivedConfigs:
         assert RunConfig().snmf_config() == SnmfConfig()
 
     def test_every_key_reaches_exactly_one_place(self):
-        # Doubling any key (0 -> 1) keeps the config valid; see which
-        # sub-configs move. window_len also moves ModelConfig through n_freq.
+        # Doubling any key (0 -> 1) but hop, which is halved, keeps the config
+        # valid; see which sub-configs move. window_len also moves ModelConfig
+        # through n_freq.
         base = RunConfig()
         sub_configs = {
             "stft": RunConfig.stft_config,
@@ -130,7 +137,8 @@ class TestDerivedConfigs:
         }
         for f in fields(RunConfig):
             value = getattr(base, f.name)
-            changed = replace(base, **{f.name: f.type(value * 2 if value else 1)})
+            new = value // 2 if f.name == "hop" else value * 2 if value else 1
+            changed = replace(base, **{f.name: f.type(new)})
             moved = {k for k, build in sub_configs.items() if build(changed) != build(base)}
             if f.name in CLI_KEYS:
                 assert moved == set(), f.name
@@ -139,9 +147,20 @@ class TestDerivedConfigs:
             else:
                 assert len(moved) == 1, (f.name, moved)
 
+    def test_readme_lists_the_defaults(self):
+        # README's ini block is the one copy of the defaults outside the code.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        pairs = re.findall(r"(\w+) = (\S+)", block)
+        kinds = {f.name: f.type for f in fields(RunConfig)}
+        for key, value in pairs:
+            assert key in kinds, key
+            assert kinds[key](value) == getattr(RunConfig(), key), key
+        assert sorted(key for key, _ in pairs) == sorted(set(kinds) - {"seed"})
+
     def test_model_fields_not_fed_by_run_config(self):
         unfed = {f.name for f in fields(ModelConfig)} - {f.name for f in fields(RunConfig)}
-        assert unfed == {"n_freq", "n_table_rows", "n_mix_sources"}
+        assert unfed == {"n_freq", "n_table_rows"}
 
 
 class TestSeeding:

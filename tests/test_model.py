@@ -83,10 +83,6 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(sce_weight=1.5)
 
-    def test_single_source_rejected(self):
-        with pytest.raises(ValueError):
-            ModelConfig(n_mix_sources=1)
-
 
 class TestSeparationModel:
     def test_embedding_shape(self):
@@ -131,7 +127,7 @@ class TestSeparationModel:
         cfg = dataclasses.replace(TINY, n_blstm_layers=2)
         model = SeparationModel(cfg, rng_for(8, "init"))
         path = tmp_path / "model.scem"
-        save_checkpoint(path, TrainState(model, nn.Adam(model.parameters())), seed=0)
+        save_checkpoint(path, TrainState(model, nn.Adam(model.parameters(), cfg.lr)), seed=0)
         loaded = load_inference_model(path)
         assert not any(p.requires_grad for p in loaded.parameters())
         x = np.random.default_rng(9).random((1, 6, 5))

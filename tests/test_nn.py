@@ -555,9 +555,8 @@ class TestAdam:
         assert np.abs(p.data).max() < 1e-3
 
     def test_matches_fresh_temporaries_bit_for_bit(self, monkeypatch):
-        # Parameters of several shapes (the largest sizes the shared scratch),
-        # gradients over twelve orders of magnitude, and one step where a
-        # parameter has no gradient.
+        # Parameters of several shapes, gradients over twelve orders of
+        # magnitude, and one step where a parameter has no gradient.
         shapes = [(32, 2056), (2056,), (4, 2, 48, 16), (3,)]
 
         def run():
