@@ -5,7 +5,6 @@ import wave
 import numpy as np
 
 from .dsp import Waveform
-from .errors import ShapeMismatch
 
 # Sample rates in Hz that read_wav takes from a header and RunConfig as the
 # model rate: telephone speech to high-resolution audio. A clip is resampled
@@ -17,20 +16,18 @@ SAMPLE_RATE_RANGE_HZ = (1000, 384000)
 def read_wav(path) -> Waveform:
     """Read a mono PCM16 WAV file; samples are mapped to [-1, 1).
 
-    A header sample rate outside ``SAMPLE_RATE_RANGE_HZ`` is rejected."""
+    Any file it cannot take (unreadable, not mono 16-bit PCM, a header sample
+    rate outside ``SAMPLE_RATE_RANGE_HZ``, a torn last sample) is a
+    ValueError naming the path."""
     try:
         f = wave.open(str(path), "rb")
     except (wave.Error, EOFError, RuntimeError) as e:  # wave raises the last two bare on bad chunks
         raise ValueError(f"{path}: not a readable WAV file ({str(e) or 'damaged header'})") from e
     with f:
         if f.getnchannels() != 1:
-            raise ShapeMismatch(
-                f"{path}: expected mono, got {f.getnchannels()} channels"
-            )
+            raise ValueError(f"{path}: expected mono, got {f.getnchannels()} channels")
         if f.getsampwidth() != 2:
-            raise ShapeMismatch(
-                f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit"
-            )
+            raise ValueError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
         rate = f.getframerate()
         lo, hi = SAMPLE_RATE_RANGE_HZ
         if not lo <= rate <= hi:

@@ -2,8 +2,11 @@
 
 Analysis uses a periodic Hann window (512 samples, hop 256 by default).
 Synthesis overlap-adds Hann-windowed frames and divides by the running
-sum of squared windows, which reconstructs the input exactly wherever
-that sum is nonzero.
+sum of squared windows, floored at ``WINDOW_SUM_FLOOR``. That reconstructs
+the input exactly wherever the sum reaches the floor. At the default framing
+that is every sample except, for most input lengths, up to the last 52,
+which a single fading window covers; there the floor keeps a masked frame
+from being amplified into a click.
 
 One framing serves every spectrogram: :func:`stft` reflect-pads hop/2
 samples per side before framing, and :func:`istft` drops the leading
@@ -12,9 +15,9 @@ hop/2 samples and fits the result to the input's length.
 Neither copies more than it computes on: :func:`stft` frames the padded
 signal as a strided view (``sliding_window_view``) that only the windowing
 product reads, and :func:`istft` windows the inverse FFT's frames in place
-and normalizes the overlap-add sum with ``divide(..., where=)``, zeroing the
-samples whose window sum vanishes. The values are those of an index gather
-and of boolean-mask gathers and scatters, bit for bit.
+and floors the window sum in place before dividing by it. The values are
+those of an index gather and of boolean-mask gathers and scatters, bit for
+bit.
 """
 
 from dataclasses import dataclass
@@ -24,6 +27,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstantSignal, ShapeMismatch, TooShort
+
+# The least squared-window sum istft divides by. Near a signal's end a single
+# fading Hann window can cover an output sample, and its squared sum falls to
+# about 1e-9, so dividing by it would amplify a masked frame up to ~26,000x;
+# at this floor a lone window's gain is at most 1 / sqrt(1e-2) = 10.
+WINDOW_SUM_FLOOR = 1e-2
 
 
 @dataclass(frozen=True)
@@ -154,9 +163,7 @@ def istft(s: np.ndarray, cfg: StftConfig, length: int) -> Waveform:
     for j in reversed(range(r)):
         y_blocks[j : j + T] += frames[:, j]
         w_blocks[j : j + T] += w2[j]
-    nz = wsum > 1e-12
-    np.divide(y, wsum, out=y, where=nz)
-    np.copyto(y, 0.0, where=~nz)
+    y /= np.maximum(wsum, WINDOW_SUM_FLOOR, out=wsum)
     y = y[cfg.hop // 2 :]
     if len(y) < length:
         y = np.pad(y, (0, length - len(y)))

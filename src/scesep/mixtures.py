@@ -53,7 +53,9 @@ def _unit_power(x: np.ndarray) -> np.ndarray:
     return x / rms if rms > 0 else x
 
 
-def synth_speechlike(duration_s: float, seed: int, sample_rate_hz: int = 10000) -> SourceClip:
+def synth_speechlike(
+    duration_s: float, seed: int, sample_rate_hz: int = StftConfig.sample_rate_hz
+) -> SourceClip:
     """Harmonic stack with pitch contour, formant-like band emphasis, and
     a syllabic (~4 Hz) amplitude envelope. Unit power, deterministic."""
     if duration_s < SEGMENT_SECONDS:
@@ -87,7 +89,9 @@ def synth_speechlike(duration_s: float, seed: int, sample_rate_hz: int = 10000) 
     return SourceClip(Waveform(_unit_power(sig), fs), SPEECH_CLASS_ID, f"speech-{seed}")
 
 
-def synth_noise(kind: str, duration_s: float, seed: int, sample_rate_hz: int = 10000) -> SourceClip:
+def synth_noise(
+    kind: str, duration_s: float, seed: int, sample_rate_hz: int = StftConfig.sample_rate_hz
+) -> SourceClip:
     """Synthetic noise of the given kind, unit power, deterministic."""
     if kind not in NOISE_KINDS:
         raise UnknownKind(f"unknown noise kind {kind!r}; choose from {NOISE_KINDS}")

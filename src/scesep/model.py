@@ -87,7 +87,7 @@ class SeparationModel:
                 raise ShapeMismatch(
                     f"{p.name}: expected {p.data.shape}, got {values[p.name].shape}"
                 )
-            p.data = values[p.name].copy()
+            p.data = values[p.name]
 
     def forward_embeddings(self, x: np.ndarray) -> nn.Tensor:
         """Compressed magnitudes (B, T, F) -> embedding field (B, T, F, E)."""
@@ -322,11 +322,6 @@ def save_checkpoint(path, state: TrainState, seed: int) -> None:
 def load_checkpoint(path):
     """Return a TrainState rebuilt from a checkpoint, plus its meta dict."""
     meta, tensors = read_container(path, MAGIC_MODEL)
-    # Every tensor is a weight or Adam moment (param/, best/, adam/m/,
-    # adam/v/); a NaN or inf in any of them would poison every later output.
-    for key, value in tensors.items():
-        if not np.all(np.isfinite(value)):
-            raise CorruptCheckpoint(f"{path}: checkpoint tensor {key!r} holds non-finite values")
     need = partial(require, path)
     try:
         config = ModelConfig(**{f.name: need(meta, f.name, f.type) for f in fields(ModelConfig)})
@@ -334,20 +329,29 @@ def load_checkpoint(path):
         raise CorruptCheckpoint(f"{path}: checkpoint config rejected: {e}") from None
     meta["seed"] = need(meta, "seed", int)
     model = SeparationModel(config)
-    values = {p.name: need(tensors, f"param/{p.name}") for p in model.parameters()}
-    model.load_values(values)
+    # Each group holds one tensor per parameter, at its shape (no other name is
+    # read); a NaN or inf weight or Adam moment would poison every later output.
+    groups = {prefix: {} for prefix in ("param/", "best/", "adam/m/", "adam/v/")}
+    for prefix, values in groups.items():
+        for p in model.parameters():
+            key = prefix + p.name
+            values[p.name] = value = need(tensors, key)
+            if value.shape != p.data.shape:
+                raise CorruptCheckpoint(f"{path}: checkpoint tensor {key!r} has shape {value.shape}, "
+                                        f"expected {p.data.shape}")
+            if not np.all(np.isfinite(value)):
+                raise CorruptCheckpoint(f"{path}: checkpoint tensor {key!r} holds non-finite values")
+    model.load_values(groups["param/"])
     opt = nn.Adam(model.parameters(), config.lr)
     opt.step_count = need(meta, "step", int)
-    opt.m = [need(tensors, f"adam/m/{p.name}").copy() for p in opt.params]
-    opt.v = [need(tensors, f"adam/v/{p.name}").copy() for p in opt.params]
-    best_values = {k[len("best/") :]: v.copy() for k, v in tensors.items() if k.startswith("best/")}
+    opt.m, opt.v = list(groups["adam/m/"].values()), list(groups["adam/v/"].values())
     state = TrainState(
         model,
         opt,
         epoch=need(meta, "epoch", int),
         best_val=need(meta, "best_val", float),
         best_epoch=need(meta, "best_epoch", int),
-        best_values=best_values,
+        best_values=groups["best/"],
     )
     return state, meta
 
@@ -357,8 +361,7 @@ def load_inference_model(path) -> SeparationModel:
     parameters need no gradient, so a forward pass records no tape: each op
     keeps only its output, and the BLSTM keeps no backward cache."""
     state, _ = load_checkpoint(path)
-    if state.best_values:
-        state.model.load_values(state.best_values)
+    state.model.load_values(state.best_values)
     for p in state.model.parameters():
         p.requires_grad = False
     return state.model

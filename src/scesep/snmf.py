@@ -52,7 +52,7 @@ class Dictionary:
     class_id: int
 
 
-def trim_silence(mag: np.ndarray, threshold: float = -2.0) -> np.ndarray:
+def trim_silence(mag: np.ndarray, threshold: float = SnmfConfig.trim_threshold) -> np.ndarray:
     """Drop frames whose per-frame peak falls below a log threshold
     relative to the global maximum. Order preserved."""
     mag = np.asarray(mag)

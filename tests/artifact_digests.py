@@ -5,10 +5,15 @@
 Runs, in one process and into a fresh temporary directory, at a fixed small
 config: ``mix --materialize``, ``train`` for 3 epochs, ``train --algo snmf``,
 a four-algorithm ``eval`` in both modes, and ``denoise`` in cluster mode
-(K = 2 and K = 3) and mi mode on one materialized mixture. It then prints ``sha256  relative/path``
-for every file written (manifest, WAVs, checkpoint, train log, SNMF
-dictionaries, ``metrics.csv``, stems) and for each command's standard
-output, in which the temporary directory reads ``<out>``. Each container
+(K = 2 and K = 3) and mi mode on one materialized mixture. Then ``denoise``
+runs in both modes on two more inputs: ``inputs/joined.wav``, the first
+25,000 samples of the ``test-0`` and ``test-1`` mixtures joined, whose last
+analysis frame fades out inside the output; and ``inputs/joined-8k.wav``,
+the same samples labelled 8 kHz, so that they are resampled. It then prints
+``sha256  relative/path`` for every file written (manifest, WAVs,
+checkpoint, train log, SNMF dictionaries, ``metrics.csv``, input WAVs,
+stems) and for each command's standard output, in which the temporary
+directory reads ``<out>``. Each container
 (``.scem`` checkpoint, ``.dict`` dictionary) gets one more line,
 ``sha256  path#tensors``, over its tensors alone: each one's name, shape and
 float64 bytes in file order, without the meta block. A change to the meta
@@ -31,10 +36,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from scesep.audio_io import read_wav, write_wav  # noqa: E402
 from scesep.cli import main as scesep_main  # noqa: E402
 from scesep.container import MAGIC_MODEL, MAGIC_NMF, read_container  # noqa: E402
+from scesep.dsp import Waveform  # noqa: E402
 
 CONFIG = """\
 n_train = 8
@@ -72,13 +81,26 @@ def run_all(root: Path, seed: int) -> None:
         str(data / "test-0.mix.wav"), "--mode", "cluster", "--K", "3",
     ]))
     (root / "stdout").mkdir()
-    for name, out, argv in steps:
+
+    def execute(name, out, argv):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = scesep_main(["--config", str(cfg), "--seed", str(seed), "--out", str(out)] + argv)
         if code != 0:
             raise SystemExit(f"{name} exited {code}")
         (root / "stdout" / f"{name}.txt").write_text(buf.getvalue().replace(str(root), "<out>"))
+
+    for step in steps:
+        execute(*step)
+    joined = np.concatenate([read_wav(data / f"test-{i}.mix.wav").samples for i in (0, 1)])[:25000]
+    (root / "inputs").mkdir()
+    for stem, rate in (("joined", 10000), ("joined-8k", 8000)):
+        wav = root / "inputs" / f"{stem}.wav"
+        write_wav(wav, Waveform(joined, rate))
+        for mode in ("cluster", "mi"):
+            execute(f"7-denoise-{stem}-{mode}", root / f"denoise-{stem}-{mode}", [
+                "denoise", "--checkpoint", str(run / "model.scem"), str(wav), "--mode", mode,
+            ])
 
 
 def tensors_digest(path: Path) -> str:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from scesep import nn
-from scesep.dsp import StftConfig, Waveform, hann_window
+from scesep.dsp import WINDOW_SUM_FLOOR, StftConfig, Waveform, hann_window
 from scesep.errors import NegativeInput
 from scesep.inference import ClusterAssignment
 from scesep.seeding import rng_for
@@ -109,8 +109,9 @@ def stft_gather_oracle(w: Waveform, cfg: StftConfig) -> np.ndarray:
 
 def istft_loop_oracle(s, cfg: StftConfig, length: int) -> Waveform:
     """Reference for dsp.istft: frames overlap-added in a loop over time,
-    normalized through boolean-mask gathers and scatters, the leading hop/2
-    samples dropped and the rest fitted to ``length``."""
+    normalized through boolean-mask gathers and scatters by the window sum
+    floored at ``WINDOW_SUM_FLOOR``, the leading hop/2 samples dropped and
+    the rest fitted to ``length``."""
     T = s.shape[0]
     win = hann_window(cfg.window_len)
     frames = np.fft.irfft(s, n=cfg.window_len, axis=1) * win
@@ -121,9 +122,9 @@ def istft_loop_oracle(s, cfg: StftConfig, length: int) -> Waveform:
         start = t * cfg.hop
         y[start : start + cfg.window_len] += frames[t]
         wsum[start : start + cfg.window_len] += win * win
-    nz = wsum > 1e-12
-    y[nz] /= wsum[nz]
-    y[~nz] = 0.0
+    low = wsum < WINDOW_SUM_FLOOR
+    y[~low] /= wsum[~low]
+    y[low] /= WINDOW_SUM_FLOOR
     y = y[cfg.hop // 2 :]
     y = np.pad(y, (0, length - len(y))) if len(y) < length else y[:length]
     return Waveform(y, cfg.sample_rate_hz)

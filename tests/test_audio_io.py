@@ -5,7 +5,6 @@ import pytest
 
 from scesep.audio_io import read_wav, write_wav
 from scesep.dsp import Waveform
-from scesep.errors import ShapeMismatch
 
 
 def test_round_trip(tmp_path):
@@ -39,7 +38,7 @@ def test_rejects_stereo(tmp_path):
         f.setsampwidth(2)
         f.setframerate(8000)
         f.writeframes(np.zeros(100, dtype="<i2").tobytes())
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="expected mono"):
         read_wav(path)
 
 
@@ -50,5 +49,5 @@ def test_rejects_wrong_depth(tmp_path):
         f.setsampwidth(1)
         f.setframerate(8000)
         f.writeframes(bytes(100))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="expected 16-bit PCM"):
         read_wav(path)

@@ -7,6 +7,7 @@ import resource
 import struct
 import subprocess
 import sys
+import wave
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -24,7 +25,9 @@ from scesep.cli import main
 from scesep.config import RunConfig
 from scesep.container import MAGIC_MODEL, MAGIC_NMF, read_container, write_container
 from scesep.dsp import Waveform
+from scesep.inference import denoise
 from scesep.metrics import CSV_HEADER, sdr
+from scesep.model import load_inference_model
 
 SMALL_CFG = """
 n_train = 4
@@ -464,6 +467,18 @@ class TestTrain:
         resumed = [(tmp_path / f"resumed-{name}" / "model.scem").read_bytes() for name in stems]
         assert resumed[0] == resumed[1]
 
+    def test_resume_with_wrong_shaped_adam_moment_is_corrupt(self, workspace, tmp_path, capsys):
+        meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)
+        tensors["adam/m/embed.b"] = np.zeros(3)
+        bad = tmp_path / "bad_moment.scem"
+        write_container(bad, MAGIC_MODEL, meta, tensors)
+        out = tmp_path / "run"
+        assert self.resume(workspace, out, "epochs = 3\n", checkpoint=bad) == 1
+        captured = capsys.readouterr()
+        assert f"error: {bad}: checkpoint tensor 'adam/m/embed.b' has shape (3,)" in captured.err
+        assert "resuming from" not in captured.out and "Traceback" not in captured.err
+        assert not (out / "model.scem").exists() and not (out / "train_log.csv").exists()
+
     def test_resume_without_seed_is_corrupt(self, workspace, tmp_path, capsys):
         meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)
         del meta["seed"]
@@ -568,6 +583,7 @@ class TestDenoise:
         "meta:n_freq", "meta:lr", "meta:step", "meta:best_epoch",
         "param/embed.w", "param/blstm1.b",
         "adam/m/blstm0.w", "adam/v/table",
+        "best/embed.w", "best/table",
     ])
     def test_checkpoint_missing_key_is_corrupt(self, workspace, tmp_path, capsys, missing):
         meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)
@@ -585,6 +601,94 @@ class TestDenoise:
         assert code == 1
         err = capsys.readouterr().err
         assert "checkpoint has no" in err and missing.split(":")[-1] in err
+
+    def denoise_with(self, workspace, tmp_path, meta, tensors):
+        """Exit code of `denoise` with a checkpoint of these contents, and the
+        checkpoint's path."""
+        path = tmp_path / "edited.scem"
+        write_container(path, MAGIC_MODEL, meta, tensors)
+        wav = next(iter(workspace["data"].glob("*.mix.wav")))
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(tmp_path / "stems"),
+            "denoise", "--checkpoint", str(path), str(wav),
+        ])
+        return code, path
+
+    def test_checkpoint_without_best_snapshot_is_corrupt(self, workspace, tmp_path, capsys):
+        # The last-epoch weights do not stand in for a missing best snapshot.
+        meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)
+        kept = {k: v for k, v in tensors.items() if not k.startswith("best/")}
+        code, path = self.denoise_with(workspace, tmp_path, meta, kept)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {path}: checkpoint has no 'best/blstm0.w'" in err and "Traceback" not in err
+        assert not (tmp_path / "stems").exists()
+
+    def test_wrong_shaped_best_tensor_is_corrupt(self, workspace, tmp_path, capsys):
+        meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)
+        tensors["best/embed.w"] = tensors["best/embed.w"][:, :-1]
+        code, path = self.denoise_with(workspace, tmp_path, meta, tensors)
+        err = capsys.readouterr().err
+        assert code == 1
+        shape = tensors["param/embed.w"].shape
+        assert (f"error: {path}: checkpoint tensor 'best/embed.w' has shape "
+                f"{tensors['best/embed.w'].shape}, expected {shape}") in err
+        assert "Traceback" not in err
+
+    def test_unread_tensors_are_ignored(self, workspace, tmp_path):
+        meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)
+        stems = []
+        for name, extra in (("plain", {}), ("extra", {"notes/x": np.zeros(3), "best/unused": np.ones((2, 2))})):
+            (tmp_path / name).mkdir()
+            assert self.denoise_with(workspace, tmp_path / name, meta, dict(tensors, **extra))[0] == 0
+            stems.append([p.read_bytes() for p in sorted((tmp_path / name / "stems").glob("*.wav"))])
+        assert stems[0] == stems[1] and len(stems[0]) == 2
+
+    @pytest.mark.parametrize("mode", ["cluster", "mi"])
+    def test_stem_ends_are_not_amplified(self, workspace, mode):
+        # At 25,000 samples the last synthesized samples lie under one fading
+        # window, whose squared sum alone would amplify a masked frame up to
+        # ~26,000x; the floored sum caps that gain at 10.
+        model = load_inference_model(workspace["run"] / "model.scem")
+        joined = np.concatenate([read_wav(workspace["data"] / f"test-{i}.mix.wav").samples for i in (0, 1)])
+        mixture = Waveform(joined[:25000], 10000)
+        result = denoise(model, mixture, mode=mode, k=2, seed=0, restarts=2)
+        peak = np.abs(mixture.samples).max()
+        assert all(np.abs(stem.samples).max() <= 10 * peak for stem in result.stems)
+
+    @pytest.mark.parametrize("channels,width,named", [
+        (2, 2, "expected mono, got 2 channels"),
+        (1, 1, "expected 16-bit PCM, got 8-bit"),
+    ])
+    def test_unsupported_wav_format_is_usage_error(self, workspace, tmp_path, capsys, channels, width, named):
+        wav = tmp_path / "clip.wav"
+        with wave.open(str(wav), "wb") as f:
+            f.setnchannels(channels)
+            f.setsampwidth(width)
+            f.setframerate(10000)
+            f.writeframes(bytes(8000))
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(tmp_path / "stems"),
+            "denoise", "--checkpoint", str(workspace["run"] / "model.scem"), str(wav),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {wav}: {named}" in err and "Traceback" not in err
+
+    def test_foreign_rate_is_resampled_with_a_warning(self, workspace, tmp_path, capsys):
+        n = 16001
+        wav = tmp_path / "8k.wav"
+        write_wav(wav, Waveform(read_wav(workspace["data"] / "test-0.mix.wav").samples[:n], 8000))
+        out = tmp_path / "stems"
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(out),
+            "denoise", "--checkpoint", str(workspace["run"] / "model.scem"), str(wav), "--mode", "mi",
+        ])
+        assert code == 0
+        assert f"warning: resampling {wav} from 8000 Hz to 10000 Hz" in capsys.readouterr().err
+        stems = [read_wav(p) for p in sorted(out.glob("*.src*.wav"))]
+        assert len(stems) == 2
+        assert all(s.sample_rate_hz == 10000 and len(s) == -(-n * 5 // 4) for s in stems)
 
     @pytest.mark.parametrize("key,value,named", [
         ("n_freq", "25x", "checkpoint meta 'n_freq' is not a valid int: '25x'"),
@@ -751,6 +855,24 @@ class TestEval:
         code = self.run_eval(workspace, tmp_path, ["snmf"], extra=["--snmf-dir", str(workspace["run"])])
         assert code == 0
         assert seen and all(lengths == [n] * len(lengths) for n, lengths in seen)
+
+    def test_wav_source_shorter_than_a_segment_is_usage_error(self, workspace, tmp_path, capsys):
+        short = tmp_path / "short.wav"
+        write_wav(short, Waveform(0.1 * np.random.default_rng(0).standard_normal(15000), 10000))
+        lines = workspace["manifest"].read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.split("\t")[1] == "test")
+        row = lines[i].split("\t")
+        row[3] = f"wav:{short},{row[3].split(',')[1]}"
+        lines[i] = "\t".join(row)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "eval"
+        code = main(["--config", str(workspace["cfg"]), "--out", str(out),
+                     "eval", "--manifest", str(manifest), "--algo", "identity"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: clip wav:{short} shorter than 20000 samples" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_deterministic_csv(self, workspace, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

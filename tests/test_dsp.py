@@ -171,6 +171,17 @@ class TestIstft:
         with pytest.raises(ShapeMismatch):
             istft(np.zeros((10, 100), dtype=complex), CFG, 2560)
 
+    def test_masked_frames_are_not_amplified_at_the_end(self):
+        # For most lengths the last synthesized samples lie under one fading
+        # window, whose squared sum falls to ~1e-9; the floored sum keeps each
+        # output sample within 10x the largest inverse-FFT frame sample.
+        for n in range(20000, 20256):
+            rng = np.random.default_rng(n)
+            spec = stft(Waveform(rng.standard_normal(n), CFG.sample_rate_hz))
+            spec *= rng.integers(0, 2, size=spec.shape)  # a random binary mask
+            frames = np.fft.irfft(spec, n=CFG.window_len, axis=1)
+            assert np.abs(istft(spec, CFG, n).samples).max() <= 10 * np.abs(frames).max(), n
+
     @pytest.mark.parametrize("window_len,hop", [(512, 256), (512, 128), (256, 256)])
     @pytest.mark.parametrize("duration_s", [2, 3, 8])
     def test_matches_frame_loop_oracle(self, duration_s, window_len, hop):
@@ -196,9 +207,9 @@ class TestIstft:
 @example(window_len=16, hop_div=1, extra=0, trim=0, seed=0)  # one frame; the window sum has zeros
 @example(window_len=4096, hop_div=1, extra=5000, trim=0, seed=1)
 def test_view_framing_and_where_division_match_oracles_byte_for_byte(window_len, hop_div, extra, trim, seed):
-    # hop = window_len leaves a zero of the squared periodic Hann at every
-    # frame start, and at 4096 samples a nonzero window sum below the 1e-12
-    # floor beside it, so the zeroing branch of the normalization runs too.
+    # hop = window_len leaves window sums below WINDOW_SUM_FLOOR around every
+    # frame start (a zero of the squared periodic Hann at the start itself),
+    # so the floored branch of the normalization runs too.
     cfg = StftConfig(window_len=window_len, hop=window_len // hop_div)
     rng = np.random.default_rng(seed)
     w = Waveform(rng.standard_normal(cfg.min_samples + extra), cfg.sample_rate_hz)

@@ -504,6 +504,17 @@ class TestDenoise:
         assert all(len(s) == expected for s in r.stems)
         assert all(s.sample_rate_hz == CFG.sample_rate_hz for s in r.stems)
 
+    def test_fewer_energetic_bins_than_k_fit_on_every_bin(self, model, mixture):
+        # Only the loudest bin reaches the threshold, fewer than K = 2, so
+        # K-means fits on every bin, as it does at threshold 0.
+        emb = embed_mixture(model, mixture, CFG)
+        loudest = float(emb.mag.max())
+        assert np.count_nonzero(emb.mag >= loudest) == 1
+        few = separate_embedded(model, emb, mode="cluster", seed=3, low_energy_threshold=loudest)
+        every = separate_embedded(model, emb, mode="cluster", seed=3, low_energy_threshold=0.0)
+        np.testing.assert_array_equal(few.assignment.labels, every.assignment.labels)
+        assert [s.samples.tobytes() for s in few.stems] == [s.samples.tobytes() for s in every.stems]
+
     def test_max_iter_caps_lloyd_iterations(self, model, mixture):
         r = denoise(model, mixture, mode="cluster", seed=3, max_iter=1)
         assert len(r.assignment.inertia_history) == 1

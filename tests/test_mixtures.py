@@ -325,6 +325,16 @@ def test_bad_manifest_row_rejected(tmp_path, field, value, message):
         read_manifest(path, corpus_seed=4)
 
 
+def test_blank_manifest_lines_are_skipped(tmp_path):
+    path, spaced = tmp_path / "manifest.tsv", tmp_path / "spaced.tsv"
+    write_manifest(path, corpus_rows(2, 0, 1, seed=4))
+    spaced.write_text("\n" + "\n \t\n".join(path.read_text().splitlines()) + "\n\n")
+    rows = manifest_rows(spaced)
+    assert [row.where for row in rows] == [f"{spaced}:{n}" for n in (2, 4, 6)]
+    assert [row[1:] for row in rows] == [row[1:] for row in manifest_rows(path)]
+    assert_same_records(read_corpus(path, corpus_seed=4), read_corpus(spaced, corpus_seed=4))
+
+
 def test_non_utf8_manifest_byte_names_its_line(tmp_path):
     path = tmp_path / "manifest.tsv"
     write_manifest(path, corpus_rows(2, 0, 1, seed=4))
