@@ -1,13 +1,17 @@
-"""Inference: embeddings -> masks -> waveforms.
+"""Inference: BLSTM output -> masks -> waveforms.
 
 Two paths: K-means clustering of per-bin embeddings into binary masks
 (works for any K), and the mask-inference head's ratio mask (fixed M).
 Both apply masks to the complex mixture spectrogram, reusing its phase, and
 both start from one ``embed_mixture`` (STFT, compress, BLSTM), so a caller
-that wants both modes embeds a clip once. The embedding carries the
-``StftConfig`` it was framed with, and ``separate_embedded`` reconstructs
-with it; ``denoise`` is ``embed_mixture`` then ``separate_embedded``, to
-which it forwards its options.
+that wants both modes runs the BLSTM on a clip once. ``embed_mixture``
+keeps the BLSTM output h (T, 2H), not the (T, F, E) embedding field: cluster
+mode builds the field from h, and MI mode never builds it, since the MI
+head reads h through one composed weight (``SeparationModel.mi_masks``).
+The embedding carries the ``StftConfig`` it was framed with, and
+``separate_embedded`` reconstructs with it; ``denoise`` is
+``embed_mixture`` then ``separate_embedded``, to which it forwards its
+options.
 
 K-means reads the points in one layout, a contiguous (E, N) array.
 A point's squared distance to centroid c is ``‖x‖² − g`` with the gain
@@ -43,11 +47,11 @@ for K > 2 each assignment also allocates its running maxima.
 k-means++ takes its distances row by row into N-vectors, with no (E, N)
 temporary.
 
-Cluster mode holds no whole-field copy beyond the embeddings themselves: it
-takes the embedding norms in blocks of ``FRAME_BLOCK`` frames, normalizes
-only the energetic rows that K-means fits, and then normalizes and assigns
-every bin, block by block, with ``_claim`` against the fitted centroids,
-doubled and squared once per clip. Each row's norm, and each column of the
+Cluster mode builds the embedding field from h and holds no whole-field
+copy beyond it: it takes the embedding norms in blocks of ``FRAME_BLOCK``
+frames, normalizes only the energetic rows that K-means fits, and then
+normalizes and assigns every bin, block by block, with ``_claim`` against
+the fitted centroids, doubled and squared once per clip. Each row's norm, and each column of the
 assignment GEMM, comes out the same in a block as in the whole field.
 """
 
@@ -318,13 +322,13 @@ class DenoiseResult:
 class EmbeddedMixture:
     x_spec: np.ndarray  # (T, F) complex STFT of the mixture at the model's rate
     mag: np.ndarray  # (T, F) compressed magnitude, the network's input
-    v: np.ndarray  # (T, F, E) per-bin embeddings
+    h: np.ndarray  # (T, 2H) BLSTM output, from which the per-bin embeddings and MI logits follow
     length: int  # samples of the mixture at the model's rate
     cfg: StftConfig  # the framing x_spec was taken with, which reconstruction inverts
 
 
 def embed_mixture(model, mixture: Waveform, cfg: StftConfig = StftConfig()) -> EmbeddedMixture:
-    """The shared front of both modes: resample, STFT, compress, embed."""
+    """The shared front of both modes: resample, STFT, compress, BLSTM."""
     if mixture.sample_rate_hz != cfg.sample_rate_hz:
         mixture = resample(mixture, cfg.sample_rate_hz)
     x_spec = stft(mixture, cfg)
@@ -332,8 +336,8 @@ def embed_mixture(model, mixture: Waveform, cfg: StftConfig = StftConfig()) -> E
     # Huge finite weights overflow to non-finite embeddings, which each mode
     # reports as NonFiniteEmbedding.
     with np.errstate(over="ignore", invalid="ignore"):
-        v = model.forward_embeddings(feat.mag[None]).data[0]
-    return EmbeddedMixture(x_spec, feat.mag, v, len(mixture), cfg)
+        h = model.forward_embeddings(feat.mag[None]).data[0]
+    return EmbeddedMixture(x_spec, feat.mag, h, len(mixture), cfg)
 
 
 def separate_embedded(
@@ -349,15 +353,18 @@ def separate_embedded(
     """Masks from an embedded mixture, then reconstruction with the
     embedding's own framing ``emb.cfg``; one embedding serves any number of
     calls, one per mode."""
-    T, F, E = emb.v.shape
+    T, F = emb.mag.shape
     low_energy = float(np.mean(emb.mag < low_energy_threshold))
     assignment = None
     if mode == "cluster":
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is caught below
+            v = model.embed_field(emb.h[None]).data[0]  # (T, F, E)
         # Cluster by direction (unit-normalized embeddings), and fit centroids
         # on the energetic bins only: the near-silent majority forms a tight
         # blob that would otherwise dominate the K=2 split.
+        E = v.shape[2]
         n, rows = T * F, FRAME_BLOCK * F
-        points = emb.v.reshape(n, E)
+        points = v.reshape(n, E)
         keep = emb.mag.reshape(n) >= low_energy_threshold
         if np.count_nonzero(keep) < k:
             keep[:] = True
@@ -383,7 +390,7 @@ def separate_embedded(
         stems = reconstruct_binary(emb.x_spec, masks, emb.cfg, emb.length)
     elif mode == "mi":
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mask is caught below
-            masks = model.mi_masks(emb.v[None]).data[0]  # (T, F, M)
+            masks = model.mi_masks(emb.h[None]).data[0]  # (T, F, M), from h: no field is built
         finite = np.isfinite(masks)
         if not finite.all():  # a whole-array reduction; one over the M axis is per-bin slow
             bad = int(np.count_nonzero(~finite.all(axis=2)))
@@ -398,7 +405,7 @@ def denoise(model, mixture: Waveform, cfg: StftConfig = StftConfig(), **options)
     """Full pipeline: ``embed_mixture`` (STFT, compress, embed) at ``cfg``,
     then ``separate_embedded`` with the keyword ``options``.
 
-    The source table is never consulted; only the embedding field (and,
-    for "mi", the mask head) are used, so any K works in cluster mode.
+    The source table is never consulted; only the embedding field (cluster
+    mode) or the mask head (MI mode) is used, so any K works in cluster mode.
     """
     return separate_embedded(model, embed_mixture(model, mixture, cfg), **options)

@@ -1,10 +1,11 @@
 """Source-contrastive embedding network with a mask-inference head.
 
 The network maps compressed mixture magnitudes (B, T, F) through a BLSTM
-stack and a per-timestep linear embedding layer to an embedding field
-(B, T, F, E). Training contrasts those per-bin embeddings against a
-trainable per-source table; a softmax head over the embedding dimension
-yields a ratio mask. Inference never touches the source table.
+stack to its output h (B, T, 2H), and a per-timestep linear embedding layer
+maps h to an embedding field (B, T, F, E). Training contrasts those per-bin
+embeddings against a trainable per-source table; a softmax head over the
+embedding dimension yields a ratio mask, which MI-mode inference reads
+straight from h. Inference never touches the source table.
 """
 
 import math
@@ -80,34 +81,52 @@ class SeparationModel:
         return {p.name: p.data for p in self.parameters()}
 
     def load_values(self, values):
+        """Take each parameter's array from ``values``, keyed by its name."""
         for p in self.parameters():
-            if p.name not in values:
-                raise ShapeMismatch(f"missing tensor {p.name!r} in checkpoint")
-            if values[p.name].shape != p.data.shape:
-                raise ShapeMismatch(
-                    f"{p.name}: expected {p.data.shape}, got {values[p.name].shape}"
-                )
             p.data = values[p.name]
 
     def forward_embeddings(self, x: np.ndarray) -> nn.Tensor:
-        """Compressed magnitudes (B, T, F) -> embedding field (B, T, F, E)."""
+        """Compressed magnitudes (B, T, F) -> the BLSTM stack's output h
+        (B, T, 2H), which ``embed_field`` maps to the embedding field."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[2] != self.config.n_freq:
             raise ShapeMismatch(f"expected (B, T, {self.config.n_freq}), got {x.shape}")
         out = nn.Tensor(x)
         for w, b in self.layers:
             out = nn.blstm_layer(out, w, b)
-        B, T = x.shape[0], x.shape[1]
-        out = nn.affine(nn.reshape(out, (B * T, self.config.hidden_total)), self.embed_w, self.embed_b)
+        return out
+
+    def embed_field(self, h) -> nn.Tensor:
+        """BLSTM output h (B, T, 2H), a Tensor or array -> embedding field
+        (B, T, F, E): one affine of the (B·T, 2H) rows with ``embed.w``."""
+        B, T, _ = h.shape
+        out = nn.affine(nn.reshape(h, (B * T, self.config.hidden_total)), self.embed_w, self.embed_b)
         return nn.reshape(out, (B, T, self.config.n_freq, self.config.embed_dim))
 
     def mi_masks(self, v_i) -> nn.Tensor:
-        """Ratio mask (B, T, F, M) of a Tensor or array field: per-bin affine
-        over E, softmax over M."""
-        B, T, F, E = v_i.shape
-        flat = nn.reshape(v_i, (B * T * F, E))
-        logits = nn.affine(flat, self.mi_w, self.mi_b)
-        return nn.reshape(nn.softmax(logits, axis=-1), (B, T, F, self.config.n_mix_sources))
+        """Ratio mask (B, T, F, M), softmax over M of the logits
+        ⟨v, mi_w[:, m]⟩ + mi_b[m] of each bin's embedding v.
+
+        ``v_i`` is the field (B, T, F, E), or the BLSTM output h (B, T, 2H),
+        a Tensor or array either way. From the field the logits are one
+        per-bin affine over E. From h they come without the field: per bin,
+        v = h·W_f + b_f with W_f, b_f the bin's (2H, E) and (E,) slices of
+        ``embed.w`` and ``embed.b``, so the logits are h·(W_f mi_w) +
+        (b_f mi_w + mi_b), and one affine of the (B·T, 2H) rows with the
+        composed (2H, F·M) weight gives every bin's M logits. That sums in
+        another order, so the masks agree with the field's to rounding."""
+        cfg = self.config
+        if len(v_i.shape) == 4:
+            B, T, F, E = v_i.shape
+            logits = nn.affine(nn.reshape(v_i, (B * T * F, E)), self.mi_w, self.mi_b)
+        else:
+            B, T, H2 = v_i.shape
+            F, E, M = cfg.n_freq, cfg.embed_dim, cfg.n_mix_sources
+            w = nn.matmul(nn.reshape(self.embed_w, (H2 * F, E)), self.mi_w)
+            b = nn.add(nn.matmul(nn.reshape(self.embed_b, (F, E)), self.mi_w), self.mi_b)
+            logits = nn.affine(nn.reshape(v_i, (B * T, H2)), nn.reshape(w, (H2, F * M)), nn.reshape(b, (F * M,)))
+            logits = nn.reshape(logits, (B * T * F, M))
+        return nn.reshape(nn.softmax(logits, axis=-1), (B, T, F, cfg.n_mix_sources))
 
 
 def gather_source_vectors(model: SeparationModel, source_ids) -> nn.Tensor:
@@ -169,7 +188,7 @@ def batch_from_records(records) -> Batch:
 
 
 def _losses(model, batch):
-    v_i = model.forward_embeddings(batch.x_mag)
+    v_i = model.embed_field(model.forward_embeddings(batch.x_mag))
     v_o = gather_source_vectors(model, batch.source_ids)
     l_sce = sce_loss(v_i, v_o, batch.labels)
     mask = model.mi_masks(v_i)

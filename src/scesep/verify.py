@@ -76,7 +76,7 @@ def _check_sce_loss(seed):
     y = _labels(rng, x)
 
     def loss_fn():
-        return sce_loss(model.forward_embeddings(x), gather_source_vectors(model, IDS), y)
+        return sce_loss(model.embed_field(model.forward_embeddings(x)), gather_source_vectors(model, IDS), y)
 
     return nn.finite_difference_check(loss_fn, model.parameters())
 
@@ -86,7 +86,7 @@ def _check_mi_loss(seed):
     true = rng.uniform(0, 1, x.shape + (M,))
 
     def loss_fn():
-        return mi_loss(model.mi_masks(model.forward_embeddings(x)), x, true)
+        return mi_loss(model.mi_masks(model.embed_field(model.forward_embeddings(x))), x, true)
 
     return nn.finite_difference_check(loss_fn, model.parameters())
 
@@ -97,7 +97,7 @@ def _check_full_model(seed):
     true = rng.uniform(0, 1, x.shape + (M,))
 
     def loss_fn():
-        v_i = model.forward_embeddings(x)
+        v_i = model.embed_field(model.forward_embeddings(x))
         l_sce = sce_loss(v_i, gather_source_vectors(model, IDS), y)
         l_mi = mi_loss(model.mi_masks(v_i), x, true)
         return nn.add(nn.mul(l_sce, 0.5), nn.mul(l_mi, 0.5))

@@ -768,13 +768,21 @@ class TestDenoise:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("command,mode", [("denoise", "cluster"), ("denoise", "mi"), ("eval", "mi")])
+    @pytest.mark.parametrize("command,mode,keys", [
+        ("denoise", "cluster", ("best/embed.w", "best/embed.b")),
+        ("denoise", "mi", ("best/embed.w", "best/embed.b")),
+        ("eval", "mi", ("best/embed.w", "best/embed.b")),
+        ("denoise", "mi", ("best/mi.w",)),
+        ("eval", "mi", ("best/mi.w",)),
+    ], ids=["denoise-cluster", "denoise-mi", "eval-mi", "denoise-mi-head", "eval-mi-head"])
     def test_overflowing_finite_weights_are_non_finite_embedding(
-        self, workspace, tmp_path, capsys, command, mode
+        self, workspace, tmp_path, capsys, command, mode, keys
     ):
-        # Every weight is finite, but the embedding affine overflows to inf.
+        # Every weight is finite, but the embedding affine overflows to inf,
+        # or (mi.w alone) the field is finite and only the MI head overflows:
+        # in MI mode, that is the composed weight embed.w·mi.w.
         meta, tensors = read_container(workspace["run"] / "model.scem", MAGIC_MODEL)
-        for key in ("best/embed.w", "best/embed.b"):
+        for key in keys:
             tensors[key] = np.full_like(tensors[key], 1.7e308)
         path = tmp_path / "overflow.scem"
         write_container(path, MAGIC_MODEL, meta, tensors)
@@ -790,7 +798,7 @@ class TestDenoise:
         assert not out.exists()
 
     def test_out_of_memory_exits_cleanly(self, workspace, tmp_path):
-        # A 300 s clip's embedding field does not fit in 300 MB of address
+        # Neither mode's denoise of a 300 s clip fits in 300 MB of address
         # space; the limit is set only in the child that runs denoise.
         wav = tmp_path / "long.wav"
         write_wav(wav, Waveform(0.1 * np.random.default_rng(0).standard_normal(300 * 10000), 10000))

@@ -471,6 +471,24 @@ class TestDenoise:
             np.testing.assert_array_equal(a.masks, b.masks)
             assert [s.samples.tobytes() for s in a.stems] == [s.samples.tobytes() for s in b.stems]
 
+    def test_only_cluster_mode_builds_the_field(self, model, mixture, monkeypatch):
+        # MI mode reads the BLSTM output through the composed head weight.
+        def refuse(self, h):
+            raise AssertionError("MI mode built the embedding field")
+
+        real, calls = SeparationModel.embed_field, []
+
+        def counted(self, h):
+            calls.append(h.shape)
+            return real(self, h)
+
+        monkeypatch.setattr(SeparationModel, "embed_field", refuse)
+        r = denoise(model, mixture, mode="mi", seed=3)
+        assert len(r.stems) == 2
+        monkeypatch.setattr(SeparationModel, "embed_field", counted)
+        denoise(model, mixture, mode="cluster", seed=3)
+        assert len(calls) == 1
+
     def test_separation_uses_the_embedding_framing(self, model):
         # The embedding remembers the framing it was taken with, and the
         # stems are reconstructed with it, not with a default.
@@ -488,7 +506,7 @@ class TestDenoise:
         # whole field must give the same bits.
         w = Waveform(np.random.default_rng(frames).standard_normal(CFG.hop * frames), 10000)
         emb = embed_mixture(model, w, CFG)
-        assert emb.v.shape[0] == frames
+        assert emb.h.shape[0] == frames
         blocked = separate_embedded(model, emb, mode="cluster", seed=3)
         monkeypatch.setattr(inference, "FRAME_BLOCK", frames)
         whole = separate_embedded(model, emb, mode="cluster", seed=3)

@@ -87,8 +87,9 @@ class TestModelConfig:
 class TestSeparationModel:
     def test_embedding_shape(self):
         model = SeparationModel(TINY, rng_for(0, "init"))
-        v = model.forward_embeddings(np.zeros((2, 6, 5)))
-        assert v.shape == (2, 6, 5, 3)
+        h = model.forward_embeddings(np.zeros((2, 6, 5)))
+        assert h.shape == (2, 6, 4)
+        assert model.embed_field(h).shape == (2, 6, 5, 3)
 
     def test_rejects_wrong_freq(self):
         model = SeparationModel(TINY, rng_for(0, "init"))
@@ -97,11 +98,30 @@ class TestSeparationModel:
 
     def test_mi_masks_sum_to_one(self):
         model = SeparationModel(TINY, rng_for(1, "init"))
-        v = model.forward_embeddings(np.random.default_rng(2).random((2, 6, 5)))
-        masks = model.mi_masks(v).data
-        assert masks.shape == (2, 6, 5, 2)
-        np.testing.assert_allclose(masks.sum(axis=-1), 1.0)
-        assert masks.min() >= 0.0
+        h = model.forward_embeddings(np.random.default_rng(2).random((2, 6, 5)))
+        for source in (model.embed_field(h), h):  # the field, then the composed head
+            masks = model.mi_masks(source).data
+            assert masks.shape == (2, 6, 5, 2)
+            np.testing.assert_allclose(masks.sum(axis=-1), 1.0)
+            assert masks.min() >= 0.0
+
+    @pytest.mark.parametrize("batch,frames", [(1, 7), (2, 5)])
+    @pytest.mark.parametrize("loaded", [False, True], ids=["random", "loaded"])
+    def test_composed_head_matches_the_field(self, tmp_path, batch, frames, loaded):
+        # From h, the head composes embed.w and mi.w and never builds the
+        # field; its masks are the field's up to rounding.
+        cfg = dataclasses.replace(TINY, n_blstm_layers=2)
+        model = SeparationModel(cfg, rng_for(12, "init"))
+        for p in (model.embed_b, model.mi_b):  # nonzero, so the composed bias is exercised
+            p.data = rng_for(13, p.name).standard_normal(p.data.shape)
+        if loaded:
+            path = tmp_path / "model.scem"
+            save_checkpoint(path, TrainState(model, nn.Adam(model.parameters(), cfg.lr)), seed=0)
+            model = load_inference_model(path)
+        h = model.forward_embeddings(np.random.default_rng(14).random((batch, frames, 5)))
+        masks, ref = model.mi_masks(h).data, model.mi_masks(model.embed_field(h)).data
+        assert masks.shape == ref.shape == (batch, frames, 5, 2)
+        np.testing.assert_allclose(masks, ref, rtol=1e-12, atol=0)
 
     def test_table_rows_unit_norm(self):
         model = SeparationModel(TINY, rng_for(3, "init"))
@@ -114,13 +134,6 @@ class TestSeparationModel:
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
 
-    def test_load_values_missing_key(self):
-        a = SeparationModel(TINY, rng_for(6, "init"))
-        values = a.named_values()
-        del values["table"]
-        with pytest.raises(ShapeMismatch):
-            SeparationModel(TINY).load_values(values)
-
     def test_inference_model_records_no_tape(self, tmp_path):
         # Parameters that need no gradient: the forward keeps only outputs,
         # and they are the gradient path's bytes.
@@ -131,7 +144,7 @@ class TestSeparationModel:
         loaded = load_inference_model(path)
         assert not any(p.requires_grad for p in loaded.parameters())
         x = np.random.default_rng(9).random((1, 6, 5))
-        v, ref = loaded.forward_embeddings(x), model.forward_embeddings(x)
+        v, ref = loaded.embed_field(loaded.forward_embeddings(x)), model.embed_field(model.forward_embeddings(x))
         masks, ref_masks = loaded.mi_masks(v), model.mi_masks(ref)
         assert v._parents == () and masks._parents == ()
         assert ref._parents and ref_masks._parents
