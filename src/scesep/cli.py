@@ -30,6 +30,7 @@ from .mixtures import (
     write_manifest,
 )
 from .model import (
+    ModelConfig,
     load_checkpoint,
     load_inference_model,
     save_checkpoint,
@@ -159,14 +160,17 @@ def _train_snmf(cfg, out_dir: Path, records) -> int:
             by_class.setdefault(class_id, []).append(mag)
     out_dir.mkdir(parents=True, exist_ok=True)
     for class_id, mags in sorted(by_class.items()):
-        d, history = snmf_mod.fit_dictionary(mags, snmf_cfg, class_id, cfg.seed)
+        w, history = snmf_mod.fit_dictionary(mags, snmf_cfg, class_id, cfg.seed)
         path = out_dir / f"snmf_class{class_id}.dict"
-        snmf_mod.save_dictionary(path, d)
+        snmf_mod.save_dictionary(path, w, class_id)
         print(f"wrote {path} (rank {snmf_cfg.rank}, final objective {history[-1]:.4f})")
     return EXIT_OK
 
 
 def cmd_denoise(cfg, out_dir: Path, checkpoint: Path, input_wav: Path, mode: str, k: int) -> int:
+    if mode == "mi" and k != ModelConfig.n_mix_sources:
+        raise ValueError(f"--mode mi always separates {ModelConfig.n_mix_sources} sources; "
+                         f"--K {k} applies only to --mode cluster")
     model = load_inference_model(checkpoint)
     w = read_wav(input_wav)
     stft_cfg = cfg.stft_config()
@@ -215,16 +219,14 @@ def _check_partition_invariants(rec, result, stft_cfg) -> None:
             raise ScesepError("K-means inertia increased across Lloyd iterations")
 
 
-def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg):
+def _estimates_for(algo, mode, rec, model, ws, cfg, stft_cfg):
     """Yield (mode_tag, stems) pairs for one algorithm on one record."""
     if algo == "identity":
         yield "", [rec.mixture for _ in rec.sources]
     elif algo == "oracle-binary":
         yield "", reconstruct_binary(rec.mixture_spec, rec.labels, stft_cfg, len(rec.mixture))
     elif algo == "snmf":
-        masks = snmf_mod.separate(
-            compress(rec.mixture_spec).mag, dicts, cfg.snmf_config(), cfg.seed
-        )
+        masks = snmf_mod.separate(compress(rec.mixture_spec).mag, ws, cfg.snmf_config(), cfg.seed)
         yield "", reconstruct_ratio(rec.mixture_spec, masks, stft_cfg, len(rec.mixture))
     else:  # sce-mi
         modes = ("cluster", "mi") if mode == "both" else (mode,)
@@ -241,14 +243,6 @@ def _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg):
             yield m, result.stems
 
 
-def _load_dictionary(path, n_freq):
-    """An SNMF dictionary with one row per frequency bin of the STFT."""
-    d = snmf_mod.load_dictionary(path)
-    if len(d.w) != n_freq:
-        raise ValueError(f"{path}: dictionary has {len(d.w)} rows, expected n_freq = {n_freq}")
-    return d
-
-
 def cmd_eval(cfg, out_dir: Path, manifest: Path, checkpoint: Path,
              snmf_dir: Path, algos, mode: str) -> int:
     algos = list(dict.fromkeys(algos or ["sce-mi"]))  # a repeated --algo counts once
@@ -257,19 +251,19 @@ def cmd_eval(cfg, out_dir: Path, manifest: Path, checkpoint: Path,
             raise ValueError(f"eval --algo {algo} needs {flag}")
     model = load_inference_model(checkpoint) if "sce-mi" in algos else None
     stft_cfg = cfg.stft_config()
-    dicts = None
+    ws = None  # the speech W, then every noise W side by side
     if "snmf" in algos:
-        speech = _load_dictionary(snmf_dir / "snmf_class0.dict", stft_cfg.n_freq)
+        speech = snmf_mod.load_dictionary(snmf_dir / "snmf_class0.dict", stft_cfg.n_freq)
         noise_ws = []
         for kind_idx in range(1, 1 + len(NOISE_KINDS)):
             path = snmf_dir / f"snmf_class{kind_idx}.dict"
             if path.exists():
-                noise_ws.append(_load_dictionary(path, stft_cfg.n_freq).w)
+                noise_ws.append(snmf_mod.load_dictionary(path, stft_cfg.n_freq))
         if not noise_ws:
             raise FileNotFoundError(
                 f"{snmf_dir} holds no noise dictionary snmf_class1..{len(NOISE_KINDS)}.dict"
             )
-        dicts = [speech, snmf_mod.Dictionary(np.hstack(noise_ws), -1)]
+        ws = [speech, np.hstack(noise_ws)]
     stream = read_manifest(manifest, cfg.seed, stft_cfg, cfg.clip_duration_s)
     if "test" not in stream.splits:
         raise EmptyCorpus(f"manifest {manifest} has no test rows")
@@ -282,8 +276,8 @@ def cmd_eval(cfg, out_dir: Path, manifest: Path, checkpoint: Path,
         if split != "test":
             continue
         for algo in algos:
-            for mode_tag, stems in _estimates_for(algo, mode, rec, model, dicts, cfg, stft_cfg):
-                res = best_permutation(rec.sources, stems, mixture=rec.mixture)
+            for mode_tag, stems in _estimates_for(algo, mode, rec, model, ws, cfg, stft_cfg):
+                res = best_permutation(rec.sources, stems, rec.mixture)
                 by_kind = gains.setdefault((algo, mode_tag), {})
                 by_kind.setdefault(rec.noise_kind, []).extend(res.sdr_improvement_db)
                 for est_idx, ref_idx in enumerate(res.permutation):

@@ -280,15 +280,18 @@ def masks_from_clusters(assignment: ClusterAssignment, shape) -> np.ndarray:
     return y.reshape(T, F, k)
 
 
+def _masked_stems(x_spec: np.ndarray, gains: np.ndarray, cfg: StftConfig, length: int):
+    """Inverse STFT of X * gains[:, :, k] per source k. Untraced, and no
+    reconstructor calls another, so a traced reconstructor call is one span."""
+    if gains.shape[:2] != x_spec.shape:
+        raise ShapeMismatch(f"masks {gains.shape} vs spec {x_spec.shape}")
+    return [istft(x_spec * gains[:, :, k], cfg, length) for k in range(gains.shape[2])]
+
+
 def reconstruct_binary(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, length: int):
-    """Apply S_hat = X * (mask + 1) / 2 per cluster, then inverse STFT."""
-    if masks.shape[:2] != x_spec.shape:
-        raise ShapeMismatch(f"masks {masks.shape} vs spec {x_spec.shape}")
-    out = []
-    for k in range(masks.shape[2]):
-        s_hat = x_spec * 0.5 * (masks[:, :, k] + 1.0)
-        out.append(istft(s_hat, cfg, length))
-    return out
+    """Apply S_hat = X * 0.5 * (mask + 1) per cluster, then inverse STFT. X is
+    halved first, so S_hat keeps that product's signed zeros and subnormals."""
+    return _masked_stems(x_spec * 0.5, masks + 1.0, cfg, length)
 
 
 def reconstruct_ratio(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, length: int):
@@ -298,15 +301,13 @@ def reconstruct_ratio(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, le
     NotNormalized. The check adds the M mask slices in index order, one
     whole-array add per source, where a reduction over the length-M axis
     would run numpy's inner loop once per bin."""
-    if masks.shape[:2] != x_spec.shape:
-        raise ShapeMismatch(f"masks {masks.shape} vs spec {x_spec.shape}")
     sums = masks[:, :, 0].copy()
     for m in range(1, masks.shape[2]):
         sums += masks[:, :, m]
     sums -= 1.0
     if not np.max(np.abs(sums, out=sums)) <= 1e-9:  # NaN fails too
         raise NotNormalized("ratio mask bins must sum to 1")
-    return [istft(x_spec * masks[:, :, m], cfg, length) for m in range(masks.shape[2])]
+    return _masked_stems(x_spec, masks, cfg, length)
 
 
 @dataclass(frozen=True)

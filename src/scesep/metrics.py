@@ -45,9 +45,10 @@ def sdr(reference: Waveform, estimate: Waveform) -> float:
     return float(np.clip(10.0 * np.log10(p_target / p_error), -SDR_CAP_DB, SDR_CAP_DB))
 
 
-def best_permutation(references, estimates, mixture: Waveform = None) -> EvalResult:
+def best_permutation(references, estimates, mixture: Waveform) -> EvalResult:
     """Exhaustive matching maximizing mean SDR (ties to the
-    lexicographically smallest permutation)."""
+    lexicographically smallest permutation); each source's improvement is
+    over the SDR of the unprocessed ``mixture``."""
     if len(references) != len(estimates):
         raise CountMismatch(f"{len(references)} references vs {len(estimates)} estimates")
     m = len(references)
@@ -58,11 +59,8 @@ def best_permutation(references, estimates, mixture: Waveform = None) -> EvalRes
         if mean > best_mean + 1e-12:
             best_perm, best_mean = perm, mean
     per_source = [float(table[i, best_perm[i]]) for i in range(m)]
-    if mixture is not None:
-        base = [sdr(references[best_perm[i]], mixture) for i in range(m)]
-        improvement = [s - b for s, b in zip(per_source, base)]
-    else:
-        improvement = [float("nan")] * m
+    base = [sdr(references[best_perm[i]], mixture) for i in range(m)]
+    improvement = [s - b for s, b in zip(per_source, base)]
     return EvalResult(per_source, improvement, best_perm)
 
 

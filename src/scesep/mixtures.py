@@ -266,9 +266,9 @@ def build_corpus(
     return Corpus(**splits, n_sources=stream.n_sources)
 
 
-def _clip_from_spec(spec: str, corpus_seed: int, cfg: StftConfig, duration_s: float) -> SourceClip:
-    """Load or regenerate one source, from a spec `_speaker_rows` has checked;
-    the spec string becomes its clip id.
+def _clip_from_spec(spec: str, class_id: int, corpus_seed: int, cfg: StftConfig, duration_s: float) -> SourceClip:
+    """Load or regenerate one source of class `class_id`, from a spec
+    `_speaker_rows` has checked; the spec string becomes its clip id.
 
     `synth:<generator>:<tag>-<name>` draws from the stream `<tag>-speech`
     (speechlike) or `<tag>-noise` (a noise kind) of the corpus seed.
@@ -279,13 +279,13 @@ def _clip_from_spec(spec: str, corpus_seed: int, cfg: StftConfig, duration_s: fl
         from .dsp import resample, standardize
 
         w = standardize(resample(read_wav(":".join(parts[1:])), cfg.sample_rate_hz))
-        return SourceClip(Waveform(_unit_power(w.samples), cfg.sample_rate_hz), -1, spec)
+        return SourceClip(Waveform(_unit_power(w.samples), cfg.sample_rate_hz), class_id, spec)
     generator, tag, fs = parts[1], parts[2].rsplit("-", 1)[0], cfg.sample_rate_hz
     if generator == "speechlike":
         clip = synth_speechlike(duration_s, stream_seed(corpus_seed, f"{tag}-speech"), fs)
     else:
         clip = synth_noise(generator, duration_s, stream_seed(corpus_seed, f"{tag}-noise"), fs)
-    return SourceClip(clip.waveform, clip.class_id, spec)
+    return SourceClip(clip.waveform, class_id, spec)
 
 
 def _speaker_rows(rows) -> dict:
@@ -331,8 +331,8 @@ def stream_records(rows, corpus_seed: int, cfg: StftConfig, clip_duration_s: flo
 
     def records():
         for row in rows:
-            speech, noise = (_clip_from_spec(s, corpus_seed, cfg, clip_duration_s) for s in row.specs)
-            noise = SourceClip(noise.waveform, row.class_id, noise.clip_id)
+            speech = _clip_from_spec(row.specs[0], SPEECH_CLASS_ID, corpus_seed, cfg, clip_duration_s)
+            noise = _clip_from_spec(row.specs[1], row.class_id, corpus_seed, cfg, clip_duration_s)
             source_ids = [0 if row.split == "test" else speakers[row.specs[0]], row.class_id]
             yield row.split, mix_at_snr(speech, noise, row.snr_db, row.seed, cfg, row.clip_id, source_ids)
 

@@ -46,12 +46,6 @@ class SnmfConfig:
             )
 
 
-@dataclass(frozen=True)
-class Dictionary:
-    w: np.ndarray  # (F, R), columns unit-l2
-    class_id: int
-
-
 def trim_silence(mag: np.ndarray, threshold: float = SnmfConfig.trim_threshold) -> np.ndarray:
     """Drop frames whose per-frame peak falls below a log threshold
     relative to the global maximum. Order preserved."""
@@ -92,8 +86,8 @@ def fit_dictionary(
 ):
     """Fit one class dictionary by alternating multiplicative updates.
 
-    Returns (Dictionary, objective history); the objective is
-    non-increasing across updates up to rounding.
+    Returns (W, objective history): W is (F, rank) with unit-l2 columns,
+    and the objective is non-increasing across updates up to rounding.
     """
     v = np.concatenate([np.asarray(m) for m in training_mags], axis=0).T  # (F, N)
     if np.any(v < 0):
@@ -117,16 +111,16 @@ def fit_dictionary(
         history.append(obj)
         if abs(history[-2] - history[-1]) <= cfg.tol * max(abs(history[-2]), 1e-30):
             break
-    return Dictionary(w, class_id), history
+    return w, history
 
 
-def separate(x_mag: np.ndarray, dicts, cfg: SnmfConfig = SnmfConfig(), seed: int = 0):
-    """Ratio masks (T, F, len(dicts)) from activations over fixed
-    concatenated dictionaries (H-updates only)."""
+def separate(x_mag: np.ndarray, ws, cfg: SnmfConfig = SnmfConfig(), seed: int = 0):
+    """Ratio masks (T, F, len(ws)) from activations over the fixed
+    dictionaries ``ws``, (F, R_i) arrays side by side (H-updates only)."""
     v = np.asarray(x_mag).T  # (F, T)
     if np.any(v < 0):
         raise NegativeInput("magnitudes must be nonnegative")
-    w = np.hstack([d.w for d in dicts])
+    w = np.hstack(ws)
     rng = rng_for(seed, "snmf-separate")
     h = np.abs(rng.standard_normal((w.shape[1], v.shape[1])))
     mu = cfg.sparsity
@@ -141,26 +135,32 @@ def separate(x_mag: np.ndarray, dicts, cfg: SnmfConfig = SnmfConfig(), seed: int
         prev = cur
     recons = []
     lo = 0
-    for d in dicts:
-        hi = lo + d.w.shape[1]
-        recons.append(d.w @ h[lo:hi])  # (F, T)
+    for wi in ws:
+        hi = lo + wi.shape[1]
+        recons.append(wi @ h[lo:hi])  # (F, T)
         lo = hi
-    total = np.sum(recons, axis=0) + len(dicts) * EPS_MASK
+    total = np.sum(recons, axis=0) + len(ws) * EPS_MASK
     masks = np.stack([(r + EPS_MASK) / total for r in recons], axis=-1)  # (F, T, S)
     # make each bin an exact partition: last channel takes the residual
     masks[..., -1] = 1.0 - masks[..., :-1].sum(axis=-1)
     return np.transpose(masks, (1, 0, 2))  # (T, F, S)
 
 
-def save_dictionary(path, d: Dictionary) -> None:
-    write_container(path, MAGIC_NMF, {"class_id": d.class_id}, {"w": d.w})
+def save_dictionary(path, w: np.ndarray, class_id: int) -> None:
+    write_container(path, MAGIC_NMF, {"class_id": class_id}, {"w": w})
 
 
-def load_dictionary(path) -> Dictionary:
+def load_dictionary(path, n_freq: int) -> np.ndarray:
+    """The W of a saved dictionary, which must have one row per frequency
+    bin of the STFT."""
     meta, tensors = read_container(path, MAGIC_NMF)
     w = require(path, tensors, "w")
     # Saved columns are nonnegative with unit l2 norm, so every entry is in
-    # [0, 1]; this also rejects NaN and inf.
-    if w.ndim != 2 or not np.all((w >= 0) & (w <= 1)):
-        raise CorruptCheckpoint(f"{path}: dictionary 'w' must be a matrix with entries in [0, 1]")
-    return Dictionary(w, require(path, meta, "class_id", int))
+    # [0, 1]; this also rejects NaN and inf. Every saved rank is >= 1.
+    if w.ndim != 2 or w.shape[1] == 0 or not np.all((w >= 0) & (w <= 1)):
+        raise CorruptCheckpoint(f"{path}: dictionary 'w' must be a matrix with entries in [0, 1] "
+                                f"and at least one column")
+    require(path, meta, "class_id", int)
+    if len(w) != n_freq:
+        raise ValueError(f"{path}: dictionary has {len(w)} rows, expected n_freq = {n_freq}")
+    return w

@@ -20,7 +20,11 @@ set. One line is printed:
 
 and, for ``train``, ``  swap=`` with the swapped names (or ``none``).
 ``peak_rss_mb`` is the child's ``ru_maxrss``, imports and set-up included.
-The other three cover the measured job only (the epochs, or the one
+It depends on the checkout the script runs in, for a cause not found: the
+same ``src/`` read 112.7–112.8 MB in a working checkout and 111.7 MB in a
+fresh copy of it (``train --epochs 16``, 5 interleaved runs each), while two
+fresh copies of one commit agreed. Compare only fresh copies (``git
+archive`` or ``git clone``) with each other. The other three cover the measured job only (the epochs, or the one
 ``denoise`` command). scesep is imported from the ``src/`` next to this file.
 pytest does not collect this file.
 """

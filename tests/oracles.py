@@ -5,11 +5,11 @@ import math
 import numpy as np
 
 from scesep import nn
-from scesep.dsp import WINDOW_SUM_FLOOR, StftConfig, Waveform, hann_window
+from scesep.dsp import WINDOW_SUM_FLOOR, StftConfig, Waveform, hann_window, istft
 from scesep.errors import NegativeInput
 from scesep.inference import ClusterAssignment
 from scesep.seeding import rng_for
-from scesep.snmf import EPS_MASK, EPS_UPDATE, Dictionary, SnmfConfig, _normalize_columns
+from scesep.snmf import EPS_MASK, EPS_UPDATE, SnmfConfig, _normalize_columns
 
 
 def sce_loss_oracle(v_i: np.ndarray, v_o: np.ndarray, y: np.ndarray) -> float:
@@ -128,6 +128,12 @@ def istft_loop_oracle(s, cfg: StftConfig, length: int) -> Waveform:
     y = y[cfg.hop // 2 :]
     y = np.pad(y, (0, length - len(y))) if len(y) < length else y[:length]
     return Waveform(y, cfg.sample_rate_hz)
+
+
+def reconstruct_binary_oracle(x_spec, masks, cfg: StftConfig, length: int) -> list:
+    """Reference for inference.reconstruct_binary: each source's spectrum
+    X * 0.5 * (mask + 1) taken anew, in that order, then inverted."""
+    return [istft(x_spec * 0.5 * (masks[:, :, k] + 1.0), cfg, length) for k in range(masks.shape[2])]
 
 
 # --- the LSTM unrolled on the generic tape, one timestep at a time -----------
@@ -416,16 +422,16 @@ def snmf_fit_oracle(training_mags, cfg: SnmfConfig = SnmfConfig(), class_id: int
         history.append(_snmf_objective_direct(v, w, h, mu))
         if abs(history[-2] - history[-1]) <= cfg.tol * max(abs(history[-2]), 1e-30):
             break
-    return Dictionary(w, class_id), history
+    return w, history
 
 
-def snmf_separate_oracle(x_mag, dicts, cfg: SnmfConfig = SnmfConfig(), seed: int = 0):
+def snmf_separate_oracle(x_mag, ws, cfg: SnmfConfig = SnmfConfig(), seed: int = 0):
     """Reference for snmf.separate: WᵀV, WᵀW and the full residual taken anew
     on every iteration. Returns (masks (T, F, S), H-updates run)."""
     v = np.asarray(x_mag).T  # (F, T)
     if np.any(v < 0):
         raise NegativeInput("magnitudes must be nonnegative")
-    w = np.hstack([d.w for d in dicts])
+    w = np.hstack(ws)
     rng = rng_for(seed, "snmf-separate")
     h = np.abs(rng.standard_normal((w.shape[1], v.shape[1])))
     mu = cfg.sparsity
@@ -440,11 +446,11 @@ def snmf_separate_oracle(x_mag, dicts, cfg: SnmfConfig = SnmfConfig(), seed: int
         prev = cur
     recons = []
     lo = 0
-    for d in dicts:
-        hi = lo + d.w.shape[1]
-        recons.append(d.w @ h[lo:hi])  # (F, T)
+    for wi in ws:
+        hi = lo + wi.shape[1]
+        recons.append(wi @ h[lo:hi])  # (F, T)
         lo = hi
-    total = np.sum(recons, axis=0) + len(dicts) * EPS_MASK
+    total = np.sum(recons, axis=0) + len(ws) * EPS_MASK
     masks = np.stack([(r + EPS_MASK) / total for r in recons], axis=-1)  # (F, T, S)
     masks[..., -1] = 1.0 - masks[..., :-1].sum(axis=-1)
     return np.transpose(masks, (1, 0, 2)), n_iters

@@ -515,6 +515,23 @@ class TestDenoise:
         assert code == 0
         assert len(list(out.glob("*.src*.wav"))) == 3
 
+    def test_mi_mode_rejects_other_k(self, workspace, tmp_path, capsys, monkeypatch):
+        import scesep.cli as cli
+
+        loaded = []
+        monkeypatch.setattr(cli, "load_inference_model", lambda path: loaded.append(path))
+        wav = next(iter(workspace["data"].glob("*.mix.wav")))
+        out = tmp_path / "stems"
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(out),
+            "denoise", "--checkpoint", str(workspace["run"] / "model.scem"),
+            str(wav), "--mode", "mi", "--K", "3",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: --mode mi always separates 2 sources; --K 3 applies only to --mode cluster" in err
+        assert not loaded and not out.exists()
+
     def test_bad_checkpoint_fails(self, workspace, tmp_path):
         wav = next(iter(workspace["data"].glob("*.mix.wav")))
         bad = tmp_path / "bad.scem"
@@ -954,7 +971,7 @@ class TestEval:
             (snmf_dir / path.name).write_bytes(path.read_bytes())
         return snmf_dir
 
-    @pytest.mark.parametrize("damage", ["no-w", "no-class_id", "nan", "inf", "negative"])
+    @pytest.mark.parametrize("damage", ["no-w", "no-class_id", "nan", "inf", "negative", "no-columns"])
     def test_damaged_dictionary_is_corrupt(self, workspace, tmp_path, capsys, damage):
         snmf_dir = self.copy_dictionaries(workspace, tmp_path)
         path = snmf_dir / "snmf_class0.dict"
@@ -964,6 +981,8 @@ class TestEval:
             tensors = {"v": w}
         elif damage == "no-class_id":
             meta = {}
+        elif damage == "no-columns":
+            tensors = {"w": w[:, :0]}
         else:
             w[3, 2] = {"nan": np.nan, "inf": np.inf, "negative": -0.25}[damage]
             tensors = {"w": w}
@@ -973,6 +992,7 @@ class TestEval:
         err = capsys.readouterr().err
         named = {
             "no-w": "checkpoint has no 'w'", "no-class_id": "checkpoint has no 'class_id'",
+            "no-columns": "dictionary 'w' must be a matrix with entries in [0, 1] and at least one column",
         }.get(damage, "dictionary 'w' must be a matrix with entries in [0, 1]")
         assert code == 1
         assert f"error: {path}: {named}" in err and "Traceback" not in err

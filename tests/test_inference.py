@@ -8,6 +8,7 @@ from oracles import (
     kmeans_broadcast_oracle,
     kmeans_pp_init_choice_oracle,
     kmeans_score_restarts,
+    reconstruct_binary_oracle,
 )
 
 from scesep import inference
@@ -394,6 +395,34 @@ class TestReconstruct:
         with pytest.raises(ShapeMismatch):
             reconstruct_binary(x, np.ones((3, 3, 2)), CFG, len(w))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int8])
+    def test_binary_matches_oracle_bit_for_bit(self, dtype, monkeypatch):
+        spectra, real_istft = [], inference.istft  # each masked spectrum reconstruct_binary inverts
+
+        def spy(s, *args):
+            spectra.append(s.copy())
+            return real_istft(s, *args)
+
+        monkeypatch.setattr(inference, "istft", spy)
+        w, x = self.mixture_spec(7)
+        rng = np.random.default_rng(8)
+        x.real[rng.random(x.shape) < 0.3] = -0.0
+        x.imag[rng.random(x.shape) < 0.3] = -0.0
+        x.real[rng.random(x.shape) < 0.1] = 0.0
+        x[5] = complex(-0.0, -0.0)  # a silent frame of signed zeros
+        x[9] = 5e-324 * rng.integers(1, 8, size=x.shape[1])  # a frame of subnormals
+        for k in (2, 3):
+            labels = rng.integers(k, size=x.shape)
+            masks = np.where(labels[..., None] == np.arange(k), 1, -1).astype(dtype)
+            spectra.clear()
+            got = reconstruct_binary(x, masks, CFG, len(w))
+            want = reconstruct_binary_oracle(x, masks, CFG, len(w))
+            assert [s.samples.tobytes() for s in got] == [s.samples.tobytes() for s in want]
+            # the spectra too, signed zeros and subnormals included
+            assert [s.tobytes() for s in spectra] == [
+                (x * 0.5 * (masks[:, :, j] + 1.0)).tobytes() for j in range(k)
+            ]
+
     def test_ratio_sums_to_mixture(self):
         w, x = self.mixture_spec(4)
         r = np.random.default_rng(5).random(x.shape)
@@ -401,6 +430,11 @@ class TestReconstruct:
         stems = reconstruct_ratio(x, masks, CFG, length=len(w))
         total = stems[0].samples + stems[1].samples
         np.testing.assert_allclose(total, w.samples, atol=1e-9)
+
+    def test_ratio_shape_mismatch(self):
+        w, x = self.mixture_spec(3)
+        with pytest.raises(ShapeMismatch):
+            reconstruct_ratio(x, np.full((3, 3, 2), 0.5), CFG, len(w))
 
     def test_ratio_rejects_unnormalized(self):
         w, x = self.mixture_spec(6)

@@ -3,9 +3,9 @@ import pytest
 from oracles import snmf_fit_oracle, snmf_separate_oracle
 
 from scesep import snmf
+from scesep.container import MAGIC_NMF, read_container
 from scesep.errors import AllTrimmed, NegativeInput
 from scesep.snmf import (
-    Dictionary,
     SnmfConfig,
     fit_dictionary,
     load_dictionary,
@@ -61,11 +61,10 @@ class TestFitDictionary:
     def test_output_properties(self):
         rng = np.random.default_rng(0)
         cfg = SnmfConfig(rank=4, max_iters=50)
-        d, history = fit_dictionary([rng.random((30, 12))], cfg, class_id=3, seed=1)
-        assert d.class_id == 3
-        assert d.w.shape == (12, 4)
-        assert np.all(d.w >= 0)
-        np.testing.assert_allclose(np.linalg.norm(d.w, axis=0), 1.0)
+        w, history = fit_dictionary([rng.random((30, 12))], cfg, class_id=3, seed=1)
+        assert w.shape == (12, 4)
+        assert np.all(w >= 0)
+        np.testing.assert_allclose(np.linalg.norm(w, axis=0), 1.0)
         assert len(history) >= 2
 
     def test_objective_monotone_non_increasing(self):
@@ -81,7 +80,7 @@ class TestFitDictionary:
         cfg = SnmfConfig(rank=3, max_iters=30)
         a, ha = fit_dictionary(mags, cfg, 0, seed=7)
         b, hb = fit_dictionary(mags, cfg, 0, seed=7)
-        np.testing.assert_array_equal(a.w, b.w)
+        np.testing.assert_array_equal(a, b)
         assert ha == hb
 
     def test_negative_input(self):
@@ -186,14 +185,14 @@ class TestGramForm:
         make, cfg = FIT_CASES[name]
         mags = make(np.random.default_rng(11))
         vv = sum(float(np.sum(m * m)) for m in mags)
-        d, history = fit_dictionary(mags, cfg, class_id=2, seed=5)
-        d_ref, history_ref = snmf_fit_oracle(mags, cfg, class_id=2, seed=5)
+        w, history = fit_dictionary(mags, cfg, class_id=2, seed=5)
+        w_ref, history_ref = snmf_fit_oracle(mags, cfg, class_id=2, seed=5)
         assert len(history) == len(history_ref)
         if name == "tol-stopped":
             assert len(history) - 1 < cfg.max_iters
         if name == "capped":
             assert len(history) - 1 == cfg.max_iters
-        np.testing.assert_allclose(d.w, d_ref.w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(history, history_ref, rtol=0, atol=1e-12 * max(vv, 1.0))
 
     @pytest.mark.parametrize("name", ["tol-stopped", "capped", "mu-0", "rank-1", "all-zero", "t-below-rank"])
@@ -234,16 +233,16 @@ class TestGramForm:
         mags = make(np.random.default_rng(11))
         v = np.concatenate(mags).T
         calls = gram_spy(monkeypatch)
-        d, history = fit_dictionary(mags, cfg, seed=5)
+        w, history = fit_dictionary(mags, cfg, seed=5)
         h, obj = calls[-1]
         assert obj == history[-1]
-        direct = direct_objective(v, d.w, h, cfg.sparsity)
+        direct = direct_objective(v, w, h, cfg.sparsity)
         assert abs(obj - direct) <= 1e-9 * float(np.sum(v * v))
 
     def test_separate_objective_matches_direct(self, monkeypatch):
         rng = np.random.default_rng(13)
         w = np.abs(rng.standard_normal((24, 6)))
-        dicts = [Dictionary(w[:, :3], 0), Dictionary(w[:, 3:], 1)]
+        dicts = [w[:, :3], w[:, 3:]]
         mix = (w @ np.abs(rng.standard_normal((6, 30)))).T  # exactly representable
         cfg = SnmfConfig(sparsity=0.0, max_iters=500, tol=1e-14)
         calls = gram_spy(monkeypatch)
@@ -255,9 +254,9 @@ class TestGramForm:
 
 
 def test_save_load_round_trip(tmp_path):
-    d = Dictionary(np.random.default_rng(9).random((12, 4)), class_id=2)
+    w = np.random.default_rng(9).random((12, 4))
     path = tmp_path / "d.dict"
-    save_dictionary(path, d)
-    back = load_dictionary(path)
-    assert back.class_id == 2
-    np.testing.assert_array_equal(back.w, d.w)
+    save_dictionary(path, w, class_id=2)
+    meta, _ = read_container(path, MAGIC_NMF)
+    assert meta["class_id"] == "2"
+    np.testing.assert_array_equal(load_dictionary(path, n_freq=12), w)

@@ -1,12 +1,13 @@
 """Every function the benchmark's tracer wraps exists in the package, and
-``denoise`` makes the traced calls the benchmark expects of it.
+every workload's ops make the traced calls the benchmark expects of them.
 
 ``perfbench/tracer.py`` lists its targets as ``(module, attr)`` pairs and
 looks them up when a traced run starts, after importing ``scesep.cli``. A
 renamed or deleted target fails here instead of in that run. A traced
 benchmark run also fails every op whose span counts differ from its
 workload's ``expected_calls``, so a change that drops or adds a traced call
-in ``denoise`` fails here too.
+in ``denoise``, the ``eval`` workload's CLI commands or a ``train`` epoch
+fails here too, on inputs small enough for the unit tests.
 """
 
 import importlib.util
@@ -66,3 +67,25 @@ def test_denoise_span_counts_match_the_workload(mode):
         tracer.uninstall()
     counts = tr.calls_per_op(tracer.spans, [0])[0]
     assert dict(counts) == {k: v for k, v in wl.expected_calls(mode).items() if v}
+
+
+@pytest.mark.parametrize("name,plan", [
+    ("eval", {"corpus": {"n_train": 4, "n_val": 0, "n_test": 2}}),
+    ("train", {"epochs_per_run": 1}),
+])
+def test_workload_span_counts_match(name, plan, tmp_path):
+    tr, workloads = load_perfbench("tracer"), load_perfbench("workloads")
+    wl = workloads.make(name, {name: plan})
+    wl.setup(tmp_path, 1)
+    ops = wl.pass_ops(0)
+    tracer = tr.Tracer()
+    tracer.install()
+    try:
+        for i, op in enumerate(ops):
+            tracer.op = i
+            op.check(op.run())
+    finally:
+        tracer.uninstall()
+    counts = tr.calls_per_op(tracer.spans, range(len(ops)))
+    for i, op in enumerate(ops):
+        assert dict(counts[i]) == {k: v for k, v in wl.expected_calls(op.kind).items() if v}, op.kind
