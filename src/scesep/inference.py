@@ -6,8 +6,9 @@ Both apply masks to the complex mixture spectrogram, reusing its phase, and
 both start from one ``embed_mixture`` (STFT, compress, BLSTM), so a caller
 that wants both modes runs the BLSTM on a clip once. ``embed_mixture``
 keeps the BLSTM output h (T, 2H), not the (T, F, E) embedding field: cluster
-mode builds the field from h, and MI mode never builds it, since the MI
-head reads h through one composed weight (``SeparationModel.mi_masks``).
+mode builds the field from h a block at a time, and MI mode never builds
+it, since the MI head reads h through one composed weight
+(``SeparationModel.mi_masks``).
 The embedding carries the ``StftConfig`` it was framed with, and
 ``separate_embedded`` reconstructs with it; ``denoise`` is
 ``embed_mixture`` then ``separate_embedded``, to which it forwards its
@@ -47,12 +48,18 @@ for K > 2 each assignment also allocates its running maxima.
 k-means++ takes its distances row by row into N-vectors, with no (E, N)
 temporary.
 
-Cluster mode builds the embedding field from h and holds no whole-field
-copy beyond it: it takes the embedding norms in blocks of ``FRAME_BLOCK``
-frames, normalizes only the energetic rows that K-means fits, and then
-normalizes and assigns every bin, block by block, with ``_claim`` against
-the fitted centroids, doubled and squared once per clip. Each row's norm, and each column of the
-assignment GEMM, comes out the same in a block as in the whole field.
+Cluster mode never holds the whole embedding field. It builds the field
+from h in blocks of ``FRAME_BLOCK`` frames, a tail under 7 frames joined to
+the block before it, in two passes. The first keeps one norm per bin and
+writes the energetic rows, divided by their norms, straight into the
+contiguous (E, N) array that K-means fits; a non-finite norm is reported
+after it, counted over every block. The second rebuilds each block,
+normalizes every bin with the kept norms and labels it with ``_claim``
+against the fitted centroids, doubled and squared once per clip. Each row
+of a block's affine, each row's norm and each column of the assignment
+GEMM come out the same in a block as in the whole field. The binary
+reconstructor forms one source's masked spectrum at a time, so none
+outlives that source's iSTFT.
 """
 
 from dataclasses import dataclass, replace
@@ -271,6 +278,25 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
 FRAME_BLOCK = 64  # frames per block of cluster mode's passes over the embedding field
 
 
+def _field_blocks(model, h, n_freq):
+    """Cluster mode's pass over the embedding field of the BLSTM output
+    ``h`` (T, 2H), one block of frames at a time: yields the slice of the
+    flat bins each block covers and its (rows · F, E) embeddings.
+
+    Blocks are ``FRAME_BLOCK`` frames, and a tail shorter than 7 frames
+    joins the block before it. Affines of 7 to 1,000 rows were checked to
+    give each row the bits it has in the whole product, but a 1-row block
+    takes numpy's matrix–vector path, which differs by up to 2e-14; so only
+    T = 1 makes a 1-frame block, and then it is the whole field."""
+    starts = list(range(0, len(h), FRAME_BLOCK))
+    if len(starts) > 1 and len(h) - starts[-1] < 7:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [len(h)]):
+        with np.errstate(over="ignore", invalid="ignore"):  # huge weights: a non-finite norm is caught
+            v = model.embed_field(h[None, lo:hi]).data[0]
+        yield slice(lo * n_freq, hi * n_freq), v.reshape((hi - lo) * n_freq, v.shape[-1])
+
+
 def masks_from_clusters(assignment: ClusterAssignment, shape) -> np.ndarray:
     """One-hot {-1, +1} masks, shape (T, F, K), from flat cluster labels."""
     T, F = shape
@@ -280,18 +306,19 @@ def masks_from_clusters(assignment: ClusterAssignment, shape) -> np.ndarray:
     return y.reshape(T, F, k)
 
 
-def _masked_stems(x_spec: np.ndarray, gains: np.ndarray, cfg: StftConfig, length: int):
-    """Inverse STFT of X * gains[:, :, k] per source k. Untraced, and no
+def _masked_stems(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, length: int, apply):
+    """Inverse STFT of ``apply(X, masks[:, :, k])`` per source k, each
+    source's masked spectrum formed and dropped in turn. Untraced, and no
     reconstructor calls another, so a traced reconstructor call is one span."""
-    if gains.shape[:2] != x_spec.shape:
-        raise ShapeMismatch(f"masks {gains.shape} vs spec {x_spec.shape}")
-    return [istft(x_spec * gains[:, :, k], cfg, length) for k in range(gains.shape[2])]
+    if masks.shape[:2] != x_spec.shape:
+        raise ShapeMismatch(f"masks {masks.shape} vs spec {x_spec.shape}")
+    return [istft(apply(x_spec, masks[:, :, k]), cfg, length) for k in range(masks.shape[2])]
 
 
 def reconstruct_binary(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, length: int):
     """Apply S_hat = X * 0.5 * (mask + 1) per cluster, then inverse STFT. X is
     halved first, so S_hat keeps that product's signed zeros and subnormals."""
-    return _masked_stems(x_spec * 0.5, masks + 1.0, cfg, length)
+    return _masked_stems(x_spec, masks, cfg, length, lambda x, m: x * 0.5 * (m + 1.0))
 
 
 def reconstruct_ratio(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, length: int):
@@ -307,7 +334,7 @@ def reconstruct_ratio(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, le
     sums -= 1.0
     if not np.max(np.abs(sums, out=sums)) <= 1e-9:  # NaN fails too
         raise NotNormalized("ratio mask bins must sum to 1")
-    return _masked_stems(x_spec, masks, cfg, length)
+    return _masked_stems(x_spec, masks, cfg, length, np.multiply)
 
 
 @dataclass(frozen=True)
@@ -358,34 +385,36 @@ def separate_embedded(
     low_energy = float(np.mean(emb.mag < low_energy_threshold))
     assignment = None
     if mode == "cluster":
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is caught below
-            v = model.embed_field(emb.h[None]).data[0]  # (T, F, E)
         # Cluster by direction (unit-normalized embeddings), and fit centroids
         # on the energetic bins only: the near-silent majority forms a tight
         # blob that would otherwise dominate the K=2 split.
-        E = v.shape[2]
-        n, rows = T * F, FRAME_BLOCK * F
-        points = v.reshape(n, E)
+        n, E = T * F, model.config.embed_dim
         keep = emb.mag.reshape(n) >= low_energy_threshold
         if np.count_nonzero(keep) < k:
             keep[:] = True
-        with np.errstate(over="ignore"):  # an overflowing norm is caught below
-            norms = np.concatenate([np.linalg.norm(points[lo : lo + rows], axis=1) for lo in range(0, n, rows)])
+        norms, fit_t, at = np.empty(n), np.empty((E, np.count_nonzero(keep))), 0
+        for bins, points in _field_blocks(model, emb.h, F):
+            chosen = keep[bins]
+            fit = np.count_nonzero(chosen)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is caught below
+                norms[bins] = np.linalg.norm(points, axis=1)
+                norms[bins] += 1e-12
+                np.divide(points[chosen].T, norms[bins][chosen], out=fit_t[:, at : at + fit])
+            at += fit
         bad = int(np.count_nonzero(~np.isfinite(norms)))
         if bad:
             raise NonFiniteEmbedding(f"embedding norm is not finite at {bad} of {n} bins")
-        norms += 1e-12
-        fit_t = np.divide(points[keep].T, norms[keep], out=np.empty((E, np.count_nonzero(keep))))
         fitted = kmeans(fit_t.T, k, seed=seed, restarts=restarts, max_iter=max_iter)
         del fit_t
         doubled, sq_norms = 2.0 * fitted.centroids, (fitted.centroids**2).sum(axis=1)
         labels = np.empty(n, dtype=np.intp)
-        for lo in range(0, n, rows):
-            block = points[lo : lo + rows]
-            unit_t = np.divide(block.T, norms[lo : lo + rows], out=np.empty((E, len(block))))
-            member = np.empty((k - 1, len(block)), dtype=bool)
-            _claim(unit_t, doubled, sq_norms, np.empty((k, len(block))), member, np.empty(len(block), dtype=bool))
-            labels[lo : lo + rows] = _labels(member)
+        for bins, points in _field_blocks(model, emb.h, F):
+            rows = len(points)
+            unit_t = np.divide(points.T, norms[bins], out=np.empty((E, rows)))
+            member = np.empty((k - 1, rows), dtype=bool)
+            _claim(unit_t, doubled, sq_norms, np.empty((k, rows)), member, np.empty(rows, dtype=bool))
+            labels[bins] = _labels(member)
+        del norms  # not held through reconstruction, the peak of a long clip
         assignment = replace(fitted, labels=labels)
         masks = masks_from_clusters(assignment, (T, F))
         stems = reconstruct_binary(emb.x_spec, masks, emb.cfg, emb.length)

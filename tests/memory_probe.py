@@ -1,7 +1,7 @@
 """Measure the memory and fault cost of training or of one ``denoise``.
 
     python3 tests/memory_probe.py train [--epochs N] [--seed S] [--swap NAME[,NAME...]]
-    python3 tests/memory_probe.py denoise --seconds S --mode {cluster,mi} [--K K] [--seed S]
+    python3 tests/memory_probe.py denoise --seconds S[,S...] --mode {cluster,mi} [--K K] [--seed S]
 
 ``train`` builds the default-config corpus (16 train and 4 validation clips)
 and trains the default model for N epochs. With ``--swap``, the child first
@@ -19,6 +19,10 @@ set. One line is printed:
     peak_rss_mb=…  minor_faults=…  sys_s=…  wall_s=…
 
 and, for ``train``, ``  swap=`` with the swapped names (or ``none``).
+``denoise --seconds 60,240`` runs one child per value, each on its own
+input, and prints one such line per value, led by ``seconds=S``; a last line
+``mb_per_s=…`` gives the growth of ``peak_rss_mb`` per second of audio
+between the first and the last value.
 ``peak_rss_mb`` is the child's ``ru_maxrss``, imports and set-up included.
 It depends on the checkout the script runs in, for a cause not found: the
 same ``src/`` read 112.7–112.8 MB in a working checkout and 111.7 MB in a
@@ -121,6 +125,16 @@ def _write_denoise_inputs(workdir, seconds, seed):
     write_wav(Path(workdir) / "mix.wav", Waveform(np.clip(mix, -1.0, 1.0), cfg.sample_rate_hz))
 
 
+def _seconds_list(text):
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected seconds such as 60 or 60,240, got {text!r}") from None
+    if not all(0 < v < float("inf") for v in values) or len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"seconds must be finite, positive and distinct, got {text!r}")
+    return values
+
+
 def _child(job):
     sys.path.insert(0, str(SRC))
     if job["kind"] == "train":
@@ -147,7 +161,8 @@ def main():
     train.add_argument("--swap", type=_swap_names, default=[],
                        help="comma-separated nn attributes to replace with their oracles")
     denoise = sub.add_parser("denoise")
-    denoise.add_argument("--seconds", type=float, required=True)
+    denoise.add_argument("--seconds", type=_seconds_list, required=True,
+                         help="seconds of audio, or a comma-separated list of them")
     denoise.add_argument("--mode", choices=("cluster", "mi"), required=True)
     denoise.add_argument("--K", type=int, default=2, help="clusters in cluster mode")
     denoise.add_argument("--seed", type=int, default=1)
@@ -159,15 +174,23 @@ def main():
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(var, "1")
-    with tempfile.TemporaryDirectory() as workdir:
-        job = {"kind": args.kind, "seed": args.seed}
-        if args.kind == "train":
-            job.update(epochs=args.epochs, swap=args.swap)
-        else:
-            sys.path.insert(0, str(SRC))
-            _write_denoise_inputs(workdir, args.seconds, args.seed)
-            job.update(workdir=workdir, mode=args.mode, k=args.K)
+    job = {"kind": args.kind, "seed": args.seed}
+    if args.kind == "train":
+        job.update(epochs=args.epochs, swap=args.swap)
         subprocess.run([sys.executable, __file__, "--child", json.dumps(job)], env=env, check=True)
+        return
+    sys.path.insert(0, str(SRC))
+    peaks = []
+    for seconds in args.seconds:
+        with tempfile.TemporaryDirectory() as workdir:
+            _write_denoise_inputs(workdir, seconds, args.seed)
+            job.update(workdir=workdir, mode=args.mode, k=args.K)
+            line = subprocess.run([sys.executable, __file__, "--child", json.dumps(job)], env=env,
+                                  check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
+        peaks.append(float(line.split()[0].partition("=")[2]))
+        print(line if len(args.seconds) == 1 else f"seconds={seconds:g}  {line}", flush=True)
+    if len(peaks) > 1:
+        print(f"mb_per_s={(peaks[-1] - peaks[0]) / (args.seconds[-1] - args.seconds[0]):.3f}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from oracles import (
 
 from scesep import inference
 from scesep.dsp import StftConfig, Waveform, istft, resample, stft
-from scesep.errors import NotNormalized, ShapeMismatch, TooFewPoints
+from scesep.errors import NonFiniteEmbedding, NotNormalized, ShapeMismatch, TooFewPoints
 from scesep.inference import (
     ClusterAssignment,
     _claim,
@@ -513,15 +515,26 @@ class TestDenoise:
         real, calls = SeparationModel.embed_field, []
 
         def counted(self, h):
-            calls.append(h.shape)
+            calls.append(h.shape[1])
             return real(self, h)
 
         monkeypatch.setattr(SeparationModel, "embed_field", refuse)
         r = denoise(model, mixture, mode="mi", seed=3)
         assert len(r.stems) == 2
         monkeypatch.setattr(SeparationModel, "embed_field", counted)
-        denoise(model, mixture, mode="cluster", seed=3)
-        assert len(calls) == 1
+        # Cluster mode builds the field in blocks of FRAME_BLOCK frames, once
+        # per pass, never whole: a tail under 7 frames joins the block before
+        # it, so no block is one frame unless the clip is.
+        assert inference.FRAME_BLOCK == 64
+        cases = [(1, [1]), (6, [6]), (64, [64]), (65, [65]), (70, [70]), (71, [64, 7]),
+                 (78, [64, 14]), (134, [64, 70]), (135, [64, 64, 7])]
+        for frames, blocks in cases:
+            calls.clear()
+            w = Waveform(np.random.default_rng(frames).standard_normal(CFG.hop * frames), 10000)
+            denoise(model, w, mode="cluster", seed=3)
+            assert calls == blocks + blocks, frames
+            assert max(calls) <= inference.FRAME_BLOCK + 6
+            assert frames == 1 or 1 not in calls
 
     def test_separation_uses_the_embedding_framing(self, model):
         # The embedding remembers the framing it was taken with, and the
@@ -533,10 +546,10 @@ class TestDenoise:
         b = denoise(model, w, mode="mi", cfg=hop128, seed=1)
         assert [s.samples.tobytes() for s in a.stems] == [s.samples.tobytes() for s in b.stems]
 
-    @pytest.mark.parametrize("frames", [1, 64, 65, 130])
+    @pytest.mark.parametrize("frames", [1, 64, 65, 66, 70, 71, 130, 135])
     def test_cluster_blocks_match_one_block(self, model, monkeypatch, frames):
-        # Cluster mode takes norms and assigns in blocks of FRAME_BLOCK
-        # frames, a last block of one frame included; one block over the
+        # Cluster mode builds the field, takes norms and assigns in blocks of
+        # FRAME_BLOCK frames, with tails of 1 to 7 frames; one block over the
         # whole field must give the same bits.
         w = Waveform(np.random.default_rng(frames).standard_normal(CFG.hop * frames), 10000)
         emb = embed_mixture(model, w, CFG)
@@ -548,6 +561,23 @@ class TestDenoise:
         np.testing.assert_array_equal(blocked.assignment.centroids, whole.assignment.centroids)
         assert blocked.assignment.inertia_history == whole.assignment.inertia_history
         assert [s.samples.tobytes() for s in blocked.stems] == [s.samples.tobytes() for s in whole.stems]
+
+    def test_non_finite_embeddings_counted_over_every_block(self, model):
+        # Bad frames in two blocks: one whose embeddings are NaN (inf times
+        # weights of either sign) and two whose norms overflow. Every bad bin
+        # of the field is counted, and no numpy warning escapes.
+        w = Waveform(np.random.default_rng(4).standard_normal(CFG.hop * 130), 10000)
+        emb = embed_mixture(model, w, CFG)
+        T, F = emb.mag.shape
+        h = emb.h.copy()
+        h[3] = np.inf
+        h[100:102, 0] = 1e300
+        assert 3 < inference.FRAME_BLOCK <= 100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEmbedding) as err:
+                separate_embedded(model, dataclasses.replace(emb, h=h), mode="cluster", seed=3)
+        assert str(err.value) == f"embedding norm is not finite at {3 * F} of {T * F} bins"
 
     def test_resamples_foreign_rate(self, model):
         w = Waveform(np.random.default_rng(8).standard_normal(32000), 16000)
