@@ -50,12 +50,18 @@ temporary.
 
 Cluster mode never holds the whole embedding field. It builds the field
 from h in blocks of ``FRAME_BLOCK`` frames, a tail under 7 frames joined to
-the block before it, in two passes. The first keeps one norm per bin and
-writes the energetic rows, divided by their norms, straight into the
-contiguous (E, N) array that K-means fits; a non-finite norm is reported
-after it, counted over every block. The second rebuilds each block,
-normalizes every bin with the kept norms and labels it with ``_claim``
-against the fitted centroids, doubled and squared once per clip. Each row
+the block before it, in two passes. K-means fits on a sample of the
+energetic bins: at most ``max(FIT_POINTS, K)`` of them, drawn without
+replacement from the clip's ``kmeans-fit`` stream and kept in flat bin
+order, or every energetic bin when there are no more than that, so such a
+clip clusters as with no cap (fitting on a sample, then assigning every
+point, is mini-batch K-means in its plain form). The first pass keeps one
+norm per bin and writes the sampled rows, divided by their norms, straight
+into the contiguous (E, N) array that K-means fits; a non-finite norm is
+reported after it, counted over every block. The second rebuilds each
+block, normalizes every bin with the kept norms and labels it with
+``_claim`` against the fitted centroids, doubled and squared once per clip,
+so every bin gets a label. Each row
 of a block's affine, each row's norm and each column of the assignment
 GEMM come out the same in a block as in the whole field. The binary
 reconstructor forms one source's masked spectrum at a time, so none
@@ -276,6 +282,7 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
 
 
 FRAME_BLOCK = 64  # frames per block of cluster mode's passes over the embedding field
+FIT_POINTS = 4096  # energetic bins sampled to fit cluster mode's K-means (at least K)
 
 
 def _field_blocks(model, h, n_freq):
@@ -299,11 +306,8 @@ def _field_blocks(model, h, n_freq):
 
 def masks_from_clusters(assignment: ClusterAssignment, shape) -> np.ndarray:
     """One-hot {-1, +1} masks, shape (T, F, K), from flat cluster labels."""
-    T, F = shape
     k = len(assignment.centroids)
-    y = -np.ones((T * F, k))
-    y[np.arange(T * F), assignment.labels] = 1.0
-    return y.reshape(T, F, k)
+    return np.where(assignment.labels[:, None] == np.arange(k), 1.0, -1.0).reshape(*shape, k)
 
 
 def _masked_stems(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, length: int, apply):
@@ -380,7 +384,13 @@ def separate_embedded(
 ) -> DenoiseResult:
     """Masks from an embedded mixture, then reconstruction with the
     embedding's own framing ``emb.cfg``; one embedding serves any number of
-    calls, one per mode."""
+    calls, one per mode.
+
+    Cluster mode fits K-means on a seeded sample of at most
+    ``max(FIT_POINTS, k)`` energetic bins (every one when there are no more)
+    and then labels every bin against the fitted centroids; the result's
+    ``assignment.labels`` cover every bin, while ``assignment.inertia`` and
+    its history are taken over the fit sample."""
     T, F = emb.mag.shape
     low_energy = float(np.mean(emb.mag < low_energy_threshold))
     assignment = None
@@ -392,6 +402,11 @@ def separate_embedded(
         keep = emb.mag.reshape(n) >= low_energy_threshold
         if np.count_nonzero(keep) < k:
             keep[:] = True
+        cap = max(FIT_POINTS, k)
+        if np.count_nonzero(keep) > cap:  # fit on a seeded sample, which the mask keeps in flat order
+            sample = rng_for(seed, "kmeans-fit").choice(np.flatnonzero(keep), cap, replace=False)
+            keep[:] = False
+            keep[sample] = True
         norms, fit_t, at = np.empty(n), np.empty((E, np.count_nonzero(keep))), 0
         for bins, points in _field_blocks(model, emb.h, F):
             chosen = keep[bins]

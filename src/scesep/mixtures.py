@@ -74,13 +74,17 @@ def synth_speechlike(
     centers = np.array([rng.uniform(300, 800), rng.uniform(1000, 1800), rng.uniform(2200, 3000)])
     widths = np.array([150.0, 220.0, 300.0])
 
-    sig = np.zeros(n)
+    sig, buf = np.zeros(n), np.empty(n)
     k_max = int(3800.0 / f0)
-    for k in range(1, max(k_max, 1) + 1):
+    for k in range(1, max(k_max, 1) + 1):  # each harmonic formed in one reused buffer
         fk = k * f0
         formant_gain = np.sum(np.exp(-0.5 * ((fk - centers) / widths) ** 2))
         amp = (formant_gain + 0.05) / np.sqrt(k)
-        sig += amp * np.sin(k * phase + rng.uniform(0, 2 * np.pi))
+        np.multiply(k, phase, out=buf)
+        buf += rng.uniform(0, 2 * np.pi)
+        np.sin(buf, out=buf)
+        buf *= amp
+        sig += buf
 
     syllable_rate = rng.uniform(3.0, 5.0)
     env = 0.5 * (1.0 + np.sin(2 * np.pi * syllable_rate * t + rng.uniform(0, 2 * np.pi)))

@@ -8,6 +8,7 @@ from scesep import nn
 from scesep.dsp import WINDOW_SUM_FLOOR, StftConfig, Waveform, hann_window, istft
 from scesep.errors import NegativeInput
 from scesep.inference import ClusterAssignment
+from scesep.mixtures import _unit_power
 from scesep.seeding import rng_for
 from scesep.snmf import EPS_MASK, EPS_UPDATE, SnmfConfig, _normalize_columns
 
@@ -134,6 +135,47 @@ def reconstruct_binary_oracle(x_spec, masks, cfg: StftConfig, length: int) -> li
     """Reference for inference.reconstruct_binary: each source's spectrum
     X * 0.5 * (mask + 1) taken anew, in that order, then inverted."""
     return [istft(x_spec * 0.5 * (masks[:, :, k] + 1.0), cfg, length) for k in range(masks.shape[2])]
+
+
+def masks_from_clusters_index_oracle(assignment: ClusterAssignment, shape) -> np.ndarray:
+    """Reference for inference.masks_from_clusters: all −1, then a +1 set
+    at each bin's label through an (T·F,) ``np.arange`` index."""
+    T, F = shape
+    k = len(assignment.centroids)
+    y = -np.ones((T * F, k))
+    y[np.arange(T * F), assignment.labels] = 1.0
+    return y.reshape(T, F, k)
+
+
+def synth_speechlike_oracle(duration_s: float, seed: int, sample_rate_hz: int = StftConfig.sample_rate_hz):
+    """Reference samples of mixtures.synth_speechlike: each harmonic's
+    ``amp * np.sin(k * phase + offset)`` formed in fresh temporaries."""
+    rng = np.random.default_rng(seed)
+    fs = sample_rate_hz
+    n = int(round(duration_s * fs))
+    t = np.arange(n) / fs
+
+    f0 = rng.uniform(85.0, 220.0)
+    vibrato = 0.03 * np.sin(2 * np.pi * rng.uniform(4.0, 7.0) * t + rng.uniform(0, 2 * np.pi))
+    drift = 0.12 * np.sin(2 * np.pi * rng.uniform(0.2, 0.6) * t + rng.uniform(0, 2 * np.pi))
+    inst_f0 = f0 * (1.0 + vibrato + drift)
+    phase = 2 * np.pi * np.cumsum(inst_f0) / fs
+
+    centers = np.array([rng.uniform(300, 800), rng.uniform(1000, 1800), rng.uniform(2200, 3000)])
+    widths = np.array([150.0, 220.0, 300.0])
+
+    sig = np.zeros(n)
+    k_max = int(3800.0 / f0)
+    for k in range(1, max(k_max, 1) + 1):
+        fk = k * f0
+        formant_gain = np.sum(np.exp(-0.5 * ((fk - centers) / widths) ** 2))
+        amp = (formant_gain + 0.05) / np.sqrt(k)
+        sig += amp * np.sin(k * phase + rng.uniform(0, 2 * np.pi))
+
+    syllable_rate = rng.uniform(3.0, 5.0)
+    env = 0.5 * (1.0 + np.sin(2 * np.pi * syllable_rate * t + rng.uniform(0, 2 * np.pi)))
+    sig *= (0.15 + 0.85 * env) ** 1.5
+    return _unit_power(sig)
 
 
 # --- the LSTM unrolled on the generic tape, one timestep at a time -----------

@@ -10,6 +10,7 @@ from oracles import (
     kmeans_broadcast_oracle,
     kmeans_pp_init_choice_oracle,
     kmeans_score_restarts,
+    masks_from_clusters_index_oracle,
     reconstruct_binary_oracle,
 )
 
@@ -370,6 +371,14 @@ class TestMasksFromClusters:
         np.testing.assert_array_equal(masks.sum(axis=2), np.zeros((2, 3)))  # exactly one +1
         np.testing.assert_array_equal(masks.reshape(6, 2).argmax(axis=1), labels)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_index_oracle_bytes(self, k):
+        labels = np.random.default_rng(k).integers(0, k, 7 * 11).astype(np.intp)
+        a = ClusterAssignment(labels, np.zeros((k, 3)), 0.0, (0.0,))
+        got, want = masks_from_clusters(a, (7, 11)), masks_from_clusters_index_oracle(a, (7, 11))
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestReconstruct:
     def mixture_spec(self, seed=0):
@@ -561,6 +570,88 @@ class TestDenoise:
         np.testing.assert_array_equal(blocked.assignment.centroids, whole.assignment.centroids)
         assert blocked.assignment.inertia_history == whole.assignment.inertia_history
         assert [s.samples.tobytes() for s in blocked.stems] == [s.samples.tobytes() for s in whole.stems]
+
+    def spy_fit_bins(self, model, emb, monkeypatch):
+        """A list that collects, per ``kmeans`` call, the flat indices of the
+        bins it fits: each fit point is looked up among the unit embeddings
+        of every bin, taken as pass 1 takes them."""
+        T, F = emb.mag.shape
+        unit = np.empty((T * F, model.config.embed_dim))
+        for bins, points in inference._field_blocks(model, emb.h, F):
+            unit[bins] = points / (np.linalg.norm(points, axis=1) + 1e-12)[:, None]
+        where = {row.tobytes(): i for i, row in enumerate(unit)}
+        assert len(where) == T * F
+        real, fits = inference.kmeans, []
+
+        def spy(points, *args, **kwargs):
+            fits.append(np.array([where[row.tobytes()] for row in points]))
+            return real(points, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "kmeans", spy)
+        return fits
+
+    @pytest.mark.parametrize("fit_points, k", [(4096, 2), (64, 3), (2, 3)])
+    def test_kmeans_fits_a_seeded_sample_of_energetic_bins(self, model, mixture, monkeypatch, fit_points, k):
+        # K-means fits max(FIT_POINTS, K) energetic bins, drawn from the
+        # clip's seed and kept in flat order.
+        assert inference.FIT_POINTS == 4096
+        monkeypatch.setattr(inference, "FIT_POINTS", fit_points)
+        emb = embed_mixture(model, mixture, CFG)
+        energetic = np.flatnonzero(emb.mag.reshape(-1) >= 0.1)
+        assert len(energetic) > max(fit_points, k)
+        fits = self.spy_fit_bins(model, emb, monkeypatch)
+        for seed in (3, 3, 4):
+            r = separate_embedded(model, emb, mode="cluster", k=k, seed=seed)
+            assert r.assignment.labels.shape == (emb.mag.size,)
+        first, again, other = fits
+        assert len(first) == max(fit_points, k)
+        assert np.all(np.diff(first) > 0)  # flat bin order, no bin twice
+        assert np.isin(first, energetic).all()
+        np.testing.assert_array_equal(first, again)
+        assert len(other) == len(first) and not np.array_equal(first, other)
+
+    def test_every_energetic_bin_fitted_under_the_cap(self, model, monkeypatch):
+        w = Waveform(np.random.default_rng(15).standard_normal(CFG.hop * 15), 10000)
+        emb = embed_mixture(model, w, CFG)
+        energetic = np.flatnonzero(emb.mag.reshape(-1) >= 0.1)
+        assert 0 < len(energetic) <= inference.FIT_POINTS
+        fits = self.spy_fit_bins(model, emb, monkeypatch)
+        separate_embedded(model, emb, mode="cluster", seed=3)
+        np.testing.assert_array_equal(fits[0], energetic)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_clip_at_or_under_the_cap_keeps_its_bits(self, model, monkeypatch, k):
+        # No sample is drawn when every energetic bin fits under the cap, so
+        # the clip clusters as it would with no cap at all.
+        w = Waveform(np.random.default_rng(15).standard_normal(CFG.hop * 15), 10000)
+        emb = embed_mixture(model, w, CFG)
+        energetic = np.count_nonzero(emb.mag >= 0.1)
+        assert energetic <= inference.FIT_POINTS
+        runs = []
+        for cap in (inference.FIT_POINTS, energetic, 10**9):
+            monkeypatch.setattr(inference, "FIT_POINTS", cap)
+            runs.append(separate_embedded(model, emb, mode="cluster", k=k, seed=3))
+        first = runs[0]
+        for r in runs[1:]:
+            np.testing.assert_array_equal(r.assignment.labels, first.assignment.labels)
+            assert r.assignment.centroids.tobytes() == first.assignment.centroids.tobytes()
+            assert r.assignment.inertia_history == first.assignment.inertia_history
+            assert [s.samples.tobytes() for s in r.stems] == [s.samples.tobytes() for s in first.stems]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_small_cap_labels_every_bin(self, model, mixture, monkeypatch, k):
+        # Centroids fitted on 64 bins still label every bin, and the binary
+        # masks still partition the bins.
+        monkeypatch.setattr(inference, "FIT_POINTS", 64)
+        r = denoise(model, mixture, mode="cluster", k=k, seed=3)
+        T, F, _ = r.masks.shape
+        labels = r.assignment.labels
+        assert labels.shape == (T * F,)
+        assert labels.min() >= 0 and labels.max() < k
+        np.testing.assert_array_equal(((r.masks + 1.0) / 2.0).sum(axis=2), 1.0)
+        np.testing.assert_array_equal(r.masks.reshape(T * F, k).argmax(axis=1), labels)
+        total = sum(s.samples for s in r.stems)
+        np.testing.assert_allclose(total, mixture.samples, atol=1e-6)
 
     def test_non_finite_embeddings_counted_over_every_block(self, model):
         # Bad frames in two blocks: one whose embeddings are NaN (inf times
