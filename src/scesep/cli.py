@@ -211,8 +211,13 @@ def _check_partition_invariants(rec, result, stft_cfg) -> None:
         if np.max(np.abs(total - roundtrip)) > 1e-9:
             raise ScesepError("ratio-mask stems do not sum to the mixture")
     else:
-        onehot = (result.masks + 1.0) / 2.0
-        if not np.allclose(onehot.sum(axis=2), 1.0):
+        # Exactly one +1 per bin, every other entry exactly -1: the K slices,
+        # added slice by slice, then give exactly 2 - K in every bin.
+        masks = result.masks
+        sums = masks[:, :, 0].copy()
+        for k in range(1, masks.shape[2]):
+            sums += masks[:, :, k]
+        if not (np.all(np.abs(masks) == 1.0) and np.all(sums == 2.0 - masks.shape[2])):
             raise ScesepError("binary masks are not an exact partition")
         history = np.array(result.assignment.inertia_history)
         if np.any(np.diff(history) > 1e-9 * max(history[0], 1.0)):

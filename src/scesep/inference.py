@@ -30,21 +30,25 @@ counts, and the inertia comes in closed form from the cluster sums,
 ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩``.
 
 The restarts run in lockstep, up to ``LOCKSTEP`` at a time, one Lloyd
-iteration at a time. What touches N-sized data runs per restart, in one
-pass over the restarts, with the operands of a restart run alone, so every
-restart keeps its bits: its two GEMMs, its claims, its member counts and
-any empty-cluster reseed (with its own gains), in a (K, N) gain buffer and
-a (K, N) float membership that every restart and iteration reuses; then
-each restart's new rows are compared with its last ones, into an N-vector
-every restart reuses. What works on (K, E)-sized arrays runs once per
-iteration for all of them, on (R, K, E) and (R, K) arrays: the doubled
-centroids and ‖c‖² terms, the means and the sorted-term inertia. Lockstep
-holds, per restart, two sets of its last K − 1 membership rows (N bools
-each), which fix the first. A converged restart sits out the later
-iterations in place, its rows, sums and counts untouched, and once the
-group ends, a scan in restart order keeps the best. For K ≤ 2, short of
-the rare empty-cluster reseed, no Lloyd iteration allocates an array of N;
-for K > 2 each assignment also allocates its running maxima.
+iteration at a time, and each step of an iteration is one numpy call for
+every running restart of the group, on stacked arrays: one (R, K, N) float
+buffer, which holds the gains and then the float memberships, the
+(R, K − 1, N) bool membership rows, and the (R, K, E) and (R, K)
+centroids, sums, counts and ‖c‖² terms. A stacked
+``np.matmul`` calls BLAS once per restart with that restart's own operands,
+so every restart keeps the bits it has run alone (one (R·K, E) GEMM for the
+group would not: its products differ in the last bits); the elementwise
+steps and the reductions over a restart's own axes never mix restarts
+either. Only an empty-cluster reseed runs per restart, with its own gains,
+taken again by the same 2-D GEMM.
+Lockstep holds, per restart, two sets of its last K − 1 membership rows (N
+bools each), which fix the first. The running restarts fill the leading
+slots of every stacked array; when some converge, the slots are reordered so
+that the rest lead, and a converged restart sits out the later iterations
+untouched behind them. Once the group ends, a scan in restart order keeps
+the best. For K ≤ 2, short of the rare empty-cluster reseed, no Lloyd
+iteration allocates an array of N; for K > 2 each assignment also allocates
+its running maxima.
 k-means++ takes its distances row by row into N-vectors, with no (E, N)
 temporary.
 
@@ -56,16 +60,20 @@ replacement from the clip's ``kmeans-fit`` stream and kept in flat bin
 order, or every energetic bin when there are no more than that, so such a
 clip clusters as with no cap (fitting on a sample, then assigning every
 point, is mini-batch K-means in its plain form). The first pass keeps one
-norm per bin and writes the sampled rows, divided by their norms, straight
-into the contiguous (E, N) array that K-means fits; a non-finite norm is
-reported after it, counted over every block. The second rebuilds each
+norm per bin, its E squared columns added in numpy's pairwise order
+(``_row_norms``, the bytes of ``np.linalg.norm(points, axis=1)`` without a
+reduction per row), and writes the sampled rows, taken through one flat
+index of the fit bins and divided by their norms, straight into the
+contiguous (E, N) array that K-means fits; a non-finite norm is reported
+after it, counted over every block. The second rebuilds each
 block, normalizes every bin with the kept norms and labels it with
 ``_claim`` against the fitted centroids, doubled and squared once per clip,
 so every bin gets a label. Each row
 of a block's affine, each row's norm and each column of the assignment
-GEMM come out the same in a block as in the whole field. The binary
-reconstructor forms one source's masked spectrum at a time, so none
-outlives that source's iSTFT.
+GEMM come out the same in a block as in the whole field. The masks are the
+(T, F, K) view of a (K, T, F) array, so the binary reconstructor reads each
+source's mask as one contiguous block, and it forms one source's masked
+spectrum at a time, so none outlives that source's iSTFT.
 """
 
 from dataclasses import dataclass, replace
@@ -129,29 +137,34 @@ def _kmeans_pp_init(points_t, k, rng):
 
 def _claim(points_t, doubled, sq_norms, gain, rows, scratch):
     """Nearest centroid for each column of ``points_t`` (E, N), from the
-    doubled (K, E) centroids and their squared norms ‖c‖².
+    doubled centroids and their squared norms ‖c‖², (K, E) and (K,) for one
+    set or (R, K, E) and (R, K) for R restarts stacked.
 
-    Fills the (K, N) ``gain`` with ``2⟨x, c⟩ − ‖c‖²``, which is ``‖x‖²``
-    less the squared distances (one (K, E) @ (E, N) GEMM), and ``rows`` with
-    the last K − 1 rows of the (K, N) bool membership, one True per column.
-    A strict ``>`` over the K rows gives ties to the lowest index, as
-    ``argmin`` of the distances does. Returns the union of ``rows``, the
-    negated first row, which for K > 2 is taken in the N-vector ``scratch``.
+    Fills the (K, N) or (R, K, N) ``gain`` with ``2⟨x, c⟩ − ‖c‖²``, which is
+    ``‖x‖²`` less the squared distances, and ``rows`` with the last K − 1 rows
+    of each bool membership, one True per column. The GEMM is one
+    ``np.matmul``; stacked, it calls BLAS once per restart with that restart's
+    own operands, so each restart gets the bits it has alone. A strict ``>``
+    over the K rows gives ties to the lowest index, as ``argmin`` of the
+    distances does. Returns the union of the rows, the negated first row,
+    which for K > 2 is taken in ``scratch``, shaped like one row of ``rows``.
     """
     np.matmul(doubled, points_t, out=gain)
-    gain -= sq_norms[:, None]
-    if len(rows) == 0:
+    gain -= sq_norms[..., None]
+    k = gain.shape[-2]
+    if k == 1:
         scratch.fill(False)
         return scratch
     # Row j claims the points where it beats every row before it, and a point
     # belongs to the last row that claims it.
-    best = gain[0]
-    for j in range(1, len(gain)):
-        np.greater(gain[j], best, out=rows[j - 1])
-        if j < len(rows):
-            best = np.maximum(best, gain[j])
-    taken = rows[-1]
-    for row in rows[-2::-1]:
+    best = gain[..., 0, :]
+    for j in range(1, k):
+        np.greater(gain[..., j, :], best, out=rows[..., j - 1, :])
+        if j < k - 1:
+            best = np.maximum(best, gain[..., j, :])
+    taken = rows[..., -1, :]
+    for j in range(k - 3, -1, -1):
+        row = rows[..., j, :]
         np.greater(row, taken, out=row)  # and not taken by a later row
         taken = np.logical_or(taken, row, out=scratch)
     return taken
@@ -183,59 +196,69 @@ def _reseed_empty(points_t, sq, labels, gain, k):
     return centroids, float(((points_t - centroids.T[:, labels]) ** 2).sum())
 
 
-def _lloyd_lockstep(points_t, sq, centroids, max_iter, gain, scratch, onehot):
+def _lloyd_lockstep(points_t, sq, centroids, max_iter):
     """Lloyd iterations of R restarts from their (R, K, E) seeds
-    ``centroids``, advanced together in the (K, N) buffers ``gain`` and
-    ``onehot`` and the N-vector of bools ``scratch``. Returns ``(rows,
-    centroids, histories)`` in restart order, with ``rows`` the (R, K − 1, N)
-    last rows of each restart's bool membership.
+    ``centroids``, advanced together: each step is one numpy call for every
+    running restart, on one stacked (R, K, N) float buffer that holds each
+    iteration's gains and then its float memberships.
+    Returns ``(rows, centroids, histories)`` in restart order, with ``rows``
+    the (R, K − 1, N) last rows of each restart's bool membership.
 
-    A restart that has converged sits out the later iterations in place: its
-    two sets of rows are equal and never written again, and its sums and
-    counts do not change, so the means taken for all give back its centroids.
-    With every cluster populated the inertia is closed-form,
-    ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩`` with ``S_k`` the cluster sums, so it needs no
-    per-point pass and repeats exactly for equal partitions. The member
-    counts are exact integers, and the last K − 1 rows of a membership fix
-    its first, so only those rows are counted, compared and kept."""
-    _, k, _ = centroids.shape
+    The running restarts fill the leading slots of the stacked arrays, and
+    ``order`` names the restart in each slot. When some converge, the slots
+    are reordered so that the rest lead, and a converged restart sits out the
+    later iterations untouched behind them. With every cluster populated the
+    inertia is closed-form, ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩`` with ``S_k`` the
+    cluster sums, so it needs no per-point pass and repeats exactly for equal
+    partitions. The member counts, sums of 0s and 1s, are exact, and the last
+    K − 1 rows of a membership fix its first, so only those rows are compared
+    and kept."""
+    r, k, _ = centroids.shape
     n = points_t.shape[1]
     total = float(sq.sum())
-    running = list(range(len(centroids)))
-    histories = [[] for _ in running]
-    rows, last = (np.empty((len(running), k - 1, n), dtype=bool) for _ in range(2))
-    sums, counts = np.empty_like(centroids), np.empty(centroids.shape[:2])
+    centroids, order, histories = centroids.copy(), np.arange(r), [[] for _ in range(r)]
+    work = np.empty((r, k, n))  # each iteration's gains, then its float memberships
+    rows, last = (np.empty((r, k - 1, n), dtype=bool) for _ in range(2))
+    scratch = np.empty((r, n), dtype=bool)
     for i in range(max_iter):
         rows, last = last, rows
-        doubled, sq_norms = 2.0 * centroids, (centroids**2).sum(axis=2)
+        doubled, sq_norms = 2.0 * centroids[:r], (centroids[:r] ** 2).sum(axis=2)
+        taken = _claim(points_t, doubled, sq_norms, work[:r], rows[:r], scratch[:r])
+        work[:r, 1:] = rows[:r]
+        np.logical_not(taken, out=work[:r, 0])  # the first row: the rest's negated union
+        counts = work[:r].sum(axis=2)
+        sums = np.matmul(work[:r], points_t.T)
         reseeded = {}
-        for a in running:
-            taken = _claim(points_t, doubled[a], sq_norms[a], gain, rows[a], scratch)
-            count = [np.count_nonzero(row) for row in rows[a]]
-            count.insert(0, n - sum(count))
-            if all(count):
-                np.copyto(onehot[1:], rows[a])
-                np.logical_not(taken, out=onehot[0])  # the first row: the rest's negated union
-                np.matmul(onehot, points_t.T, out=sums[a])
-            else:
-                labels = _labels(rows[a])
-                sums[a], reseeded[a] = _reseed_empty(points_t, sq, labels, gain, k)
-                count = 1  # so the means below are the reseeded centroids
-                for j in range(1, k):
-                    np.equal(labels, j, out=rows[a, j - 1])
-            counts[a] = count
-        centroids = sums / counts[:, :, None]
+        for a in np.flatnonzero(~counts.all(axis=1)):
+            labels = _labels(rows[a])
+            gain = np.matmul(doubled[a], points_t) - sq_norms[a][:, None]  # its claim's gains again
+            sums[a], reseeded[a] = _reseed_empty(points_t, sq, labels, gain, k)
+            counts[a] = 1  # so the means below are the reseeded centroids
+            for j in range(1, k):
+                np.equal(labels, j, out=rows[a, j - 1])
+        centroids[:r] = sums / counts[:, :, None]
         # Sorting the K terms makes relabelings of one partition score
         # identically, so ties still go to the lowest restart.
-        inertia = (total - np.sort((sums * centroids).sum(axis=2), axis=1).sum(axis=1)).tolist()
-        for a in running:
-            histories[a].append(reseeded.get(a, inertia[a]))
-        if i:  # into ``scratch``: both buffers must keep a sat-out restart's rows
-            running = [a for a in running if any(np.not_equal(row, prev, out=scratch).any()
-                                                 for row, prev in zip(rows[a], last[a]))]
-            if not running:
-                break
-    return rows, centroids, histories
+        inertia = (total - np.sort((sums * centroids[:r]).sum(axis=2), axis=1).sum(axis=1)).tolist()
+        for a in range(r):
+            histories[order[a]].append(reseeded.get(a, inertia[a]))
+        if i:
+            moved = np.zeros(r, dtype=bool)
+            for j in range(k - 1):  # into ``scratch``: both row sets must keep their bits
+                moved |= np.not_equal(rows[:r, j], last[:r, j], out=scratch[:r]).any(axis=1)
+            if not moved.all():
+                slots = np.concatenate([np.flatnonzero(moved), np.flatnonzero(~moved),
+                                        np.arange(r, len(order))])
+                order, centroids = order[slots], centroids[slots]
+                # Both row sets take the new order: the next iteration writes
+                # one, and a converged restart's two are equal.
+                np.take(rows, slots, axis=0, out=last, mode="clip")
+                np.copyto(rows, last)
+                r = int(np.count_nonzero(moved))
+                if not r:
+                    break
+    slots = np.argsort(order)
+    return rows[slots], centroids[slots], histories
 
 
 def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
@@ -247,9 +270,10 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
     array: ``points.T`` as it is when that is contiguous, as for the
     transpose of an (E, N) array, else a copy. Restart r is seeded from its
     own ``kmeans-restart-{r}`` stream. The restarts run in lockstep groups
-    of at most ``LOCKSTEP`` (see the module docstring), each with the bits
-    of a restart run alone, so memory does not grow with ``restarts``
-    beyond ``LOCKSTEP``. A point goes to the lowest-index centroid among
+    of at most ``LOCKSTEP``, each step one call on the group's stacked
+    arrays (see the module docstring), each restart with the bits of a
+    restart run alone, so memory does not grow with ``restarts`` beyond
+    ``LOCKSTEP``. A point goes to the lowest-index centroid among
     those at equal distance. Points that are not finite, or whose squared
     norms sum past the float range, are a ValueError.
     """
@@ -267,13 +291,11 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
     # k-means++ would draw from a NaN distribution, and Lloyd from overflowing gains.
     if not finite:
         raise ValueError("points must be finite, and so must the sum of their squared norms")
-    n = len(points)
-    gain, scratch, onehot = np.empty((k, n)), np.empty(n, dtype=bool), np.empty((k, n))
     best = None
     for lo in range(0, restarts, LOCKSTEP):
         seeds = np.stack([_kmeans_pp_init(points_t, k, rng_for(seed, f"kmeans-restart-{r}"))
                           for r in range(lo, min(lo + LOCKSTEP, restarts))])
-        rows, centroids, histories = _lloyd_lockstep(points_t, sq, seeds, max_iter, gain, scratch, onehot)
+        rows, centroids, histories = _lloyd_lockstep(points_t, sq, seeds, max_iter)
         for a, history in enumerate(histories):
             if best is None or history[-1] < best[2][-1]:
                 best = rows[a].copy(), centroids[a], history
@@ -283,6 +305,38 @@ def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
 
 FRAME_BLOCK = 64  # frames per block of cluster mode's passes over the embedding field
 FIT_POINTS = 4096  # energetic bins sampled to fit cluster mode's K-means (at least K)
+
+
+def _pairwise_sum(terms):
+    """Sum of a list of equal-shape arrays in the order numpy's pairwise sum
+    adds a reduction's terms: in turn below 8 terms, in 8 interleaved partial
+    sums up to 128, and above that as two halves split at a multiple of 8.
+    Sums into the terms themselves."""
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for t in terms[1:]:
+            total += t
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    part = terms[:8]
+    for i in range(8, n - n % 8, 8):
+        for p, t in zip(part, terms[i : i + 8]):
+            p += t
+    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+    for t in terms[n - n % 8 :]:
+        total += t
+    return total
+
+
+def _row_norms(points):
+    """``np.linalg.norm(points, axis=1)`` of an (N, E) array, bit for bit: its
+    E squared columns added in numpy's pairwise order, so each step runs once
+    over N rather than once per row over E."""
+    total = _pairwise_sum([col * col for col in points.T])
+    return np.sqrt(total, out=total)
 
 
 def _field_blocks(model, h, n_freq):
@@ -305,9 +359,11 @@ def _field_blocks(model, h, n_freq):
 
 
 def masks_from_clusters(assignment: ClusterAssignment, shape) -> np.ndarray:
-    """One-hot {-1, +1} masks, shape (T, F, K), from flat cluster labels."""
+    """One-hot {-1, +1} masks, shape (T, F, K), from flat cluster labels: the
+    (T, F, K) view of a (K, T, F) array, so each source's mask is contiguous."""
     k = len(assignment.centroids)
-    return np.where(assignment.labels[:, None] == np.arange(k), 1.0, -1.0).reshape(*shape, k)
+    masks = np.where(assignment.labels == np.arange(k)[:, None], 1.0, -1.0)
+    return masks.reshape(k, *shape).transpose(1, 2, 0)
 
 
 def _masked_stems(x_spec: np.ndarray, masks: np.ndarray, cfg: StftConfig, length: int, apply):
@@ -392,30 +448,28 @@ def separate_embedded(
     ``assignment.labels`` cover every bin, while ``assignment.inertia`` and
     its history are taken over the fit sample."""
     T, F = emb.mag.shape
-    low_energy = float(np.mean(emb.mag < low_energy_threshold))
+    below = emb.mag < low_energy_threshold
+    low_energy = float(np.mean(below))
     assignment = None
     if mode == "cluster":
         # Cluster by direction (unit-normalized embeddings), and fit centroids
         # on the energetic bins only: the near-silent majority forms a tight
         # blob that would otherwise dominate the K=2 split.
         n, E = T * F, model.config.embed_dim
-        keep = emb.mag.reshape(n) >= low_energy_threshold
-        if np.count_nonzero(keep) < k:
-            keep[:] = True
+        fit = np.flatnonzero(~below)
+        if len(fit) < k:
+            fit = np.arange(n)
         cap = max(FIT_POINTS, k)
-        if np.count_nonzero(keep) > cap:  # fit on a seeded sample, which the mask keeps in flat order
-            sample = rng_for(seed, "kmeans-fit").choice(np.flatnonzero(keep), cap, replace=False)
-            keep[:] = False
-            keep[sample] = True
-        norms, fit_t, at = np.empty(n), np.empty((E, np.count_nonzero(keep))), 0
+        if len(fit) > cap:  # fit on a seeded sample, kept in flat order
+            fit = np.sort(rng_for(seed, "kmeans-fit").choice(fit, cap, replace=False))
+        norms, fit_t, at = np.empty(n), np.empty((E, len(fit))), 0
         for bins, points in _field_blocks(model, emb.h, F):
-            chosen = keep[bins]
-            fit = np.count_nonzero(chosen)
+            end = int(np.searchsorted(fit, bins.stop))
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is caught below
-                norms[bins] = np.linalg.norm(points, axis=1)
-                norms[bins] += 1e-12
-                np.divide(points[chosen].T, norms[bins][chosen], out=fit_t[:, at : at + fit])
-            at += fit
+                np.add(_row_norms(points), 1e-12, out=norms[bins])
+                chosen = fit[at:end]
+                np.divide(points[chosen - bins.start].T, norms[chosen], out=fit_t[:, at:end])
+            at = end
         bad = int(np.count_nonzero(~np.isfinite(norms)))
         if bad:
             raise NonFiniteEmbedding(f"embedding norm is not finite at {bad} of {n} bins")

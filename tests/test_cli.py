@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 import scesep
 from scesep import mixtures
 from scesep.audio_io import read_wav, write_wav
-from scesep.cli import main
+from scesep.cli import _check_partition_invariants, main
 from scesep.config import RunConfig
 from scesep.container import MAGIC_MODEL, MAGIC_NMF, read_container, write_container
 from scesep.dsp import Waveform
-from scesep.inference import denoise
+from scesep.errors import ScesepError
+from scesep.inference import ClusterAssignment, DenoiseResult, denoise
 from scesep.metrics import CSV_HEADER, sdr
 from scesep.model import load_inference_model
 
@@ -1072,6 +1073,45 @@ class TestEval:
         with open(out / "metrics.csv") as f:
             rows = list(csv.DictReader(f))
         assert {r["mode"] for r in rows} == {"mi"}
+
+
+class TestPartitionInvariants:
+    """eval's check of cluster-mode masks is exact: every entry is -1 or +1,
+    and the K slices, added in turn, give 2 - K in every bin."""
+
+    @staticmethod
+    def check(masks):
+        assignment = ClusterAssignment(np.zeros(masks.shape[0] * masks.shape[1], dtype=np.intp),
+                                       np.zeros((masks.shape[2], 2)), 0.0, (1.0, 0.5))
+        result = DenoiseResult([], masks, "cluster", 0.0, assignment)
+        _check_partition_invariants(None, result, None)
+
+    @staticmethod
+    def partition(k=3):
+        labels = np.random.default_rng(k).integers(0, k, (5, 7))
+        return np.where(labels[:, :, None] == np.arange(k), 1.0, -1.0)
+
+    def test_exact_partition_passes(self):
+        self.check(self.partition())
+
+    def test_entry_near_minus_one_fails(self):
+        masks = self.partition()
+        masks[2, 3, masks[2, 3].argmin()] = -0.99999  # np.allclose of the sums accepts it
+        with pytest.raises(ScesepError, match="not an exact partition"):
+            self.check(masks)
+
+    def test_entries_off_plus_minus_one_fail(self):
+        masks = self.partition(k=2)
+        masks[1, 1] = (0.5, -0.5)  # the bin still sums to 2 - K
+        with pytest.raises(ScesepError, match="not an exact partition"):
+            self.check(masks)
+
+    def test_two_plus_ones_in_a_bin_fail(self):
+        masks = self.partition()
+        masks[4, 0] = -1.0
+        masks[4, 0, :2] = 1.0
+        with pytest.raises(ScesepError, match="not an exact partition"):
+            self.check(masks)
 
 
 def track_live_records(monkeypatch):

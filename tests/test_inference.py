@@ -329,6 +329,43 @@ class TestKmeansBitIdentity:
             got = inference._sq_dist(points_t, c, np.empty(n), np.empty(n))
             assert got.tobytes() == want.tobytes(), (e, n)
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_stacked_matmul_matches_per_restart(self, k):
+        # Lloyd runs a group's GEMMs on stacked restarts. numpy calls BLAS once
+        # per 2-D slice with that slice's operands, so each restart gets the
+        # bytes of its own 2-D product: the gains into a prefix of the (R, K, N)
+        # buffer, and the cluster sums against the F-ordered transpose of the
+        # (E, N) points. Checked at the BLAS thread count the tests run with.
+        rng = np.random.default_rng(70 + k)
+        for e in range(1, 17):
+            for n in (1, 2, 7, 4095, 4096, 20000):
+                points_t = rng.standard_normal((e, n))
+                doubled = rng.standard_normal((8, k, e))
+                onehot = rng.integers(0, 2, (8, k, n)).astype(np.float64)
+                gain = np.empty((8, k, n))
+                for r in range(1, 9):
+                    np.matmul(doubled[:r], points_t, out=gain[:r])
+                    sums = np.matmul(onehot[:r], points_t.T)
+                    for a in range(r):
+                        assert gain[a].tobytes() == np.matmul(doubled[a], points_t).tobytes(), (e, n, r)
+                        assert sums[a].tobytes() == np.matmul(onehot[a], points_t.T).tobytes(), (e, n, r)
+
+    @pytest.mark.parametrize("e", [*range(1, 41), 63, 64, 65, 127, 128, 129, 130, 200, 256, 257, 300, 513])
+    def test_row_norms_match_linalg_norm(self, e):
+        # Cluster mode adds each bin's E squares column by column in numpy's
+        # pairwise order; the bytes are those of the per-row reduction it
+        # replaced, zero rows, overflowing squares and NaN included.
+        rng = np.random.default_rng(80 + e)
+        for n in (1, 7, 1000, 5000):
+            points = rng.standard_normal((n, e)) * 10.0 ** rng.integers(-3, 4, (n, e))
+            points[0] = 0.0
+            if n > 1:
+                points[1:4, rng.integers(e)] = (1e160, -1e200, np.nan)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.linalg.norm(points, axis=1)
+                got = inference._row_norms(points)
+            assert got.tobytes() == want.tobytes(), n
+
     # Sizes from two points up to a clip's energetic bins; in each, a few
     # repeated points, which get probability exactly 0 once one is chosen.
     @pytest.mark.parametrize("n,seeds", [(2, 400), (3, 400), (50, 400), (1000, 300), (15500, 60)])
@@ -378,6 +415,13 @@ class TestMasksFromClusters:
         got, want = masks_from_clusters(a, (7, 11)), masks_from_clusters_index_oracle(a, (7, 11))
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_each_source_mask_is_contiguous(self, k):
+        # Each source's reconstruction reads masks[:, :, k] as one block.
+        labels = np.random.default_rng(k).integers(0, k, 7 * 11).astype(np.intp)
+        masks = masks_from_clusters(ClusterAssignment(labels, np.zeros((k, 3)), 0.0, (0.0,)), (7, 11))
+        assert all(masks[:, :, j].flags.c_contiguous for j in range(k))
 
 
 class TestReconstruct:
