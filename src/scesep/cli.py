@@ -13,7 +13,7 @@ from . import snmf as snmf_mod
 from .audio_io import read_wav, write_wav
 from .config import parse_config_file, resolve
 from .dsp import Waveform, compress, istft
-from .errors import EmptyCorpus, ScesepError
+from .errors import EmptyCorpus, ScesepError, TooFewPoints
 from .inference import (
     denoise,
     embed_mixture,
@@ -194,6 +194,8 @@ def cmd_denoise(cfg, out_dir: Path, checkpoint: Path, input_wav: Path, mode: str
     except MemoryError as e:
         raise MemoryError(f"{e} ({input_wav.name}: {len(w) / w.sample_rate_hz:.1f} s "
                           f"at {w.sample_rate_hz} Hz)") from None
+    except TooFewPoints as e:  # K-means has one point per time-frequency bin
+        raise ValueError(f"--K {k} is more than {input_wav} has time-frequency bins ({e})") from None
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, stem in enumerate(result.stems):
         path = out_dir / f"{input_wav.stem}.src{i}.wav"

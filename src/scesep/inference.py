@@ -9,71 +9,32 @@ keeps the BLSTM output h (T, 2H), not the (T, F, E) embedding field: cluster
 mode builds the field from h a block at a time, and MI mode never builds
 it, since the MI head reads h through one composed weight
 (``SeparationModel.mi_masks``).
-The embedding carries the ``StftConfig`` it was framed with, and
-``separate_embedded`` reconstructs with it; ``denoise`` is
-``embed_mixture`` then ``separate_embedded``, to which it forwards its
-options.
 
-K-means reads the points in one layout, a contiguous (E, N) array.
-A point's squared distance to centroid c is ``‖x‖² − g`` with the gain
-``g = 2⟨x, c⟩ − ‖c‖²``, so assignment is one (K, E) @ (E, N) GEMM of the
-doubled centroids and one subtraction into a reused (K, N) buffer, and the
-nearest centroid is the one of highest gain, ties to the lowest index. The
-gain is exactly the negated score ``‖c‖² − 2⟨x, c⟩`` of the undoubled GEMM:
-doubling scales every product and partial sum by a power of two, which
-rounds nothing (short of overflow or subnormals), and rounding commutes
-with negation, ``fl(2d − n) = −fl(n − 2d)`` (a zero may change sign, which
-no comparison sees). So every comparison, tie and reseed comes out as it
-would on the score. The centroid update is one GEMM of a float copy of the
-(K, N) bool membership with the transposed points, divided by exact integer
-counts, and the inertia comes in closed form from the cluster sums,
-``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩``.
+K-means reads the points as one contiguous (E, N) array. A point's squared
+distance to centroid c is ``‖x‖² − g`` with the gain ``g = 2⟨x, c⟩ − ‖c‖²``,
+so assignment is one GEMM of the doubled centroids and one subtraction, and
+the nearest centroid is the one of highest gain. The gain is exactly the
+negated score ``‖c‖² − 2⟨x, c⟩`` of the undoubled GEMM: doubling scales
+every product and partial sum by a power of two, which rounds nothing
+(short of overflow or subnormals), and rounding commutes with negation (a
+zero may change sign, which no comparison sees), so every comparison, tie
+and reseed comes out as it would on the score. The centroid update is one
+GEMM of the float memberships with the transposed points, divided by exact
+integer counts.
 
-The restarts run in lockstep, up to ``LOCKSTEP`` at a time, one Lloyd
-iteration at a time, and each step of an iteration is one numpy call for
-every running restart of the group, on stacked arrays: one (R, K, N) float
-buffer, which holds the gains and then the float memberships, the
-(R, K − 1, N) bool membership rows, and the (R, K, E) and (R, K)
-centroids, sums, counts and ‖c‖² terms. A stacked
-``np.matmul`` calls BLAS once per restart with that restart's own operands,
-so every restart keeps the bits it has run alone (one (R·K, E) GEMM for the
-group would not: its products differ in the last bits); the elementwise
-steps and the reductions over a restart's own axes never mix restarts
-either. Only an empty-cluster reseed runs per restart, with its own gains,
-taken again by the same 2-D GEMM.
-Lockstep holds, per restart, two sets of its last K − 1 membership rows (N
-bools each), which fix the first. The running restarts fill the leading
-slots of every stacked array; when some converge, the slots are reordered so
-that the rest lead, and a converged restart sits out the later iterations
-untouched behind them. Once the group ends, a scan in restart order keeps
-the best. For K ≤ 2, short of the rare empty-cluster reseed, no Lloyd
-iteration allocates an array of N; for K > 2 each assignment also allocates
-its running maxima.
-k-means++ takes its distances row by row into N-vectors, with no (E, N)
-temporary.
+The restarts run in lockstep groups, each Lloyd step one numpy call on the
+group's stacked arrays. A stacked ``np.matmul`` calls BLAS once per restart
+with that restart's own operands, so every restart keeps the bits it has
+run alone; one (R·K, E) GEMM for the group would not, as its products
+differ in the last bits. Only an empty-cluster reseed runs per restart.
 
 Cluster mode never holds the whole embedding field. It builds the field
-from h in blocks of ``FRAME_BLOCK`` frames, a tail under 7 frames joined to
-the block before it, in two passes. K-means fits on a sample of the
-energetic bins: at most ``max(FIT_POINTS, K)`` of them, drawn without
-replacement from the clip's ``kmeans-fit`` stream and kept in flat bin
-order, or every energetic bin when there are no more than that, so such a
-clip clusters as with no cap (fitting on a sample, then assigning every
-point, is mini-batch K-means in its plain form). The first pass keeps one
-norm per bin, its E squared columns added in numpy's pairwise order
-(``_row_norms``, the bytes of ``np.linalg.norm(points, axis=1)`` without a
-reduction per row), and writes the sampled rows, taken through one flat
-index of the fit bins and divided by their norms, straight into the
-contiguous (E, N) array that K-means fits; a non-finite norm is reported
-after it, counted over every block. The second rebuilds each
-block, normalizes every bin with the kept norms and labels it with
-``_claim`` against the fitted centroids, doubled and squared once per clip,
-so every bin gets a label. Each row
-of a block's affine, each row's norm and each column of the assignment
-GEMM come out the same in a block as in the whole field. The masks are the
-(T, F, K) view of a (K, T, F) array, so the binary reconstructor reads each
-source's mask as one contiguous block, and it forms one source's masked
-spectrum at a time, so none outlives that source's iSTFT.
+from h in blocks of ``FRAME_BLOCK`` frames, in two passes. The first keeps
+each bin's norm and writes the fit sample (see ``separate_embedded``),
+normalized, straight into the (E, N) array that K-means fits; the second
+normalizes every bin with the kept norms and labels it with ``_claim``.
+Each row of a block's affine, each norm and each column of the assignment
+GEMM come out the same in a block as in the whole field.
 """
 
 from dataclasses import dataclass, replace
@@ -142,12 +103,10 @@ def _claim(points_t, doubled, sq_norms, gain, rows, scratch):
 
     Fills the (K, N) or (R, K, N) ``gain`` with ``2⟨x, c⟩ − ‖c‖²``, which is
     ``‖x‖²`` less the squared distances, and ``rows`` with the last K − 1 rows
-    of each bool membership, one True per column. The GEMM is one
-    ``np.matmul``; stacked, it calls BLAS once per restart with that restart's
-    own operands, so each restart gets the bits it has alone. A strict ``>``
-    over the K rows gives ties to the lowest index, as ``argmin`` of the
-    distances does. Returns the union of the rows, the negated first row,
-    which for K > 2 is taken in ``scratch``, shaped like one row of ``rows``.
+    of each bool membership, one True per column. A strict ``>`` over the
+    K rows gives ties to the lowest index, as ``argmin`` of the distances
+    does. Returns the union of the rows, the negated first row, which for
+    K > 2 is taken in ``scratch``, shaped like one row of ``rows``.
     """
     np.matmul(doubled, points_t, out=gain)
     gain -= sq_norms[..., None]
@@ -198,84 +157,67 @@ def _reseed_empty(points_t, sq, labels, gain, k):
 
 def _lloyd_lockstep(points_t, sq, centroids, max_iter):
     """Lloyd iterations of R restarts from their (R, K, E) seeds
-    ``centroids``, advanced together: each step is one numpy call for every
-    running restart, on one stacked (R, K, N) float buffer that holds each
-    iteration's gains and then its float memberships.
-    Returns ``(rows, centroids, histories)`` in restart order, with ``rows``
-    the (R, K − 1, N) last rows of each restart's bool membership.
+    ``centroids``, advanced together. Returns ``(rows, centroids,
+    histories)`` in restart order, with ``rows`` the (R, K − 1, N) last rows
+    of each restart's bool membership, which fix its first.
 
-    The running restarts fill the leading slots of the stacked arrays, and
-    ``order`` names the restart in each slot. When some converge, the slots
-    are reordered so that the rest lead, and a converged restart sits out the
-    later iterations untouched behind them. With every cluster populated the
-    inertia is closed-form, ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩`` with ``S_k`` the
-    cluster sums, so it needs no per-point pass and repeats exactly for equal
-    partitions. The member counts, sums of 0s and 1s, are exact, and the last
-    K − 1 rows of a membership fix its first, so only those rows are compared
-    and kept."""
+    Restart a keeps slot a of every stacked array, and ``running`` names the
+    restarts still moving: the m of them claim into the first m slots of
+    ``claimed`` and of the (R, K, N) float buffer ``work``, which holds the
+    gains and then the float memberships, and a restart whose claim equals
+    its kept rows sits out the later iterations. With every cluster
+    populated the inertia is ``Σ‖x‖² − Σ_k ⟨S_k, c_k⟩`` over the cluster
+    sums S_k and exact counts."""
     r, k, _ = centroids.shape
     n = points_t.shape[1]
     total = float(sq.sum())
-    centroids, order, histories = centroids.copy(), np.arange(r), [[] for _ in range(r)]
-    work = np.empty((r, k, n))  # each iteration's gains, then its float memberships
-    rows, last = (np.empty((r, k - 1, n), dtype=bool) for _ in range(2))
+    centroids, histories, running = centroids.copy(), [[] for _ in range(r)], np.arange(r)
+    work = np.empty((r, k, n))
+    rows, claimed = (np.empty((r, k - 1, n), dtype=bool) for _ in range(2))
     scratch = np.empty((r, n), dtype=bool)
     for i in range(max_iter):
-        rows, last = last, rows
-        doubled, sq_norms = 2.0 * centroids[:r], (centroids[:r] ** 2).sum(axis=2)
-        taken = _claim(points_t, doubled, sq_norms, work[:r], rows[:r], scratch[:r])
-        work[:r, 1:] = rows[:r]
-        np.logical_not(taken, out=work[:r, 0])  # the first row: the rest's negated union
-        counts = work[:r].sum(axis=2)
-        sums = np.matmul(work[:r], points_t.T)
+        m = len(running)
+        current = centroids[running]
+        doubled, sq_norms = 2.0 * current, (current**2).sum(axis=2)
+        taken = _claim(points_t, doubled, sq_norms, work[:m], claimed[:m], scratch[:m])
+        work[:m, 1:] = claimed[:m]
+        np.logical_not(taken, out=work[:m, 0])  # the first row: the rest's negated union
+        counts = work[:m].sum(axis=2)
+        sums = np.matmul(work[:m], points_t.T)
         reseeded = {}
         for a in np.flatnonzero(~counts.all(axis=1)):
-            labels = _labels(rows[a])
+            labels = _labels(claimed[a])
             gain = np.matmul(doubled[a], points_t) - sq_norms[a][:, None]  # its claim's gains again
             sums[a], reseeded[a] = _reseed_empty(points_t, sq, labels, gain, k)
             counts[a] = 1  # so the means below are the reseeded centroids
             for j in range(1, k):
-                np.equal(labels, j, out=rows[a, j - 1])
-        centroids[:r] = sums / counts[:, :, None]
+                np.equal(labels, j, out=claimed[a, j - 1])
+        means = sums / counts[:, :, None]
         # Sorting the K terms makes relabelings of one partition score
         # identically, so ties still go to the lowest restart.
-        inertia = (total - np.sort((sums * centroids[:r]).sum(axis=2), axis=1).sum(axis=1)).tolist()
-        for a in range(r):
-            histories[order[a]].append(reseeded.get(a, inertia[a]))
-        if i:
-            moved = np.zeros(r, dtype=bool)
-            for j in range(k - 1):  # into ``scratch``: both row sets must keep their bits
-                moved |= np.not_equal(rows[:r, j], last[:r, j], out=scratch[:r]).any(axis=1)
-            if not moved.all():
-                slots = np.concatenate([np.flatnonzero(moved), np.flatnonzero(~moved),
-                                        np.arange(r, len(order))])
-                order, centroids = order[slots], centroids[slots]
-                # Both row sets take the new order: the next iteration writes
-                # one, and a converged restart's two are equal.
-                np.take(rows, slots, axis=0, out=last, mode="clip")
-                np.copyto(rows, last)
-                r = int(np.count_nonzero(moved))
-                if not r:
-                    break
-    slots = np.argsort(order)
-    return rows[slots], centroids[slots], histories
+        inertia = (total - np.sort((sums * means).sum(axis=2), axis=1).sum(axis=1)).tolist()
+        for a, restart in enumerate(running):
+            histories[restart].append(reseeded.get(a, inertia[a]))
+        # The first claim has no kept rows to compare with.
+        moved = (claimed[:m] != rows[running]).any(axis=(1, 2)) if i else slice(None)
+        centroids[running], rows[running] = means, claimed[:m]
+        running = running[moved]
+        if not len(running):
+            break
+    return rows, centroids, histories
 
 
 def kmeans(points, k, seed=0, restarts=8, max_iter=300) -> ClusterAssignment:
     """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` by
-    inertia: a scan in restart order keeps a restart only on strictly lower
-    inertia, so ties go to the lowest restart index.
+    inertia, ties to the lowest restart; a point goes to the lowest-index
+    centroid among those at equal distance. Restart r is seeded from its
+    own ``kmeans-restart-{r}`` stream, and the restarts run in lockstep
+    groups of at most ``LOCKSTEP``, so memory does not grow with
+    ``restarts``.
 
-    ``points`` is (N, E), and K-means reads it only as a contiguous (E, N)
-    array: ``points.T`` as it is when that is contiguous, as for the
-    transpose of an (E, N) array, else a copy. Restart r is seeded from its
-    own ``kmeans-restart-{r}`` stream. The restarts run in lockstep groups
-    of at most ``LOCKSTEP``, each step one call on the group's stacked
-    arrays (see the module docstring), each restart with the bits of a
-    restart run alone, so memory does not grow with ``restarts`` beyond
-    ``LOCKSTEP``. A point goes to the lowest-index centroid among
-    those at equal distance. Points that are not finite, or whose squared
-    norms sum past the float range, are a ValueError.
+    ``points`` is (N, E), read as the contiguous (E, N) array ``points.T``,
+    a copy unless it is one already. Points that are not finite, or whose
+    squared norms sum past the float range, are a ValueError.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -307,35 +249,12 @@ FRAME_BLOCK = 64  # frames per block of cluster mode's passes over the embedding
 FIT_POINTS = 4096  # energetic bins sampled to fit cluster mode's K-means (at least K)
 
 
-def _pairwise_sum(terms):
-    """Sum of a list of equal-shape arrays in the order numpy's pairwise sum
-    adds a reduction's terms: in turn below 8 terms, in 8 interleaved partial
-    sums up to 128, and above that as two halves split at a multiple of 8.
-    Sums into the terms themselves."""
-    n = len(terms)
-    if n < 8:
-        total = terms[0]
-        for t in terms[1:]:
-            total += t
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    part = terms[:8]
-    for i in range(8, n - n % 8, 8):
-        for p, t in zip(part, terms[i : i + 8]):
-            p += t
-    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
-    for t in terms[n - n % 8 :]:
-        total += t
-    return total
-
-
 def _row_norms(points):
-    """``np.linalg.norm(points, axis=1)`` of an (N, E) array, bit for bit: its
-    E squared columns added in numpy's pairwise order, so each step runs once
-    over N rather than once per row over E."""
-    total = _pairwise_sum([col * col for col in points.T])
+    """Norms of the rows of an (N, E) array, the squares added column by
+    column in index order, as ``kmeans`` adds ‖x‖²."""
+    total = points[:, 0] * points[:, 0]
+    for col in points.T[1:]:
+        total += col * col
     return np.sqrt(total, out=total)
 
 

@@ -12,8 +12,8 @@ analysis frame fades out inside the output; and ``inputs/joined-8k.wav``,
 the same samples labelled 8 kHz, so that they are resampled. It then prints
 ``sha256  relative/path`` for every file written (manifest, WAVs,
 checkpoint, train log, SNMF dictionaries, ``metrics.csv``, input WAVs,
-stems) and for each command's standard output, in which the temporary
-directory reads ``<out>``. Each container
+stems) and for each command's standard output and standard error, in
+which the temporary directory reads ``<out>``. Each container
 (``.scem`` checkpoint, ``.dict`` dictionary) gets one more line,
 ``sha256  path#tensors``, over its tensors alone: each one's name, shape and
 float64 bytes in file order, without the meta block. A change to the meta
@@ -55,8 +55,9 @@ batch_size = 2
 
 
 def run_all(root: Path, seed: int) -> None:
-    """Run every command into ``root``; each one's stdout goes to
-    ``root/stdout/<step>.txt`` with ``root`` masked."""
+    """Run every command into ``root``; each one's stdout and stderr go to
+    ``root/stdout/<step>.txt`` and ``root/stderr/<step>.txt`` with ``root``
+    masked."""
     cfg = root / "run.cfg"
     cfg.write_text(CONFIG)
     data, run = root / "data", root / "run"
@@ -80,15 +81,17 @@ def run_all(root: Path, seed: int) -> None:
         "denoise", "--checkpoint", str(run / "model.scem"),
         str(data / "test-0.mix.wav"), "--mode", "cluster", "--K", "3",
     ]))
-    (root / "stdout").mkdir()
+    for stream in ("stdout", "stderr"):
+        (root / stream).mkdir()
 
     def execute(name, out, argv):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        out_buf, err_buf = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out_buf), contextlib.redirect_stderr(err_buf):
             code = scesep_main(["--config", str(cfg), "--seed", str(seed), "--out", str(out)] + argv)
         if code != 0:
-            raise SystemExit(f"{name} exited {code}")
-        (root / "stdout" / f"{name}.txt").write_text(buf.getvalue().replace(str(root), "<out>"))
+            raise SystemExit(f"{name} exited {code}: {err_buf.getvalue()}")
+        for stream, buf in (("stdout", out_buf), ("stderr", err_buf)):
+            (root / stream / f"{name}.txt").write_text(buf.getvalue().replace(str(root), "<out>"))
 
     for step in steps:
         execute(*step)

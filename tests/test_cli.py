@@ -533,6 +533,20 @@ class TestDenoise:
         assert "error: --mode mi always separates 2 sources; --K 3 applies only to --mode cluster" in err
         assert not loaded and not out.exists()
 
+    def test_k_above_the_clips_bins_is_usage_error(self, workspace, tmp_path, capsys):
+        # 300 samples make one frame of 257 bins, fewer than K points.
+        wav = tmp_path / "short.wav"
+        write_wav(wav, Waveform(read_wav(workspace["data"] / "test-0.mix.wav").samples[:300], 10000))
+        out = tmp_path / "stems"
+        code = main([
+            "--config", str(workspace["cfg"]), "--out", str(out),
+            "denoise", "--checkpoint", str(workspace["run"] / "model.scem"), str(wav), "--K", "5000",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: --K 5000 is more than {wav} has time-frequency bins (257 points for k=5000)" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_bad_checkpoint_fails(self, workspace, tmp_path):
         wav = next(iter(workspace["data"].glob("*.mix.wav")))
         bad = tmp_path / "bad.scem"

@@ -63,6 +63,16 @@ def unit_points(seed, n=15000, e=8, spread=1.0):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def far_tie_points(seed, e=16, copies=2000):
+    """``copies`` points at a and as many at −a, then one point t ⟂ a at ten
+    times a's norm: N = 4001, which is 1 mod 8."""
+    rng = np.random.default_rng(seed)
+    a, r = rng.standard_normal((2, e))
+    t = r - (r @ a / (a @ a)) * a
+    t *= 10.0 * np.linalg.norm(a) / np.linalg.norm(t)
+    return np.concatenate([np.tile(a, (copies, 1)), np.tile(-a, (copies, 1)), t[None]])
+
+
 def exact_inertia(points, a):
     return float(((points - a.centroids[a.labels]) ** 2).sum())
 
@@ -350,11 +360,28 @@ class TestKmeansBitIdentity:
                         assert gain[a].tobytes() == np.matmul(doubled[a], points_t).tobytes(), (e, n, r)
                         assert sums[a].tobytes() == np.matmul(onehot[a], points_t.T).tobytes(), (e, n, r)
 
+    @pytest.mark.parametrize("seed", [19, 22, 23, 31])
+    def test_far_tie_follows_each_restarts_own_gemm(self, seed):
+        # The gains of the far point t to a and to −a are equal in exact
+        # arithmetic, so its cluster, and with it which mirrored restart
+        # wins, comes from the last bits of ⟨t, ±2a⟩. A BLAS may round the
+        # last column of an N ≡ 1 (mod 8) product differently with more rows
+        # (OpenBLAS does at E = 16), so one (R·K, E) GEMM for a lockstep group
+        # would not give each restart the bits it has alone.
+        pts = far_tie_points(seed)
+        a = kmeans(pts, 2, seed=seed)
+        runs = kmeans_score_restarts(pts, 2, seed=seed)
+        b = runs[kmeans_best_restart(runs)]
+        np.testing.assert_array_equal(a.labels, b.labels)
+        assert a.centroids.tobytes() == b.centroids.tobytes()
+        assert a.inertia_history == b.inertia_history
+
     @pytest.mark.parametrize("e", [*range(1, 41), 63, 64, 65, 127, 128, 129, 130, 200, 256, 257, 300, 513])
     def test_row_norms_match_linalg_norm(self, e):
-        # Cluster mode adds each bin's E squares column by column in numpy's
-        # pairwise order; the bytes are those of the per-row reduction it
-        # replaced, zero rows, overflowing squares and NaN included.
+        # Cluster mode adds each bin's E squares column by column in index
+        # order, as kmeans adds ‖x‖²: the bytes of that fold written out, and
+        # np.linalg.norm's values to rounding (it adds pairwise), zero rows,
+        # overflowing squares and NaN included.
         rng = np.random.default_rng(80 + e)
         for n in (1, 7, 1000, 5000):
             points = rng.standard_normal((n, e)) * 10.0 ** rng.integers(-3, 4, (n, e))
@@ -362,9 +389,13 @@ class TestKmeansBitIdentity:
             if n > 1:
                 points[1:4, rng.integers(e)] = (1e160, -1e200, np.nan)
             with np.errstate(over="ignore", invalid="ignore"):
-                want = np.linalg.norm(points, axis=1)
+                total = points[:, 0] ** 2
+                for j in range(1, e):
+                    total = total + points[:, j] ** 2
                 got = inference._row_norms(points)
-            assert got.tobytes() == want.tobytes(), n
+                near = np.linalg.norm(points, axis=1)
+            assert got.tobytes() == np.sqrt(total).tobytes(), n
+            np.testing.assert_allclose(got, near, rtol=e * np.finfo(float).eps, atol=0)
 
     # Sizes from two points up to a clip's energetic bins; in each, a few
     # repeated points, which get probability exactly 0 once one is chosen.
@@ -622,7 +653,7 @@ class TestDenoise:
         T, F = emb.mag.shape
         unit = np.empty((T * F, model.config.embed_dim))
         for bins, points in inference._field_blocks(model, emb.h, F):
-            unit[bins] = points / (np.linalg.norm(points, axis=1) + 1e-12)[:, None]
+            unit[bins] = points / (inference._row_norms(points) + 1e-12)[:, None]
         where = {row.tobytes(): i for i, row in enumerate(unit)}
         assert len(where) == T * F
         real, fits = inference.kmeans, []
